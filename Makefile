@@ -1,6 +1,6 @@
 # Convenience targets; scripts/check.sh is the canonical gate.
 
-.PHONY: build test race vet sbvet sweep-check fault-check telemetry-check fleet-check bench bench-check hunt-check contention-check check
+.PHONY: build test race vet sbvet sweep-check fault-check telemetry-check fleet-check bench bench-check perfbench hunt-check contention-check check
 
 build:
 	go build ./...
@@ -34,6 +34,12 @@ bench:
 
 bench-check:
 	./scripts/bench_check.sh
+
+# The repository benchmark's harness tests plus a one-second
+# node-contended correctness run (exits 1 on any violation).
+perfbench:
+	go -C perfbench test .
+	bash perfbench/run.sh --workload node-contended --seed 1 --seconds 1 --trace 0
 
 hunt-check:
 	./scripts/hunt_check.sh

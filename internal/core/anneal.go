@@ -174,7 +174,9 @@ func (a *Annealer) Run(prob *Problem, initial Allocation, cfg AnnealConfig) (*An
 			i := r.Intn(m)
 			j := r.Intn(m)
 			if i == j {
-				j = (j + 1) % m
+				if j++; j == m {
+					j = 0
+				}
 			}
 			// A swap must respect both threads' affinity masks.
 			if !prob.AllowedOn(i, int(eval.alloc[j])) || !prob.AllowedOn(j, int(eval.alloc[i])) {
@@ -187,17 +189,28 @@ func (a *Annealer) Run(prob *Problem, initial Allocation, cfg AnnealConfig) (*An
 		} else {
 			i := r.Intn(m)
 			cur := int(eval.alloc[i])
-			off := r.IntRange(-span, span+1)
-			dst := ((cur+off)%n + n) % n
+			// |off| <= span <= n, so one compare-and-adjust wraps dst into
+			// [0, n) without a division.
+			dst := cur + r.IntRange(-span, span+1)
+			if dst < 0 {
+				dst += n
+			} else if dst >= n {
+				dst -= n
+			}
 			if dst == cur {
-				dst = (dst + 1) % n
+				if dst++; dst == n {
+					dst = 0
+				}
 			}
 			if !prob.AllowedOn(i, dst) {
 				// Scan forward for the nearest allowed core; give up on
 				// this iteration if the thread is fully pinned.
 				found := false
 				for step := 1; step < n; step++ {
-					cand := (dst + step) % n
+					cand := dst + step
+					if cand >= n {
+						cand -= n
+					}
 					if cand != cur && prob.AllowedOn(i, cand) {
 						dst, found = cand, true
 						break

@@ -367,6 +367,12 @@ func (e *Evaluator) coreEval(j int, threads []int) (gips, power float64) {
 // cores) incremental updates — the paper's "keeping track of previous
 // computations and obtaining a new evaluation only by performing
 // computations induced by the latest swap on Ψ".
+//
+// Two caches keep each annealer iteration to the work the candidate
+// move induces (DESIGN.md §11): obj holds the current allocation's
+// objective, folded once per Reset and once per applied move, and pv
+// holds the per-core pairs the last MoveDelta/SwapDelta scored, which
+// the matching Move/Swap commits instead of re-evaluating the cores.
 type Evaluator struct {
 	prob   *Problem
 	alloc  Allocation
@@ -378,6 +384,8 @@ type Evaluator struct {
 	sumGIPS       float64
 	sumPow        float64
 	ratioSum      float64 // Σ ω_j IPS_j/P_j for PerCoreRatioSum mode
+	obj           float64 // fold() of the current allocation
+	pv            preview
 
 	// Contention aggregates, maintained only when the problem carries a
 	// ContentionTerm (zero-length otherwise): the pooled thread
@@ -386,11 +394,14 @@ type Evaluator struct {
 	// stay O(1) to maintain; the penalised objective is an O(cores)
 	// fold where core j's discount is driven by its domain aggregate
 	// minus its own contribution (self-exclusion, mirroring the
-	// machine-side model).
+	// machine-side model). pen caches each core's discount under the
+	// current allocation; a commit refreshes it only in the (at most
+	// two) domains whose aggregates moved.
 	domWs  []float64
 	domBw  []float64
 	coreWs []float64
 	coreBw []float64
+	pen    []float64
 
 	// Scratch reused across Reset calls and delta previews, so a
 	// controller-owned evaluator allocates nothing in steady state
@@ -402,6 +413,19 @@ type Evaluator struct {
 	idxScratch   []int
 	previewA     []int
 	previewB     []int
+}
+
+// preview is a scored but uncommitted move or swap: the candidate and
+// the (gips, power) pairs its two cores would take. Core a is the move
+// source (swap: thread i's core), core b the destination (thread k's
+// core). Any commit or Reset invalidates it.
+type preview struct {
+	ok     bool
+	swap   bool
+	i, k   int         // moved thread; swap partner
+	dst    arch.CoreID // move destination
+	ga, wa float64
+	gb, wb float64
 }
 
 // NewEvaluator builds an evaluator for the initial allocation.
@@ -471,12 +495,19 @@ func (e *Evaluator) Reset(prob *Problem, initial Allocation) error {
 			e.coreWs[c] += t.WsKB[i]
 			e.coreBw[c] += t.BwGBps[i]
 		}
+		e.pen = growFloats(e.pen, n)
+		for j := range e.pen {
+			e.pen[j] = e.corePen(j)
+		}
 	} else {
 		e.domWs = e.domWs[:0]
 		e.domBw = e.domBw[:0]
 		e.coreWs = e.coreWs[:0]
 		e.coreBw = e.coreBw[:0]
+		e.pen = e.pen[:0]
 	}
+	e.pv = preview{}
+	e.obj = e.fold()
 	return nil
 }
 
@@ -488,32 +519,22 @@ func ratio(gips, pow float64, populated bool) float64 {
 	return gips / pow
 }
 
-// Objective returns the current J_E under the problem's mode. With a
-// contention term the throughput side is a penalty-discounted fold
-// over cores — each core discounted by the co-runner appetite pooled
-// in its LLC domain, its own contribution excluded — while power is
-// never discounted (contention wastes cycles, it does not save
-// energy).
-func (e *Evaluator) Objective() float64 {
-	if t := e.prob.Contention; t != nil {
-		var penG, penR float64
-		for j := range e.coreGIPS {
-			d := int(t.DomainOf[j])
-			pen := t.penalty(d, e.domWs[d]-e.coreWs[j], e.domBw[d]-e.coreBw[j])
-			penG += pen * e.coreGIPS[j]
-			penR += pen * ratio(e.coreGIPS[j], e.corePow[j], e.prevPopulated[j])
+// Objective returns the current J_E under the problem's mode, as
+// folded by the last Reset or applied move.
+func (e *Evaluator) Objective() float64 { return e.obj }
+
+// fold computes J_E from the per-core caches. With a contention term
+// the throughput side is a penalty-discounted fold over cores — each
+// core discounted by the co-runner appetite pooled in its LLC domain,
+// its own contribution excluded — while power is never discounted
+// (contention wastes cycles, it does not save energy).
+func (e *Evaluator) fold() float64 {
+	if e.prob.Contention != nil {
+		var s float64
+		for j, pen := range e.pen {
+			s += e.contTerm(pen, e.coreGIPS[j], e.corePow[j], e.prevPopulated[j])
 		}
-		switch e.prob.Mode {
-		case PerCoreRatioSum:
-			return penR
-		case MaxThroughput:
-			return penG
-		default:
-			if e.sumPow <= 0 {
-				return 0
-			}
-			return penG / e.sumPow
-		}
+		return e.contFinish(s, e.sumPow)
 	}
 	switch e.prob.Mode {
 	case PerCoreRatioSum:
@@ -562,51 +583,97 @@ func (e *Evaluator) objectiveWith(a, b int, ga, wa float64, na bool, gb, wb floa
 // threads, only its co-runners').
 func (e *Evaluator) objectiveWithCont(a, b int, ga, wa float64, na bool, gb, wb float64, nb bool, dwsA, dbwA, dwsB, dbwB float64) float64 {
 	t := e.prob.Contention
-	da, db := int(t.DomainOf[a]), int(t.DomainOf[b])
-	var penG, penR float64
-	for j := range e.coreGIPS {
+	da, db := t.DomainOf[a], t.DomainOf[b]
+	var s float64
+	for j, pen := range e.pen {
 		g, w, pop := e.coreGIPS[j], e.corePow[j], e.prevPopulated[j]
 		if j == a {
 			g, w, pop = ga, wa, na
 		} else if j == b {
 			g, w, pop = gb, wb, nb
 		}
-		d := int(t.DomainOf[j])
-		ws := e.domWs[d] - e.coreWs[j]
-		bw := e.domBw[d] - e.coreBw[j]
-		if d == da && j != a {
-			ws += dwsA
-			bw += dbwA
+		// Outside the two touched domains the cached discount is exact.
+		if d := t.DomainOf[j]; d == da || d == db {
+			ws := e.domWs[d] - e.coreWs[j]
+			bw := e.domBw[d] - e.coreBw[j]
+			if d == da && j != a {
+				ws += dwsA
+				bw += dbwA
+			}
+			if d == db && j != b {
+				ws += dwsB
+				bw += dbwB
+			}
+			pen = t.penalty(int(d), ws, bw)
 		}
-		if d == db && j != b {
-			ws += dwsB
-			bw += dbwB
-		}
-		pen := t.penalty(d, ws, bw)
-		penG += pen * g
-		penR += pen * ratio(g, w, pop)
+		s += e.contTerm(pen, g, w, pop)
 	}
+	return e.contFinish(s, e.sumPow-e.corePow[a]-e.corePow[b]+wa+wb)
+}
+
+// contTerm is one core's term of the contended fold: its discounted
+// Eq. (11) ratio under PerCoreRatioSum, its discounted GIPS otherwise.
+func (e *Evaluator) contTerm(pen, g, w float64, pop bool) float64 {
+	if e.prob.Mode == PerCoreRatioSum {
+		return pen * ratio(g, w, pop)
+	}
+	return pen * g
+}
+
+// contFinish turns the contended fold s into J_E, given the total
+// (never discounted) power.
+func (e *Evaluator) contFinish(s, pow float64) float64 {
 	switch e.prob.Mode {
-	case PerCoreRatioSum:
-		return penR
-	case MaxThroughput:
-		return penG
+	case PerCoreRatioSum, MaxThroughput:
+		return s
 	default:
-		w := e.sumPow - e.corePow[a] - e.corePow[b] + wa + wb
-		if w <= 0 {
+		if pow <= 0 {
 			return 0
 		}
-		return penG / w
+		return s / pow
+	}
+}
+
+// corePen is core j's contention discount under the current
+// allocation: its domain's pooled appetite less its own.
+func (e *Evaluator) corePen(j int) float64 {
+	d := e.prob.Contention.DomainOf[j]
+	return e.prob.Contention.penalty(int(d), e.domWs[d]-e.coreWs[j], e.domBw[d]-e.coreBw[j])
+}
+
+// refreshPen recomputes the cached discount of every core in LLC
+// domains da and db after a commit moved their aggregates.
+func (e *Evaluator) refreshPen(da, db int32) {
+	for j, d := range e.prob.Contention.DomainOf {
+		if d == da || d == db {
+			e.pen[j] = e.corePen(j)
+		}
 	}
 }
 
 // MoveDelta returns the objective change of moving thread i to core
-// dst, without applying it.
+// dst, without applying it. The scored cores stay cached for a
+// following Move(i, dst).
 func (e *Evaluator) MoveDelta(i int, dst arch.CoreID) float64 {
 	src := e.alloc[i]
 	if src == dst {
 		return 0
 	}
+	e.scoreMove(i, dst)
+	pv := &e.pv
+	if t := e.prob.Contention; t != nil {
+		return e.objectiveWithCont(int(src), int(dst), pv.ga, pv.wa, len(e.previewA) > 0, pv.gb, pv.wb, true,
+			-t.WsKB[i], -t.BwGBps[i], t.WsKB[i], t.BwGBps[i]) - e.obj
+	}
+	return e.objectiveWith(int(src), int(dst), pv.ga, pv.wa, len(e.previewA) > 0, pv.gb, pv.wb, true) - e.obj
+}
+
+// scoreMove evaluates thread i's source and destination cores as they
+// would stand after moving it to dst, into e.pv. The preview member
+// lists are in the order Move's removeInPlace and append produce, so
+// the committed pairs equal a fresh evaluation bit for bit.
+func (e *Evaluator) scoreMove(i int, dst arch.CoreID) {
+	src := e.alloc[i]
 	e.previewA = removeFromInto(e.previewA, e.byCore[src], i)
 	nd := len(e.byCore[dst])
 	e.previewB = growInts(e.previewB, nd+1)
@@ -614,11 +681,7 @@ func (e *Evaluator) MoveDelta(i int, dst arch.CoreID) float64 {
 	e.previewB[nd] = i
 	ga, wa := e.coreEval(int(src), e.previewA)
 	gb, wb := e.coreEval(int(dst), e.previewB)
-	if t := e.prob.Contention; t != nil {
-		return e.objectiveWithCont(int(src), int(dst), ga, wa, len(e.previewA) > 0, gb, wb, true,
-			-t.WsKB[i], -t.BwGBps[i], t.WsKB[i], t.BwGBps[i]) - e.Objective()
-	}
-	return e.objectiveWith(int(src), int(dst), ga, wa, len(e.previewA) > 0, gb, wb, true) - e.Objective()
+	e.pv = preview{ok: true, i: i, dst: dst, ga: ga, wa: wa, gb: gb, wb: wb}
 }
 
 // Move applies the move of thread i to core dst, updating caches, and
@@ -628,7 +691,9 @@ func (e *Evaluator) Move(i int, dst arch.CoreID) float64 {
 	if src == dst {
 		return 0
 	}
-	before := e.Objective()
+	if pv := &e.pv; !pv.ok || pv.swap || pv.i != i || pv.dst != dst {
+		e.scoreMove(i, dst)
+	}
 	e.byCore[src] = removeInPlace(e.byCore[src], i)
 	e.byCore[dst] = append(e.byCore[dst], i) //sbvet:allow hotpath(per-core member rows keep their high-water capacity; growth stops after the first epochs)
 	e.alloc[i] = dst
@@ -643,18 +708,32 @@ func (e *Evaluator) Move(i int, dst arch.CoreID) float64 {
 		e.coreWs[dst] += t.WsKB[i]
 		e.coreBw[dst] += t.BwGBps[i]
 	}
-	e.recompute(int(src))
-	e.recompute(int(dst))
-	return e.Objective() - before
+	return e.commit(int(src), int(dst))
 }
 
 // SwapDelta returns the objective change of swapping the cores of
-// threads i and k without applying it.
+// threads i and k without applying it. The scored cores stay cached
+// for a following Swap(i, k).
 func (e *Evaluator) SwapDelta(i, k int) float64 {
 	ci, ck := e.alloc[i], e.alloc[k]
 	if ci == ck {
 		return 0
 	}
+	e.scoreSwap(i, k)
+	pv := &e.pv
+	if t := e.prob.Contention; t != nil {
+		return e.objectiveWithCont(int(ci), int(ck), pv.ga, pv.wa, true, pv.gb, pv.wb, true,
+			t.WsKB[k]-t.WsKB[i], t.BwGBps[k]-t.BwGBps[i],
+			t.WsKB[i]-t.WsKB[k], t.BwGBps[i]-t.BwGBps[k]) - e.obj
+	}
+	return e.objectiveWith(int(ci), int(ck), pv.ga, pv.wa, true, pv.gb, pv.wb, true) - e.obj
+}
+
+// scoreSwap evaluates the cores of threads i and k as they would stand
+// after swapping them, into e.pv, with member lists in the order Swap
+// produces (see scoreMove).
+func (e *Evaluator) scoreSwap(i, k int) {
+	ci, ck := e.alloc[i], e.alloc[k]
 	e.previewA = removeFromInto(e.previewA, e.byCore[ci], i)
 	na := len(e.previewA)
 	e.previewA = growInts(e.previewA, na+1)
@@ -665,12 +744,7 @@ func (e *Evaluator) SwapDelta(i, k int) float64 {
 	e.previewB[nb] = i
 	ga, wa := e.coreEval(int(ci), e.previewA)
 	gb, wb := e.coreEval(int(ck), e.previewB)
-	if t := e.prob.Contention; t != nil {
-		return e.objectiveWithCont(int(ci), int(ck), ga, wa, true, gb, wb, true,
-			t.WsKB[k]-t.WsKB[i], t.BwGBps[k]-t.BwGBps[i],
-			t.WsKB[i]-t.WsKB[k], t.BwGBps[i]-t.BwGBps[k]) - e.Objective()
-	}
-	return e.objectiveWith(int(ci), int(ck), ga, wa, true, gb, wb, true) - e.Objective()
+	e.pv = preview{ok: true, swap: true, i: i, k: k, ga: ga, wa: wa, gb: gb, wb: wb}
 }
 
 // Swap applies the swap of threads i and k and returns the delta.
@@ -679,7 +753,9 @@ func (e *Evaluator) Swap(i, k int) float64 {
 	if ci == ck {
 		return 0
 	}
-	before := e.Objective()
+	if pv := &e.pv; !pv.ok || !pv.swap || pv.i != i || pv.k != k {
+		e.scoreSwap(i, k)
+	}
 	e.byCore[ci] = append(removeInPlace(e.byCore[ci], i), k) //sbvet:allow hotpath(the in-place removal freed one slot, so this append never grows)
 	e.byCore[ck] = append(removeInPlace(e.byCore[ck], k), i) //sbvet:allow hotpath(the in-place removal freed one slot, so this append never grows)
 	e.alloc[i], e.alloc[k] = ck, ci
@@ -694,20 +770,30 @@ func (e *Evaluator) Swap(i, k int) float64 {
 		e.coreWs[ck] += t.WsKB[i] - t.WsKB[k]
 		e.coreBw[ck] += t.BwGBps[i] - t.BwGBps[k]
 	}
-	e.recompute(int(ci))
-	e.recompute(int(ck))
-	return e.Objective() - before
+	return e.commit(int(ci), int(ck))
 }
 
-// recompute refreshes core j's cached contribution after a membership
+// commit installs the scored preview's pairs on cores a then b (the
+// running sums are order-sensitive, and the golden trajectories pin
+// this order), refolds the cached objective and returns its change.
+func (e *Evaluator) commit(a, b int) float64 {
+	before := e.obj
+	e.setCore(a, e.pv.ga, e.pv.wa)
+	e.setCore(b, e.pv.gb, e.pv.wb)
+	e.pv.ok = false
+	if t := e.prob.Contention; t != nil {
+		e.refreshPen(t.DomainOf[a], t.DomainOf[b])
+	}
+	e.obj = e.fold()
+	return e.obj - before
+}
+
+// setCore replaces core j's cached contribution after a membership
 // change.
-func (e *Evaluator) recompute(j int) {
-	oldG, oldW := e.coreGIPS[j], e.corePow[j]
-	oldR := ratio(oldG, oldW, e.prevPopulated[j])
-	e.sumGIPS -= oldG
-	e.sumPow -= oldW
-	e.ratioSum -= oldR
-	g, w := e.coreEval(j, e.byCore[j])
+func (e *Evaluator) setCore(j int, g, w float64) {
+	e.sumGIPS -= e.coreGIPS[j]
+	e.sumPow -= e.corePow[j]
+	e.ratioSum -= ratio(e.coreGIPS[j], e.corePow[j], e.prevPopulated[j])
 	e.coreGIPS[j] = g
 	e.corePow[j] = w
 	e.sumGIPS += g

@@ -142,22 +142,20 @@ func init() {
 // ExpNeg returns an approximation of exp(-x) for x >= 0 in Q16.16.
 // Negative x is treated as 0 (returns One): the annealer only ever
 // evaluates exp of a non-positive exponent. The approximation decomposes
-// x = k*ln2 + i/16 + r and computes 2^-k * table[i] * (1 - r). For
-// x > ~21 the result underflows to 0.
+// x = k*ln2 + i/16 + r and computes 2^-k * table[i] * (1 - r). From
+// x = 17*ln2 (~11.8) on the result is 0: table[i] * (1 - r) is at most
+// One = 2^16, so 2^-17 of it truncates away.
 func ExpNeg(x Q) Q {
 	if x <= 0 {
 		return One
 	}
 	const ln2 Q = 45426 // round(ln(2) * 65536)
-	// Integer count of ln2 halvings.
-	k := 0
-	for x >= ln2 {
-		x -= ln2
-		k++
-		if k >= 31 {
-			return 0
-		}
+	if x >= 17*ln2 {
+		return 0
 	}
+	// Integer count of ln2 halvings.
+	k := x / ln2
+	x -= k * ln2
 	// x is now in [0, ln2). Index the 1/16-granular table.
 	i := int(x >> (Shift - 4)) // x / (1/16)
 	if i > 15 {

@@ -171,6 +171,62 @@ func TestExpNegBoundaries(t *testing.T) {
 	}
 }
 
+// expNegLoop is the original subtract-ln2 form of ExpNeg, kept
+// verbatim as the reference the closed form must reproduce exactly.
+func expNegLoop(x Q) Q {
+	if x <= 0 {
+		return One
+	}
+	const ln2 Q = 45426 // round(ln(2) * 65536)
+	// Integer count of ln2 halvings.
+	k := 0
+	for x >= ln2 {
+		x -= ln2
+		k++
+		if k >= 31 {
+			return 0
+		}
+	}
+	// x is now in [0, ln2). Index the 1/16-granular table.
+	i := int(x >> (Shift - 4)) // x / (1/16)
+	if i > 15 {
+		i = 15
+	}
+	r := x - Q(i)<<(Shift-4) // residual in [0, 1/16)
+	// First-order correction: exp(-r) ~= 1 - r for small r.
+	v := Mul(expFracTable[i], One-r)
+	return v >> uint(k)
+}
+
+// expNegEdges are the inputs where the branches of ExpNeg and of the
+// loop form meet: the last exponent with a nonzero result (16·ln2),
+// the closed form's underflow bound (17·ln2), the loop's own cut-off
+// (31·ln2), the top of the range, and the clamped negative side.
+var expNegEdges = []Q{
+	16 * 45426, 16*45426 + 1, 17*45426 - 1, 17 * 45426,
+	31*45426 - 1, 31 * 45426, 32 * 45426, MaxQ, 0, -1, MinQ,
+}
+
+// TestExpNegMatchesLoop: ExpNeg is bit-identical to the loop form on
+// every input up to 32·ln2, on a strided sweep up to MaxQ, and at the
+// branch edges.
+func TestExpNegMatchesLoop(t *testing.T) {
+	check := func(x Q) {
+		if got, want := ExpNeg(x), expNegLoop(x); got != want {
+			t.Fatalf("ExpNeg(%d) = %d, loop form gives %d", x, got, want)
+		}
+	}
+	for x := Q(0); x <= 32*45426; x++ {
+		check(x)
+	}
+	for x := int64(0); x <= int64(MaxQ); x += 4099 {
+		check(Q(x))
+	}
+	for _, x := range expNegEdges {
+		check(x)
+	}
+}
+
 func TestExpNegMonotone(t *testing.T) {
 	prev := ExpNeg(0)
 	for x := Q(1); x < FromInt(15); x += 997 {

@@ -13,11 +13,17 @@ func FuzzExpNeg(f *testing.F) {
 	for _, seed := range []int32{0, 1, -1, 65536, 1 << 20, -(1 << 20), 1<<31 - 1, -1 << 31} {
 		f.Add(seed)
 	}
+	for _, edge := range expNegEdges {
+		f.Add(int32(edge))
+	}
 	f.Fuzz(func(t *testing.T, raw int32) {
 		q := Q(raw)
 		v := ExpNeg(q)
 		if v < 0 || v > One {
 			t.Fatalf("ExpNeg(%d) = %d outside [0, One]", raw, v)
+		}
+		if want := expNegLoop(q); v != want {
+			t.Fatalf("ExpNeg(%d) = %d, loop form gives %d", raw, v, want)
 		}
 		// Reference comparison where the argument is in the useful range.
 		x := q.Float()

@@ -35,11 +35,12 @@ bench:
 bench-check:
 	./scripts/bench_check.sh
 
-# The repository benchmark's harness tests plus a one-second
-# node-contended correctness run (exits 1 on any violation).
+# The repository benchmark's harness tests plus one-second node-contended
+# and node-scale correctness runs (each exits 1 on any violation).
 perfbench:
 	go -C perfbench test .
 	bash perfbench/run.sh --workload node-contended --seed 1 --seconds 1 --trace 0
+	bash perfbench/run.sh --workload node-scale --seed 1 --seconds 1 --trace 0
 
 hunt-check:
 	./scripts/hunt_check.sh

@@ -32,7 +32,6 @@ func main() {
 		traceN   = flag.Int("trace", 0, "print a scheduling-trace summary and the last N events (0 disables)")
 		faultStr = flag.String("fault", "", `fault-injection plan, e.g. "drop=0.3;stale=0.1;migfail=0.2" (empty runs clean)`)
 		telPath  = flag.String("telemetry", "", "write a telemetry trace (canonical JSONL) to this file; composes with -trace")
-		queue    = flag.String("queue", "calendar", "event-queue implementation: calendar | heap (output is byte-identical under either)")
 	)
 	flag.Parse()
 
@@ -49,14 +48,6 @@ func main() {
 		fatalf("%v", err)
 	}
 	cfg := smartbalance.DefaultKernelConfig()
-	switch *queue {
-	case "calendar":
-		cfg.EventQueue = smartbalance.EventQueueCalendar
-	case "heap":
-		cfg.EventQueue = smartbalance.EventQueueHeap
-	default:
-		fatalf("unknown -queue %q (want calendar or heap)", *queue)
-	}
 	plan, err := smartbalance.ParseFaultPlan(*faultStr)
 	if err != nil {
 		fatalf("%v", err)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"smartbalance/internal/arch"
 )
@@ -147,16 +148,16 @@ func (t *ContentionTerm) validate(m, n int) error {
 		return errContentionShape
 	}
 	for d := 0; d < nd; d++ {
-		if t.DomLLCKB[d] <= 0 || t.DomBWGBps[d] <= 0 {
+		if !finitePos(t.DomLLCKB[d]) || !finitePos(t.DomBWGBps[d]) {
 			return errContentionDomain
 		}
 	}
 	for i := 0; i < m; i++ {
-		if t.WsKB[i] < 0 || t.BwGBps[i] < 0 || !isFinite(t.WsKB[i]) || !isFinite(t.BwGBps[i]) {
+		if !finiteNonNeg(t.WsKB[i]) || !finiteNonNeg(t.BwGBps[i]) {
 			return errContentionThread
 		}
 	}
-	if t.MissSlope < 0 || t.PressureCap <= 0 || t.MaxBWUtil <= 0 || t.MaxBWUtil >= 1 {
+	if !finiteNonNeg(t.MissSlope) || !finitePos(t.PressureCap) || !(t.MaxBWUtil > 0 && t.MaxBWUtil < 1) {
 		return errContentionShape
 	}
 	return nil
@@ -184,16 +185,26 @@ var (
 	errNoCores      = errors.New("core: problem with no cores")
 	errRowCounts    = errors.New("core: matrix row counts disagree")
 	errWeightWidth  = errors.New("core: weight vector width != cores")
+	errWeightValue  = errors.New("core: non-finite weight")
 	errAffinityRows = errors.New("core: affinity matrix row count != threads")
 	errAllocLen     = errors.New("core: allocation length != thread count")
 	errAllocCore    = errors.New("core: allocation addresses invalid core")
 
 	errContentionShape  = errors.New("core: contention term shape mismatch")
-	errContentionDomain = errors.New("core: contention domain with non-positive capacity")
+	errContentionDomain = errors.New("core: contention domain with non-positive or non-finite capacity")
 	errContentionThread = errors.New("core: contention thread estimate negative or non-finite")
 )
 
-// Validate checks the problem's shape and value domains.
+// finiteNonNeg reports whether v is finite and >= 0; NaN fails both
+// comparisons.
+func finiteNonNeg(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
+
+// finitePos reports whether v is finite and > 0.
+func finitePos(v float64) bool { return v > 0 && v <= math.MaxFloat64 }
+
+// Validate checks the problem's shape and value domains. Every value
+// must be finite: a NaN or infinite input would otherwise pass the
+// range checks and poison the objective.
 func (p *Problem) Validate() error {
 	m := len(p.IPS)
 	if m == 0 {
@@ -210,21 +221,29 @@ func (p *Problem) Validate() error {
 		if len(p.IPS[i]) != n || len(p.Power[i]) != n {
 			return fmt.Errorf("core: thread %d row width != %d cores", i, n) //sbvet:allow hotpath(diagnostic formats only on the rejected-input path)
 		}
-		if p.Util[i] < 0 || p.Util[i] > 1 {
+		// Written so NaN fails: every comparison with NaN is false.
+		if !(p.Util[i] >= 0 && p.Util[i] <= 1) {
 			return fmt.Errorf("core: thread %d utilisation %g outside [0,1]", i, p.Util[i]) //sbvet:allow hotpath(diagnostic formats only on the rejected-input path)
 		}
 		for j := 0; j < n; j++ {
-			if p.IPS[i][j] < 0 || p.Power[i][j] < 0 {
-				return fmt.Errorf("core: negative entry at (%d,%d)", i, j) //sbvet:allow hotpath(diagnostic formats only on the rejected-input path)
+			if !finiteNonNeg(p.IPS[i][j]) || !finiteNonNeg(p.Power[i][j]) {
+				return fmt.Errorf("core: negative or non-finite entry at (%d,%d)", i, j) //sbvet:allow hotpath(diagnostic formats only on the rejected-input path)
 			}
 		}
 	}
-	if p.Weights != nil && len(p.Weights) != n {
-		return errWeightWidth
+	if p.Weights != nil {
+		if len(p.Weights) != n {
+			return errWeightWidth
+		}
+		for _, w := range p.Weights {
+			if !isFinite(w) {
+				return errWeightValue
+			}
+		}
 	}
 	for j := range p.IdlePower {
-		if p.IdlePower[j] < 0 {
-			return fmt.Errorf("core: negative idle power on core %d", j) //sbvet:allow hotpath(diagnostic formats only on the rejected-input path)
+		if !finiteNonNeg(p.IdlePower[j]) {
+			return fmt.Errorf("core: negative or non-finite idle power on core %d", j) //sbvet:allow hotpath(diagnostic formats only on the rejected-input path)
 		}
 	}
 	if p.Allowed != nil {

@@ -73,6 +73,51 @@ func TestProblemValidate(t *testing.T) {
 	}
 }
 
+// TestProblemValidateRejectsNonFinite: every float input must be
+// finite. Each range check is a < or > comparison, which NaN fails
+// silently, so before the finiteness checks a NaN utilisation
+// validated and Anneal returned a NaN objective.
+func TestProblemValidateRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(p *Problem, v float64)
+	}{
+		{"util", func(p *Problem, v float64) { p.Util[2] = v }},
+		{"ips", func(p *Problem, v float64) { p.IPS[1][2] = v }},
+		{"power", func(p *Problem, v float64) { p.Power[3][0] = v }},
+		{"idle-power", func(p *Problem, v float64) { p.IdlePower[1] = v }},
+		{"weight", func(p *Problem, v float64) { p.Weights[0] = v }},
+		{"llc-capacity", func(p *Problem, v float64) { p.Contention.DomLLCKB[1] = v }},
+		{"bw-capacity", func(p *Problem, v float64) { p.Contention.DomBWGBps[0] = v }},
+		{"miss-slope", func(p *Problem, v float64) { p.Contention.MissSlope = v }},
+		{"pressure-cap", func(p *Problem, v float64) { p.Contention.PressureCap = v }},
+		{"max-bw-util", func(p *Problem, v float64) { p.Contention.MaxBWUtil = v }},
+	}
+	valid := func() *Problem {
+		p := toyProblem()
+		p.Weights = []float64{1, 0.5, 2}
+		p.Contention = toyContention(512, 1)
+		return p
+	}
+	if err := valid().Validate(); err != nil {
+		t.Fatalf("valid problem rejected: %v", err)
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := valid()
+			f.set(p, v)
+			if err := p.Validate(); err == nil {
+				t.Errorf("%s = %v accepted", f.name, v)
+			}
+		}
+	}
+	p := toyProblem()
+	p.Util[0] = math.NaN()
+	if res, err := Anneal(p, Allocation{0, 1, 2, 0}, DefaultAnnealConfig()); err == nil {
+		t.Fatalf("Anneal accepted a NaN utilisation (objective %v)", res.Objective)
+	}
+}
+
 func TestCoreShareWaterFilling(t *testing.T) {
 	// Demands below the fair share are met exactly; the rest split the
 	// remainder.

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"math"
 	"math/bits"
 
 	"smartbalance/internal/arch"
@@ -14,22 +15,19 @@ const (
 	evWakeup                    // a sleeping task becomes runnable
 )
 
-// event is one entry of the simulation event queue. Ordering is by time
-// then by insertion sequence, which makes the simulation fully
-// deterministic.
+// event is one pending simulation event. Ordering is by time then by
+// push sequence, which makes the simulation fully deterministic.
 type event struct {
 	at   Time
 	seq  uint64
 	kind eventKind
 
-	core     arch.CoreID // evSliceEnd target
-	sliceSeq uint64      // staleness guard for evSliceEnd
-	task     ThreadID    // evWakeup target
+	core arch.CoreID // evSliceEnd target
+	task ThreadID    // evWakeup target
 }
 
 // eventLess is the queue's total order: (at, seq) lexicographic. seq is
-// unique per kernel, so the order has no ties — any correct queue
-// implementation drains an identical stream.
+// unique per kernel, so the order has no ties.
 func eventLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -37,46 +35,17 @@ func eventLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// EventQueueKind selects the event-queue implementation backing the
-// simulation. Both drain events in the identical (at, seq) total order,
-// so equal-seed runs are byte-identical under either; the calendar
-// queue is O(1) amortized and the default, the binary heap is retained
-// for the equivalence suite and as a conservative fallback.
-type EventQueueKind int
-
-const (
-	// EventQueueCalendar is the calendar-queue scheduler (Brown 1988):
-	// a ring of time-bucketed, sorted lanes with O(1) amortized
-	// push/pop, sized and widened automatically from the live event
-	// population.
-	EventQueueCalendar EventQueueKind = iota
-	// EventQueueHeap is the original binary min-heap.
-	EventQueueHeap
-)
-
-// String names the queue kind.
-func (q EventQueueKind) String() string {
-	switch q {
-	case EventQueueCalendar:
-		return "calendar"
-	case EventQueueHeap:
-		return "heap"
-	default:
-		return "unknown"
-	}
-}
-
-// eventQueue is a binary min-heap of events ordered by (at, seq). The
+// eventHeap is a binary min-heap of events ordered by (at, seq). The
 // sift routines are hand-rolled rather than delegated to container/heap
 // because heap.Push/Pop traffic in `any`, boxing every event on the hot
 // scheduling path.
-type eventQueue []event
+type eventHeap []event
 
-func (q eventQueue) less(i, j int) bool {
+func (q eventHeap) less(i, j int) bool {
 	return eventLess(&q[i], &q[j])
 }
 
-func (q eventQueue) siftUp(i int) {
+func (q eventHeap) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !q.less(i, parent) {
@@ -87,7 +56,7 @@ func (q eventQueue) siftUp(i int) {
 	}
 }
 
-func (q eventQueue) siftDown(i int) {
+func (q eventHeap) siftDown(i int) {
 	n := len(q)
 	for {
 		l := 2*i + 1
@@ -106,12 +75,12 @@ func (q eventQueue) siftDown(i int) {
 	}
 }
 
-func (q *eventQueue) push(e event) {
+func (q *eventHeap) push(e event) {
 	*q = append(*q, e) //sbvet:allow hotpath(event-queue capacity reaches the peak outstanding-event count once and is reused; pop truncates in place)
 	q.siftUp(len(*q) - 1)
 }
 
-func (q *eventQueue) pop() (event, bool) {
+func (q *eventHeap) pop() (event, bool) {
 	n := len(*q)
 	if n == 0 {
 		return event{}, false
@@ -123,326 +92,130 @@ func (q *eventQueue) pop() (event, bool) {
 	return e, true
 }
 
-func (q eventQueue) peekTime() (Time, bool) {
-	if len(q) == 0 {
-		return 0, false
+// noSeq marks an empty slice-timer slot; no pushed event carries it.
+const noSeq = math.MaxUint64
+
+// timer is one winner-tree node: the earliest slice end in the node's
+// subtree. An empty subtree holds (math.MaxInt64, noSeq).
+type timer struct {
+	at   Time
+	seq  uint64
+	core arch.CoreID
+}
+
+// before returns an all-ones mask when (aAt, aSeq) orders strictly
+// before (bAt, bSeq) and zero otherwise, without a branch: the final
+// borrow of the 128-bit subtraction (aAt, aSeq) - (bAt, bSeq). Flipping
+// the sign bit maps signed time onto unsigned order.
+func before(aAt Time, aSeq uint64, bAt Time, bSeq uint64) uint64 {
+	const sign = 1 << 63
+	_, borrow := bits.Sub64(aSeq, bSeq, 0)
+	_, borrow = bits.Sub64(uint64(aAt)^sign, uint64(bAt)^sign, borrow)
+	return -borrow
+}
+
+// sliceTimers holds every core's pending slice end in a winner tree:
+// nodes[1] is the root and core c's leaf is nodes[leaves+c]. A core has
+// at most one pending slice end (DESIGN.md §12), so one leaf per core
+// suffices and the tree never grows after construction.
+type sliceTimers struct {
+	nodes  []timer
+	leaves int // a power of two >= the core count; padding leaves stay empty
+	// taken is the core whose slice end the last pop returned, or -1.
+	// Its leaf still holds the popped key: handling a slice end almost
+	// always re-arms the same core, and that arm then rewrites the
+	// leaf-to-root path once instead of a clear and a set rewriting it
+	// twice. The next pop clears the leaf if the core went idle.
+	taken arch.CoreID
+}
+
+func newSliceTimers(cores int) sliceTimers {
+	leaves := 1
+	for leaves < cores {
+		leaves <<= 1
 	}
-	return q[0].at, true
-}
-
-// Calendar-queue sizing constants.
-const (
-	calMinBuckets = 16 // smallest ring; shrink stops here
-	// calGrowFactor / calShrinkFactor bound the load factor: the ring
-	// doubles above two events per bucket and halves below one half.
-	calGrowFactor   = 2
-	calShrinkDenom  = 4
-	calInitialWidth = Time(1 << 20) // ~1 ms default lane width before the first resize
-)
-
-// calendarQueue is a calendar-queue priority queue over events (Randy
-// Brown, CACM 1988): a power-of-two ring of buckets, each a "day" of
-// fixed time width, holding its events sorted ascending by (at, seq).
-// Bucket index is (at/width) mod nbuckets; dequeue scans forward from
-// the current day and pops the head of the first bucket whose head
-// falls inside the day's window, giving O(1) amortized operations when
-// the width tracks the mean event spacing — which resize() maintains by
-// re-deriving width from the live population's span whenever the load
-// factor leaves [1/4, 2].
-//
-// Determinism contract (DESIGN.md §12): pop order is exactly the
-// (at, seq) total order the heap implements. Within a bucket the sorted
-// insert keeps equal-`at` events in seq order; across buckets the
-// window scan visits days in increasing time order, and a resize only
-// re-buckets events — their relative (at, seq) order inside any bucket
-// is rebuilt by the same sorted insert, so no resize can reorder
-// equal-`at` events.
-type calendarQueue struct {
-	buckets [][]event
-	// heads[i] is the index of bucket i's first live entry: dequeue
-	// advances the head instead of shifting the slice, so popping from a
-	// bucket is O(1) even when thousands of same-timestamp events (e.g.
-	// the spawn-time wakeup burst) share one day. The dead prefix is
-	// reclaimed when the bucket drains or by amortized compaction.
-	heads []int
-	mask  int  // len(buckets) - 1; len is a power of two
-	width Time // duration of one bucket's window ("day")
-	size  int
-
-	// cur/curTop define the scan position: bucket cur holds the window
-	// [curTop-width, curTop). Invariant: no queued event has
-	// at < curTop - width, maintained by rewinding on push.
-	cur    int
-	curTop Time
-
-	// lowPops counts consecutive pops taken while the population sits
-	// below the shrink threshold. A steady-state population breathes
-	// every epoch (sleep wakeups accumulate, then drain), and shrinking
-	// on the first undershoot would walk the ring down and back up a
-	// ladder of geometries each epoch — ~8 resizes/epoch of pure churn.
-	// Shrinking only after a full ring's worth of sustained-low pops
-	// keeps the geometry stable through the dip while still letting a
-	// genuinely shrunken population compact its ring.
-	lowPops int
-
-	// spares[k] retains the retired ring of 1<<k buckets, so when a
-	// resize does revisit a geometry it swaps back into the retired ring
-	// and reuses every bucket's capacity instead of reallocating. Total
-	// retained memory is bounded by twice the largest ring.
-	spares []calRing
-}
-
-// calRing is one retired ring geometry kept for reuse across resizes.
-type calRing struct {
-	buckets [][]event
-	heads   []int
-}
-
-func newCalendarQueue(widthHint Time) calendarQueue {
-	if widthHint <= 0 {
-		widthHint = calInitialWidth
+	nodes := make([]timer, 2*leaves)
+	for i := range nodes {
+		nodes[i] = timer{at: math.MaxInt64, seq: noSeq}
 	}
-	q := calendarQueue{width: widthHint}
-	q.alloc(calMinBuckets)
-	q.curTop = q.width
-	return q
+	return sliceTimers{nodes: nodes, leaves: leaves, taken: -1}
 }
 
-func (q *calendarQueue) alloc(nbuckets int) {
-	q.buckets = make([][]event, nbuckets) //sbvet:allow hotpath(amortized calendar resize — rings double/halve O(log n) times over a run and are population-sized)
-	q.heads = make([]int, nbuckets)       //sbvet:allow hotpath(amortized calendar resize — rings double/halve O(log n) times over a run and are population-sized)
-	q.mask = nbuckets - 1
+// set writes core c's leaf and replays the path to the root: each level
+// keeps the earlier of the rising key and its sibling subtree's winner,
+// selected with masks rather than branches.
+func (s *sliceTimers) set(c arch.CoreID, at Time, seq uint64) {
+	n := s.nodes
+	i := s.leaves + int(c)
+	n[i] = timer{at: at, seq: seq, core: c}
+	for i > 1 {
+		sib := n[i^1]
+		m := before(sib.at, sib.seq, at, seq)
+		at ^= (at ^ sib.at) & Time(m)
+		seq ^= (seq ^ sib.seq) & m
+		c ^= (c ^ sib.core) & arch.CoreID(m)
+		i >>= 1
+		n[i] = timer{at: at, seq: seq, core: c}
+	}
 }
 
-// bucketOf returns the ring index of an event time under the current
-// geometry.
-func (q *calendarQueue) bucketOf(at Time) int {
-	return int((at / q.width) & Time(q.mask))
+// eventQueue holds the kernel's pending events under one (at, seq)
+// total order, shaped to the kernel's traffic: each core's single
+// pending slice end lives in a winner tree over the cores, and the
+// sparse wakeups in a binary heap. seq is one push ticket shared by
+// both, so a wakeup and a slice end at the same instant drain in push
+// order.
+type eventQueue struct {
+	timers  sliceTimers
+	wakeups eventHeap
+	seq     uint64
 }
 
-// windowTop returns the end of the day window containing at.
-func (q *calendarQueue) windowTop(at Time) Time {
-	return (at/q.width + 1) * q.width
+func newEventQueue(cores int) eventQueue {
+	return eventQueue{timers: newSliceTimers(cores)}
 }
 
-// push inserts an event, keeping its bucket sorted by (at, seq) and
-// rewinding the scan position when the event lands in an earlier day
-// than the one being scanned.
-func (q *calendarQueue) push(e event) {
-	idx := q.bucketOf(e.at)
-	b := q.buckets[idx]
-	h := q.heads[idx]
-	// Binary search the live region [h, len) for the insertion point:
-	// first entry ordered after e. seq increases monotonically, so
-	// equal-at events insert after their predecessors (usually a pure
-	// append) and FIFO order within a timestamp is free.
-	lo, hi := h, len(b)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if eventLess(&b[mid], &e) {
-			lo = mid + 1
-		} else {
-			hi = mid
+// armSlice schedules core c's slice end at time at. The core must have
+// no pending slice end.
+func (q *eventQueue) armSlice(c arch.CoreID, at Time) {
+	if q.timers.taken == c {
+		q.timers.taken = -1
+	}
+	q.timers.set(c, at, q.seq)
+	q.seq++
+}
+
+// pushWakeup schedules task id's wakeup at time at.
+func (q *eventQueue) pushWakeup(at Time, id ThreadID) {
+	q.wakeups.push(event{at: at, seq: q.seq, kind: evWakeup, task: id})
+	q.seq++
+}
+
+// popUntil removes and returns the earliest pending event if it is due
+// at or before limit; ok is false when no event is.
+func (q *eventQueue) popUntil(limit Time) (e event, ok bool) {
+	s := &q.timers
+	if s.taken >= 0 {
+		s.set(s.taken, math.MaxInt64, noSeq)
+		s.taken = -1
+	}
+	root := &s.nodes[1]
+	if len(q.wakeups) > 0 {
+		if w := &q.wakeups[0]; before(w.at, w.seq, root.at, root.seq) != 0 {
+			if w.at > limit {
+				return event{}, false
+			}
+			return q.wakeups.pop()
 		}
 	}
-	if lo == h && h > 0 {
-		// The slot just before the live region is dead: O(1) prepend.
-		q.heads[idx] = h - 1
-		b[h-1] = e
-	} else {
-		b = append(b, event{}) //sbvet:allow hotpath(bucket capacity reaches its steady occupancy once and is reused; pop truncates in place)
-		copy(b[lo+1:], b[lo:])
-		b[lo] = e
-		q.buckets[idx] = b
-	}
-	q.size++
-	if eTop := q.windowTop(e.at); eTop < q.curTop {
-		q.cur, q.curTop = idx, eTop
-	}
-	if q.size > calGrowFactor*(q.mask+1) {
-		q.resize((q.mask + 1) * 2)
-	}
-}
-
-// scan advances the (cur, curTop) cursor to the first day whose bucket
-// head falls inside its window — i.e. to the bucket holding the global
-// minimum. Must only be called on a non-empty queue. Empty-day advances
-// are one length check each; after a full fruitless cycle (the
-// population is sparser than one ring revolution) it locates the
-// minimum directly and jumps the cursor to its day.
-func (q *calendarQueue) scan() {
-	for i := 0; i <= q.mask; i++ {
-		if b, h := q.buckets[q.cur], q.heads[q.cur]; h < len(b) && b[h].at < q.curTop {
-			return
-		}
-		q.cur = (q.cur + 1) & q.mask
-		q.curTop += q.width
-	}
-	// Direct search: the sorted buckets make the candidate set the
-	// bucket heads.
-	var min *event
-	minIdx := 0
-	for i := range q.buckets {
-		if b, h := q.buckets[i], q.heads[i]; h < len(b) && (min == nil || eventLess(&b[h], min)) {
-			min = &b[h]
-			minIdx = i
-		}
-	}
-	q.cur = minIdx
-	q.curTop = q.windowTop(min.at)
-}
-
-// pop removes and returns the earliest event in (at, seq) order.
-func (q *calendarQueue) pop() (event, bool) {
-	if q.size == 0 {
+	if root.seq == noSeq || root.at > limit {
 		return event{}, false
 	}
-	q.scan()
-	b := q.buckets[q.cur]
-	h := q.heads[q.cur]
-	e := b[h]
-	h++
-	switch {
-	case h == len(b):
-		// Drained: reset to reuse the full capacity.
-		q.buckets[q.cur] = b[:0]
-		q.heads[q.cur] = 0
-	case h >= 32 && 2*h >= len(b):
-		// Amortized compaction: once the dead prefix dominates, slide
-		// the live tail down. Each entry moves at most once per halving.
-		n := copy(b, b[h:])
-		q.buckets[q.cur] = b[:n]
-		q.heads[q.cur] = 0
-	default:
-		q.heads[q.cur] = h
-	}
-	q.size--
-	if n := q.mask + 1; n > calMinBuckets && q.size < n/calShrinkDenom {
-		q.lowPops++
-		if q.lowPops > n {
-			q.resize(n / 2)
-			q.lowPops = 0
-		}
-	} else {
-		q.lowPops = 0
-	}
-	return e, true
+	s.taken = root.core
+	return event{at: root.at, seq: root.seq, kind: evSliceEnd, core: root.core}, true
 }
 
-// peekTime returns the time of the earliest pending event.
-func (q *calendarQueue) peekTime() (Time, bool) {
-	if q.size == 0 {
-		return 0, false
-	}
-	q.scan()
-	return q.buckets[q.cur][q.heads[q.cur]].at, true
-}
-
-// resize rebuilds the ring with nbuckets buckets and a width re-derived
-// from the live population: span/size, clamped to at least 1 ns, so the
-// mean occupancy of a day stays near one event. Rebucketing reinserts
-// every event through the same sorted insert as push, preserving the
-// (at, seq) order inside each new bucket.
-func (q *calendarQueue) resize(nbuckets int) {
-	q.lowPops = 0
-	old := q.buckets
-	oldHeads := q.heads
-	minAt, maxAt := Time(0), Time(0)
-	first := true
-	for bi, b := range old {
-		for i := oldHeads[bi]; i < len(b); i++ {
-			if at := b[i].at; first {
-				minAt, maxAt = at, at
-				first = false
-			} else {
-				if at < minAt {
-					minAt = at
-				}
-				if at > maxAt {
-					maxAt = at
-				}
-			}
-		}
-	}
-	if q.size > 0 {
-		if w := (maxAt - minAt) / Time(q.size); w > 0 {
-			q.width = w
-		} else {
-			q.width = 1
-		}
-	}
-	newK := bits.TrailingZeros(uint(nbuckets))
-	oldK := bits.TrailingZeros(uint(len(old)))
-	if maxK := max(newK, oldK); maxK >= len(q.spares) {
-		grown := make([]calRing, maxK+1) //sbvet:allow hotpath(spare-ring ladder grows to its log2(max geometry) height once per run)
-		copy(grown, q.spares)
-		q.spares = grown
-	}
-	if sp := q.spares[newK]; sp.buckets != nil {
-		q.buckets, q.heads = sp.buckets, sp.heads
-		for i := range q.buckets {
-			q.buckets[i] = q.buckets[i][:0]
-			q.heads[i] = 0
-		}
-		q.mask = nbuckets - 1
-		q.spares[newK] = calRing{}
-	} else {
-		q.alloc(nbuckets)
-	}
-	q.spares[oldK] = calRing{buckets: old, heads: oldHeads}
-	for obi, ob := range old {
-		for i := oldHeads[obi]; i < len(ob); i++ {
-			e := ob[i]
-			idx := q.bucketOf(e.at)
-			b := q.buckets[idx]
-			lo, hi := 0, len(b)
-			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if eventLess(&b[mid], &e) {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			b = append(b, event{}) //sbvet:allow hotpath(amortized calendar resize — buckets are rebuilt O(log n) times over a run)
-			copy(b[lo+1:], b[lo:])
-			b[lo] = e
-			q.buckets[idx] = b
-		}
-	}
-	if q.size > 0 {
-		q.cur = 0
-		q.curTop = q.width
-		q.scan()
-	} else {
-		q.cur = 0
-		q.curTop = q.width
-	}
-}
-
-// push schedules an event; seq assignment keeps ordering deterministic.
-func (k *Kernel) push(e event) {
-	e.seq = k.seq
-	k.seq++
-	if k.useHeap {
-		k.events.push(e)
-		return
-	}
-	k.cal.push(e)
-}
-
-// pop removes and returns the earliest event; ok is false when empty.
-func (k *Kernel) pop() (event, bool) {
-	if k.useHeap {
-		return k.events.pop()
-	}
-	return k.cal.pop()
-}
-
-// peekTime returns the time of the earliest pending event.
-func (k *Kernel) peekTime() (Time, bool) {
-	if k.useHeap {
-		return k.events.peekTime()
-	}
-	return k.cal.peekTime()
+// armed reports whether core c has a pending slice end.
+func (q *eventQueue) armed(c arch.CoreID) bool {
+	return q.timers.taken != c && q.timers.nodes[q.timers.leaves+int(c)].seq != noSeq
 }

@@ -325,10 +325,6 @@ type Config struct {
 	// Faults, when non-nil, injects sensing and migration faults (see
 	// FaultInjector). Nil runs with perfect sensing.
 	Faults FaultInjector
-	// EventQueue selects the event-queue implementation. The zero value
-	// is the calendar queue; both drain the identical (at, seq) order,
-	// so the choice never changes simulation output.
-	EventQueue EventQueueKind
 }
 
 // DefaultConfig returns the configuration used across the paper's
@@ -354,8 +350,6 @@ func (c *Config) Validate() error {
 		return errors.New("kernel: epoch shorter than one CFS period")
 	case c.MigrationPenaltyNs < 0:
 		return errors.New("kernel: negative migration penalty")
-	case c.EventQueue != EventQueueCalendar && c.EventQueue != EventQueueHeap:
-		return errors.New("kernel: unknown event-queue kind")
 	}
 	return nil
 }
@@ -386,8 +380,6 @@ type coreRun struct {
 	// incrementally so CoreLoad and timeslice are O(1).
 	runqWeight int64
 	current    *Task
-	// sliceSeq invalidates stale slice-end events after idling.
-	sliceSeq uint64
 	// pending is the precomputed outcome of the in-flight slice,
 	// consumed at its end event.
 	pending    machine.SliceResult
@@ -411,14 +403,11 @@ type Kernel struct {
 	cfg      Config
 
 	now Time
-	seq uint64
 	// rqCounter issues Task.rqSeq admission tickets.
 	rqCounter uint64
-	// Exactly one of the two event queues is active, selected by
-	// cfg.EventQueue at construction (DESIGN.md §12).
-	useHeap bool
-	events  eventQueue
-	cal     calendarQueue
+	// events holds every core's pending slice end and the pending
+	// wakeups under one (at, seq) order (DESIGN.md §12).
+	events eventQueue
 
 	cores []coreRun
 	// tasks is indexed by ThreadID: ids are assigned densely from 0 and
@@ -472,14 +461,11 @@ func New(m *machine.Machine, b Balancer, cfg Config) (*Kernel, error) {
 		plat:     plat,
 		balancer: b,
 		cfg:      cfg,
-		useHeap:  cfg.EventQueue == EventQueueHeap,
+		events:   newEventQueue(plat.NumCores()),
 		cores:    make([]coreRun, plat.NumCores()),
 		bank:     bank,
 		r:        rng.New(cfg.Seed),
 		setSlot:  -1,
-	}
-	if !k.useHeap {
-		k.cal = newCalendarQueue(cfg.MinGranularityNs)
 	}
 	for i := range k.cores {
 		k.cores[i] = coreRun{id: arch.CoreID(i), sleeping: true}

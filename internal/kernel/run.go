@@ -88,21 +88,19 @@ func (k *Kernel) dispatch(c arch.CoreID) {
 		r.CyclesIdle += uint64(float64(debt) * k.plat.Type(c).FreqMHz / 1000)
 		r.DurNs += debt
 	}
-	cr.sliceSeq++
 	endAt := k.now + r.DurNs
 	if endAt <= k.now {
 		endAt = k.now + 1
 	}
-	k.push(event{at: endAt, kind: evSliceEnd, core: c, sliceSeq: cr.sliceSeq})
+	k.events.armSlice(c, endAt)
 }
 
 // handleSliceEnd performs context-switch accounting for the slice that
-// just expired on core c, then re-dispatches.
-func (k *Kernel) handleSliceEnd(c arch.CoreID, sliceSeq uint64) {
+// just expired on core c, then re-dispatches. A core's slice end is
+// armed only by dispatch while it has a current task and consumed only
+// here, so the event always finds that task still current.
+func (k *Kernel) handleSliceEnd(c arch.CoreID) {
 	cr := &k.cores[c]
-	if cr.current == nil || sliceSeq != cr.sliceSeq {
-		return // stale event
-	}
 	t := cr.current
 	cr.current = nil
 	cr.switches++
@@ -165,7 +163,7 @@ func (k *Kernel) handleSliceEnd(c arch.CoreID, sliceSeq uint64) {
 		t.accrueRunnable(k.now)
 		t.pelt.Transition(k.now, false, false)
 		k.emit(TraceEvent{At: k.now, Kind: TraceSleep, Core: dst, Thread: t.ID, DurNs: res.SleepNs})
-		k.push(event{at: k.now + res.SleepNs, kind: evWakeup, task: t.ID})
+		k.events.pushWakeup(k.now+res.SleepNs, t.ID)
 	default:
 		t.pelt.Transition(k.now, true, false)
 		k.enqueue(t, dst)
@@ -272,25 +270,30 @@ func (k *Kernel) Run(until Time) error {
 	}
 
 	for {
-		evAt, haveEv := k.peekTime()
 		// Epoch ticks interleave deterministically with queue events;
 		// ties resolve in favour of the already-queued event, matching a
 		// timer interrupt arriving after the context switch completes.
-		if k.nextEpoch <= until && (!haveEv || k.nextEpoch < evAt) {
+		// So every event due at or before the next tick (and the
+		// horizon) drains first, and the tick fires once none is left.
+		limit := until
+		if k.nextEpoch < limit {
+			limit = k.nextEpoch
+		}
+		e, ok := k.events.popUntil(limit)
+		if !ok {
+			if k.nextEpoch > until {
+				break
+			}
 			k.now = k.nextEpoch
 			k.handleEpoch()
 			continue
 		}
-		if !haveEv || evAt > until {
-			break
-		}
-		e, _ := k.pop()
 		if e.at > k.now {
 			k.now = e.at
 		}
 		switch e.kind {
 		case evSliceEnd:
-			k.handleSliceEnd(e.core, e.sliceSeq)
+			k.handleSliceEnd(e.core)
 		case evWakeup:
 			k.handleWakeup(e.task)
 		}

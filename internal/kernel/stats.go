@@ -213,7 +213,8 @@ func (k *Kernel) Stats() *RunStats {
 
 // CheckInvariants verifies internal consistency: every non-finished
 // task is in exactly one scheduler location, runqueue membership
-// matches task state, and accounting is non-negative. Tests call this
+// matches task state, a core has a pending slice end exactly when it
+// has a current task, and accounting is non-negative. Tests call this
 // after stress runs.
 func (k *Kernel) CheckInvariants() error {
 	seen := make(map[ThreadID]string)
@@ -250,6 +251,9 @@ func (k *Kernel) CheckInvariants() error {
 		}
 		if cr.sleeping && cr.current != nil {
 			return fmt.Errorf("kernel: core %d sleeping while running", i)
+		}
+		if armed := k.events.armed(cr.id); armed != (cr.current != nil) {
+			return fmt.Errorf("kernel: core %d pending slice end = %v, current task = %v", i, armed, cr.current != nil)
 		}
 	}
 	for i, t := range k.tasks {

@@ -2,8 +2,8 @@ package smartbalance
 
 // Kernel-scale benchmarks: how many simulated threads the discrete-event
 // kernel sustains per wall-clock second on production-sized machines
-// (256 and 1024 cores, 10k+ threads) — the quantity ROADMAP item 2's
-// calendar-queue + SoA-bank refactor targets. The balancer is a no-op so
+// (256 and 1024 cores, 10k+ threads) — the quantity the event-queue,
+// runqueue and SoA-bank refactors target. The balancer is a no-op so
 // the numbers isolate the kernel substrate (event queue, CFS mechanics,
 // counter bank) from any balancing policy.
 
@@ -32,10 +32,6 @@ const scaleEpochs = 4
 // scaleKernel builds a cores-wide ScalingHMP machine loaded with
 // threads Mix1 workers under a no-op balancer.
 func scaleKernel(tb testing.TB, cores, threads int) *kernel.Kernel {
-	return scaleKernelQueue(tb, cores, threads, kernel.EventQueueCalendar)
-}
-
-func scaleKernelQueue(tb testing.TB, cores, threads int, q kernel.EventQueueKind) *kernel.Kernel {
 	tb.Helper()
 	plat, err := arch.ScalingHMP(cores)
 	if err != nil {
@@ -45,9 +41,7 @@ func scaleKernelQueue(tb testing.TB, cores, threads int, q kernel.EventQueueKind
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cfg := kernel.DefaultConfig()
-	cfg.EventQueue = q
-	k, err := kernel.New(m, idleBalancer{}, cfg)
+	k, err := kernel.New(m, idleBalancer{}, kernel.DefaultConfig())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -70,10 +64,6 @@ func scaleKernelQueue(tb testing.TB, cores, threads int, q kernel.EventQueueKind
 // — double-buffered structures touch both halves before timing starts —
 // and a GC fence keeps setup's mark work out of the timed region.
 func benchScale(b *testing.B, cores, threads int) {
-	benchScaleQueue(b, cores, threads, kernel.EventQueueCalendar)
-}
-
-func benchScaleQueue(b *testing.B, cores, threads int, q kernel.EventQueueKind) {
 	if testing.Short() && cores > 256 {
 		b.Skip("short mode: 1024-core points take minutes per op")
 	}
@@ -83,7 +73,7 @@ func benchScaleQueue(b *testing.B, cores, threads int, q kernel.EventQueueKind) 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		k := scaleKernelQueue(b, cores, threads, q)
+		k := scaleKernel(b, cores, threads)
 		if err := k.Run(warmNs); err != nil {
 			b.Fatal(err)
 		}
@@ -99,24 +89,21 @@ func benchScaleQueue(b *testing.B, cores, threads int, q kernel.EventQueueKind) 
 
 // TestScaleEpochAllocsSteady pins the kernel substrate's steady-state
 // allocation behaviour at scale: after warm epochs bring the slot
-// store, snapshot arenas, runqueues, spare rings, and calendar buckets
-// to their high-water marks, a full simulated epoch — thousands of
-// slices, counter records, and event-queue operations — stays within a
-// small amortized-growth budget. The residual is calendar bucket
-// growth: every resize re-derives the lane width from the live
-// population, so an epoch's wakeup burst occasionally lands in a
-// not-yet-warmed bucket (tens of events per epoch at this scale,
-// tapering as capacities saturate). The pre-refactor path allocated per RecordSlice
-// and per Snapshot through the map-based bank — thousands per epoch
-// with 2560 threads.
+// store, snapshot arenas, runqueues and the wakeup heap to their
+// high-water marks, a full simulated epoch — thousands of slices,
+// counter records, and event-queue operations — allocates nothing. The
+// event queue's slice-end slots are fixed at construction (one per
+// core), so no event time or clustering can grow it. The pre-refactor
+// path allocated per RecordSlice and per Snapshot through the map-based
+// bank — thousands per epoch with 2560 threads.
 func TestScaleEpochAllocsSteady(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	epochNs := kernel.DefaultConfig().EpochNs
 	k := scaleKernel(t, 256, 2560)
-	// Eight warm epochs: the spare-ring ladder and every bucket, runqueue,
-	// and arena capacity must reach high water before the pin is fair.
+	// Eight warm epochs: every runqueue, arena and heap capacity must
+	// reach high water before the pin is fair.
 	horizon := 8 * epochNs
 	if err := k.Run(horizon); err != nil {
 		t.Fatal(err)
@@ -127,9 +114,8 @@ func TestScaleEpochAllocsSteady(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const budget = 192
-	if allocs > budget {
-		t.Fatalf("steady-state scale epoch allocates %.1f times, want <= %d", allocs, budget)
+	if allocs > 0 {
+		t.Fatalf("steady-state scale epoch allocates %.1f times, want 0", allocs)
 	}
 }
 
@@ -140,15 +126,4 @@ func BenchmarkKernelScale(b *testing.B) {
 	b.Run("c1024_t32768", func(b *testing.B) { benchScale(b, 1024, 32768) })
 	b.Run("c1024_t49152", func(b *testing.B) { benchScale(b, 1024, 49152) })
 	b.Run("c1024_t65536", func(b *testing.B) { benchScale(b, 1024, 65536) })
-}
-
-// BenchmarkKernelScaleHeap runs two scale points with the retained
-// binary-heap event queue (Config.EventQueue = EventQueueHeap) for a
-// same-binary apples-to-apples view of the calendar queue's
-// contribution. The full pre-refactor baseline (heap + map-based
-// counter bank + linear runqueue scans) is frozen in BENCH_core.json's
-// scale.baseline section.
-func BenchmarkKernelScaleHeap(b *testing.B) {
-	b.Run("c256_t2560", func(b *testing.B) { benchScaleQueue(b, 256, 2560, kernel.EventQueueHeap) })
-	b.Run("c1024_t16384", func(b *testing.B) { benchScaleQueue(b, 1024, 16384, kernel.EventQueueHeap) })
 }

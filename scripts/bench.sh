@@ -89,7 +89,6 @@ read -r scen_per_sec <"$tmp/sweep.vals"
 # identical benchmark harness on the same machine, and must not be
 # regenerated — it is the denominator of the gated speedup.
 scale_points="c256_t2560 c1024_t10240 c1024_t16384 c1024_t32768 c1024_t49152 c1024_t65536"
-heap_points="c256_t2560 c1024_t16384"
 
 # median: newline-separated numbers on stdin -> median on stdout.
 median() {
@@ -119,14 +118,6 @@ if [ "$mode" = "scale" ]; then
         sep=""
         for p in $scale_points; do
             v=$(metric BenchmarkKernelScale "$p" "$tmp/scale.out" | median)
-            printf '%s      "%s": %s' "$sep" "$p" "$v"
-            sep=$',\n'
-        done
-        printf '\n    },\n'
-        echo '    "heap_same_binary_simthreads_per_sec": {'
-        sep=""
-        for p in $heap_points; do
-            v=$(metric BenchmarkKernelScaleHeap "$p" "$tmp/scale.out" | median)
             printf '%s      "%s": %s' "$sep" "$p" "$v"
             sep=$',\n'
         done

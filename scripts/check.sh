@@ -30,9 +30,6 @@ echo "== sweep-check"
 echo "== fault-check"
 ./scripts/fault_check.sh
 
-echo "== queue-check"
-./scripts/queue_check.sh
-
 echo "== telemetry-check"
 ./scripts/telemetry_check.sh
 

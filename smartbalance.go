@@ -72,8 +72,6 @@ type (
 	// KernelConfig tunes the scheduling substrate (CFS latency, epoch
 	// length, migration penalty, sensor noise).
 	KernelConfig = kernel.Config
-	// EventQueueKind selects the kernel's event-queue implementation.
-	EventQueueKind = kernel.EventQueueKind
 	// SmartBalanceController is the paper's contribution: the
 	// sense-predict-balance closed-loop balancer.
 	SmartBalanceController = core.SmartBalance
@@ -92,15 +90,6 @@ const (
 	Low    = workload.Low
 	Medium = workload.Medium
 	High   = workload.High
-)
-
-// Event-queue kinds, re-exported. Both drain the identical (at, seq)
-// total order — equal-seed runs are byte-identical under either.
-const (
-	// EventQueueCalendar is the O(1)-amortized calendar queue (default).
-	EventQueueCalendar = kernel.EventQueueCalendar
-	// EventQueueHeap is the original binary min-heap.
-	EventQueueHeap = kernel.EventQueueHeap
 )
 
 // Platform constructors.

@@ -1,6 +1,6 @@
 # Convenience targets; scripts/check.sh is the canonical gate.
 
-.PHONY: build test race vet sbvet sweep-check fault-check telemetry-check fleet-check bench bench-check perfbench hunt-check contention-check check
+.PHONY: build test race vet sbvet sweep-check fault-check telemetry-check fleet-check bench bench-check perfbench hunt-check check
 
 build:
 	go build ./...
@@ -44,9 +44,6 @@ perfbench:
 
 hunt-check:
 	./scripts/hunt_check.sh
-
-contention-check:
-	./scripts/contention_check.sh
 
 check:
 	./scripts/check.sh

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -21,58 +22,70 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main minus os.Exit, so tests can drive the full binary flow.
+func run(argv []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sbsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		platName = flag.String("platform", "quad", "quad | biglittle | scaling:<n>")
-		wl       = flag.String("workload", "Mix1", "benchmark name, MixN, or imb:<T><I> (e.g. imb:HTMI)")
-		threads  = flag.Int("threads", 4, "worker threads per benchmark")
-		balName  = flag.String("balancer", "smartbalance", "smartbalance | vanilla | gts | iks | pinned")
-		durMs    = flag.Int64("dur", 1500, "simulated duration in milliseconds")
-		seed     = flag.Uint64("seed", 1, "workload/optimiser seed")
-		perTask  = flag.Bool("tasks", false, "also print per-task statistics")
-		traceN   = flag.Int("trace", 0, "print a scheduling-trace summary and the last N events (0 disables)")
-		faultStr = flag.String("fault", "", `fault-injection plan, e.g. "drop=0.3;stale=0.1;migfail=0.2" (empty runs clean)`)
-		telPath  = flag.String("telemetry", "", "write a telemetry trace (canonical JSONL) to this file; composes with -trace")
+		platName = fs.String("platform", "quad", "quad | biglittle | scaling:<n>")
+		wl       = fs.String("workload", "Mix1", "benchmark name, MixN, or imb:<T><I> (e.g. imb:HTMI)")
+		threads  = fs.Int("threads", 4, "worker threads per benchmark")
+		balName  = fs.String("balancer", "smartbalance", "smartbalance | vanilla | gts | iks | pinned")
+		durMs    = fs.Int64("dur", 1500, "simulated duration in milliseconds")
+		seed     = fs.Uint64("seed", 1, "workload/optimiser seed")
+		perTask  = fs.Bool("tasks", false, "also print per-task statistics")
+		traceN   = fs.Int("trace", 0, "print a scheduling-trace summary and the last N events (0 disables)")
+		faultStr = fs.String("fault", "", `fault-injection plan, e.g. "drop=0.3;stale=0.1;migfail=0.2" (empty runs clean)`)
+		telPath  = fs.String("telemetry", "", "write a telemetry trace (canonical JSONL) to this file; composes with -trace")
 	)
-	flag.Parse()
+	if err := fs.Parse(argv); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "sbsim: "+format+"\n", args...)
+		return 1
+	}
 
 	plat, err := parsePlatform(*platName)
 	if err != nil {
-		fatalf("%v", err)
+		return fail("%v", err)
 	}
 	specs, err := parseWorkload(*wl, *threads, *seed)
 	if err != nil {
-		fatalf("%v", err)
+		return fail("%v", err)
 	}
 	bal, err := parseBalancer(*balName, plat, *seed)
 	if err != nil {
-		fatalf("%v", err)
+		return fail("%v", err)
 	}
 	cfg := smartbalance.DefaultKernelConfig()
 	plan, err := smartbalance.ParseFaultPlan(*faultStr)
 	if err != nil {
-		fatalf("%v", err)
+		return fail("%v", err)
 	}
 	var inj *smartbalance.FaultInjector
 	if !plan.IsZero() {
 		// Same seed derivation as the sweep engine: the run seed xor a
 		// fixed tag, decorrelating the fault stream from the kernel's.
 		if inj, err = smartbalance.NewFaultInjector(plan, *seed^faultSeedTag); err != nil {
-			fatalf("%v", err)
+			return fail("%v", err)
 		}
 		cfg.Faults = inj
 	}
 	sys, err := smartbalance.NewSystemWithConfig(plat, bal, cfg)
 	if err != nil {
-		fatalf("%v", err)
+		return fail("%v", err)
 	}
-	var rec *smartbalance.TraceRecorder
-	if *traceN > 0 {
-		if rec, err = sys.EnableTrace(1 << 18); err != nil {
-			fatalf("%v", err)
-		}
-	}
+	// -trace reads its counters from the same collector -telemetry
+	// exports, so either flag attaches one.
 	var tel *smartbalance.TelemetryCollector
-	if *telPath != "" {
+	if *telPath != "" || *traceN > 0 {
 		tel = sys.EnableTelemetry(smartbalance.TelemetryConfig{})
 		tel.SetMeta("platform", *platName)
 		tel.SetMeta("workload", *wl)
@@ -83,67 +96,69 @@ func main() {
 			tel.SetMeta("fault", *faultStr)
 		}
 	}
+	var tail *eventTail
+	if *traceN > 0 {
+		tail = newEventTail(*traceN)
+		sys.Kernel().AddObserver(tail.observe)
+	}
 	if err := sys.SpawnAll(specs); err != nil {
-		fatalf("%v", err)
+		return fail("%v", err)
 	}
 	if err := sys.Run(time.Duration(*durMs) * time.Millisecond); err != nil {
-		fatalf("%v", err)
+		return fail("%v", err)
 	}
 	st := sys.Stats()
-	fmt.Printf("platform : %s\n", plat)
-	fmt.Printf("workload : %s x %d threads (%d tasks)\n", *wl, *threads, len(specs))
+	fmt.Fprintf(stdout, "platform : %s\n", plat)
+	fmt.Fprintf(stdout, "workload : %s x %d threads (%d tasks)\n", *wl, *threads, len(specs))
 	if inj != nil {
-		fs := inj.Stats()
-		fmt.Printf("faults   : %s -> drops=%d stale=%d corrupt=%d powerdrop=%d powerspike=%d migfail=%d over %d epochs\n",
-			plan, fs.Dropped, fs.Staled, fs.Corrupted, fs.PowerDrops, fs.PowerSpikes, fs.MigrateFails, fs.Epochs)
+		fst := inj.Stats()
+		fmt.Fprintf(stdout, "faults   : %s -> drops=%d stale=%d corrupt=%d powerdrop=%d powerspike=%d migfail=%d over %d epochs\n",
+			plan, fst.Dropped, fst.Staled, fst.Corrupted, fst.PowerDrops, fst.PowerSpikes, fst.MigrateFails, fst.Epochs)
 	}
-	fmt.Print(st.String())
-	fmt.Printf("energy efficiency: %.4g IPS/W (%.4g instructions/joule)\n",
+	fmt.Fprint(stdout, st.String())
+	fmt.Fprintf(stdout, "energy efficiency: %.4g IPS/W (%.4g instructions/joule)\n",
 		st.EnergyEfficiency(), st.EnergyEfficiency())
 	if groups := st.ByBenchmark(); len(groups) > 1 {
-		fmt.Println("per-benchmark:")
+		fmt.Fprintln(stdout, "per-benchmark:")
 		for _, g := range groups {
-			fmt.Printf("  %-16s tasks=%d run=%8.1fms instr=%9.3g ips=%.4g energy=%.4gJ\n",
+			fmt.Fprintf(stdout, "  %-16s tasks=%d run=%8.1fms instr=%9.3g ips=%.4g energy=%.4gJ\n",
 				g.Benchmark, g.Tasks, float64(g.RunNs)/1e6, float64(g.Instr), g.IPS(st.SpanNs), g.EnergyJ)
 		}
 	}
 	if *perTask {
 		for _, ts := range st.Tasks {
-			fmt.Printf("  task %-24s state=%-8s run=%7.1fms instr=%.3g migrations=%d\n",
+			fmt.Fprintf(stdout, "  task %-24s state=%-8s run=%7.1fms instr=%.3g migrations=%d\n",
 				ts.Name, ts.State, float64(ts.RunNs)/1e6, float64(ts.Instr), ts.Migrations)
 		}
 	}
-	if rec != nil {
-		fmt.Print(rec.Summary())
-		fmt.Printf("last %d events:\n", *traceN)
-		if err := rec.Dump(os.Stdout, *traceN); err != nil {
-			fatalf("trace dump: %v", err)
-		}
+	if tail != nil {
+		writeTrace(stdout, tel.Trace().Metrics, plat.NumCores(), tail)
 	}
-	if tel != nil {
+	if *telPath != "" {
 		if inj != nil {
-			fs := inj.Stats()
-			tel.Counter("fault_dropped_total").Add(int64(fs.Dropped))
-			tel.Counter("fault_staled_total").Add(int64(fs.Staled))
-			tel.Counter("fault_corrupted_total").Add(int64(fs.Corrupted))
-			tel.Counter("fault_power_drops_total").Add(int64(fs.PowerDrops))
-			tel.Counter("fault_power_spikes_total").Add(int64(fs.PowerSpikes))
-			tel.Counter("fault_migrate_fails_total").Add(int64(fs.MigrateFails))
+			fst := inj.Stats()
+			tel.Counter("fault_dropped_total").Add(int64(fst.Dropped))
+			tel.Counter("fault_staled_total").Add(int64(fst.Staled))
+			tel.Counter("fault_corrupted_total").Add(int64(fst.Corrupted))
+			tel.Counter("fault_power_drops_total").Add(int64(fst.PowerDrops))
+			tel.Counter("fault_power_spikes_total").Add(int64(fst.PowerSpikes))
+			tel.Counter("fault_migrate_fails_total").Add(int64(fst.MigrateFails))
 		}
 		f, err := os.Create(*telPath)
 		if err != nil {
-			fatalf("telemetry: %v", err)
+			return fail("telemetry: %v", err)
 		}
 		if err := smartbalance.WriteTelemetryJSONL(f, tel.Trace()); err != nil {
-			fatalf("telemetry: %v", err)
+			return fail("telemetry: %v", err)
 		}
 		if err := f.Close(); err != nil {
-			fatalf("telemetry: %v", err)
+			return fail("telemetry: %v", err)
 		}
 		tr := tel.Trace()
-		fmt.Printf("telemetry: %d epochs, %d metrics, %d anomalies -> %s\n",
+		fmt.Fprintf(stdout, "telemetry: %d epochs, %d metrics, %d anomalies -> %s\n",
 			len(tr.Epochs), len(tr.Metrics), len(tr.Anomalies), *telPath)
 	}
+	return 0
 }
 
 // faultSeedTag matches the sweep engine's injector-seed derivation, so
@@ -219,9 +234,4 @@ func parseBalancer(s string, plat *smartbalance.Platform, seed uint64) (smartbal
 		return smartbalance.NewPinnedBalancer(), nil
 	}
 	return nil, fmt.Errorf("unknown balancer %q", s)
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "sbsim: "+format+"\n", args...)
-	os.Exit(1)
 }

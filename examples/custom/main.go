@@ -1,13 +1,13 @@
 // Custom: defines a bespoke workload with the builder API (a codec-like
 // pipeline plus a background logger), runs it under SmartBalance with
-// scheduling tracing enabled, and prints where the controller placed
-// each behaviour class.
+// telemetry enabled, and prints where the controller placed each
+// behaviour class and the kernel's scheduling counters.
 package main
 
 import (
 	"fmt"
 	"log"
-	"os"
+	"strings"
 	"time"
 
 	"smartbalance"
@@ -44,10 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rec, err := sys.EnableTrace(1 << 16)
-	if err != nil {
-		log.Fatal(err)
-	}
+	tel := sys.EnableTelemetry(smartbalance.TelemetryConfig{})
 	if err := sys.SpawnAll(codec); err != nil {
 		log.Fatal(err)
 	}
@@ -67,9 +64,10 @@ func main() {
 			ts.Name, float64(ts.RunNs)/1e6, float64(ts.Instr), ts.Migrations)
 	}
 	fmt.Println()
-	fmt.Print(rec.Summary())
-	fmt.Println("last 8 scheduling events:")
-	if err := rec.Dump(os.Stdout, 8); err != nil {
-		log.Fatal(err)
+	fmt.Println("kernel scheduling counters:")
+	for _, m := range tel.Trace().Metrics {
+		if strings.HasPrefix(m.Key, "kernel_") {
+			fmt.Printf("  %-40s %.0f\n", m.Key, m.Value)
+		}
 	}
 }

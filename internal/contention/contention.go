@@ -16,7 +16,7 @@
 // Both factors deliberately exclude the core's own footprint: a thread
 // alone in its domain sees MissScale == LatScale == 1 exactly, so a
 // contention-enabled run with zero co-runner overlap is byte-identical
-// to the pre-contention model (the invariant scripts/contention_check.sh
+// to the pre-contention model (the invariant exp.TestAblationContention
 // pins). Self-induced bus pressure is already modelled by the machine's
 // global shared-bus option; this package adds only the *interference*
 // term.
@@ -105,12 +105,14 @@ func (s Spec) Validate() error {
 		}
 		return nil
 	}
+	// Each check is written as a negated "within" so NaN, for which
+	// every comparison is false, fails it.
 	switch {
-	case s.LLCKB < 0 || s.LLCKB > 1<<20:
+	case !(s.LLCKB >= 0 && s.LLCKB <= 1<<20):
 		return fmt.Errorf("contention: llc override %g outside [0, 1048576] KB", s.LLCKB)
-	case s.BWGBps < 0 || s.BWGBps > 1024:
+	case !(s.BWGBps >= 0 && s.BWGBps <= 1024):
 		return fmt.Errorf("contention: bandwidth override %g outside [0, 1024] GB/s", s.BWGBps)
-	case s.MissSlope < 0 || s.MissSlope > 8:
+	case !(s.MissSlope >= 0 && s.MissSlope <= 8):
 		return fmt.Errorf("contention: miss slope %g outside [0, 8]", s.MissSlope)
 	}
 	return nil

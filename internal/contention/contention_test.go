@@ -63,6 +63,22 @@ func TestParseSpecRejects(t *testing.T) {
 	}
 }
 
+// TestParseSpecRejectsNonFinite: NaN overrides used to validate and
+// then render as plain "on", breaking ParseSpec(s.String()) == s.
+func TestParseSpecRejectsNonFinite(t *testing.T) {
+	for _, p := range []string{"llc", "bw", "slope"} {
+		for _, v := range []string{"NaN", "Inf", "-Inf"} {
+			in := "on," + p + "=" + v
+			if s, err := ParseSpec(in); err == nil {
+				t.Errorf("ParseSpec(%q) accepted as %q", in, s.String())
+			}
+		}
+	}
+	if err := (Spec{Enabled: true, MissSlope: math.NaN()}).Validate(); err == nil {
+		t.Error("Validate accepted MissSlope = NaN")
+	}
+}
+
 func TestValidateDisabledWithOverrides(t *testing.T) {
 	if err := (Spec{LLCKB: 64}).Validate(); err == nil {
 		t.Fatal("disabled spec with llc override accepted")

@@ -28,41 +28,23 @@ type Config struct {
 	// measurement. nil selects RealClock (host time) — appropriate at
 	// the cmd/ boundary; deterministic runs inject a FakeClock.
 	Clock Clock
-	// Degrade tunes the graceful-degradation fallback (DESIGN.md §9);
-	// zero-valued fields select the defaults.
-	Degrade DegradeConfig
 }
 
-// DegradeConfig tunes how the controller degrades under sensing faults.
-// The zero value selects the defaults noted per field.
-type DegradeConfig struct {
-	// Decay is the per-epoch multiplicative confidence decay applied to
-	// a degraded thread's last-known-good measurement: a measurement
-	// aged a epochs carries confidence Decay^a (default 0.5).
-	Decay float64
-	// MinConfidence floors the decayed confidence so a long-degraded
+// Graceful-degradation constants (DESIGN.md §9).
+const (
+	// degradeDecay is the per-epoch multiplicative confidence decay
+	// applied to a degraded thread's last-known-good measurement: a
+	// measurement aged a epochs carries confidence degradeDecay^a.
+	degradeDecay = 0.5
+	// minConfidence floors the decayed confidence so a long-degraded
 	// thread keeps a small voice instead of vanishing from the
-	// optimisation (default 0.1).
-	MinConfidence float64
-	// RecoveryEpochs is the hysteresis width: after a majority-degraded
+	// optimisation.
+	minConfidence = 0.1
+	// recoveryEpochs is the hysteresis width: after a majority-degraded
 	// epoch forces a skipped rebalance, this many consecutive clean
-	// epochs must pass before optimisation re-arms (default 2).
-	RecoveryEpochs int
-}
-
-// withDefaults resolves zero-valued fields.
-func (d DegradeConfig) withDefaults() DegradeConfig {
-	if d.Decay <= 0 || d.Decay > 1 {
-		d.Decay = 0.5
-	}
-	if d.MinConfidence <= 0 || d.MinConfidence > 1 {
-		d.MinConfidence = 0.1
-	}
-	if d.RecoveryEpochs <= 0 {
-		d.RecoveryEpochs = 2
-	}
-	return d
-}
+	// epochs must pass before optimisation re-arms.
+	recoveryEpochs = 2
+)
 
 // Health reports the controller's exposure to sensing faults — the
 // observable side of the degradation contract, consumed by the
@@ -133,8 +115,7 @@ type SmartBalance struct {
 	// (SenseOK) measurement, the age base for confidence decay.
 	lastGood map[kernel.ThreadID]int
 
-	degrade DegradeConfig
-	health  Health
+	health Health
 	// cleanStreak counts consecutive non-majority-degraded epochs while
 	// in degraded mode (the recovery hysteresis).
 	cleanStreak int
@@ -206,7 +187,6 @@ func New(pred *Predictor, cfg Config) (*SmartBalance, error) {
 		clock:       clk,
 		lastMeasure: make(map[kernel.ThreadID]Measurement),
 		lastGood:    make(map[kernel.ThreadID]int),
-		degrade:     cfg.Degrade.withDefaults(),
 	}, nil
 }
 
@@ -421,8 +401,9 @@ func epochEE(cores []hpc.CoreEpochSample) float64 {
 }
 
 // confidence returns the exponentially age-decayed trust in a thread's
-// last-known-good measurement: Decay^age floored at MinConfidence. A
-// thread with no fresh measurement on record decays from epoch zero.
+// last-known-good measurement: degradeDecay^age floored at
+// minConfidence. A thread with no fresh measurement on record decays
+// from epoch zero.
 func (s *SmartBalance) confidence(id kernel.ThreadID) float64 {
 	age := s.epochs - s.lastGood[id]
 	if age < 1 {
@@ -430,13 +411,13 @@ func (s *SmartBalance) confidence(id kernel.ThreadID) float64 {
 	}
 	c := 1.0
 	for i := 0; i < age; i++ {
-		c *= s.degrade.Decay
-		if c <= s.degrade.MinConfidence {
-			return s.degrade.MinConfidence
+		c *= degradeDecay
+		if c <= minConfidence {
+			return minConfidence
 		}
 	}
-	if c < s.degrade.MinConfidence {
-		return s.degrade.MinConfidence
+	if c < minConfidence {
+		return minConfidence
 	}
 	return c
 }
@@ -565,7 +546,7 @@ func (s *SmartBalance) Rebalance(k *kernel.Kernel, now kernel.Time,
 	// Majority-degraded epoch: the sensed picture is mostly fiction, so
 	// optimising over it would thrash placements. Keep the current
 	// allocation and (re-)enter degraded mode; hysteresis below keeps
-	// it held until RecoveryEpochs consecutive clean epochs pass.
+	// it held until recoveryEpochs consecutive clean epochs pass.
 	if sensed > 0 && 2*degraded > sensed {
 		s.health.SkippedEpochs++
 		s.health.DegradedMode = true
@@ -580,7 +561,7 @@ func (s *SmartBalance) Rebalance(k *kernel.Kernel, now kernel.Time,
 	}
 	if s.health.DegradedMode {
 		s.cleanStreak++
-		if s.cleanStreak < s.degrade.RecoveryEpochs {
+		if s.cleanStreak < recoveryEpochs {
 			s.health.RecoveryHolds++
 			if s.tel.Enabled() {
 				s.tel.Counter("smartbalance_recovery_holds_total").Inc()

@@ -101,10 +101,10 @@ func runScenarioContended(plat *arch.Platform, bf balancerFactory, specs []workl
 // antagonists mixed in — and races the contention-aware controller
 // (objective carries the interference term) against its blind twin
 // (same controller, term withheld). The contract
-// scripts/contention_check.sh gates: aware == blind bit-for-bit with
-// the model off, aware ~= blind on non-contended mixes, and aware
-// strictly ahead on the antagonist mix, where placement decides which
-// threads get mauled.
+// TestAblationContention gates: aware == blind bit-for-bit with the
+// model off, and aware strictly ahead on the antagonist mix, where
+// placement decides which threads get mauled; on non-contended mixes
+// aware ~= blind.
 func AblationContention(opts Options) (*Result, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err

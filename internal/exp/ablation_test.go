@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"math"
 	"testing"
 )
 
@@ -130,6 +131,41 @@ func TestAblationBusContention(t *testing.T) {
 	gain := res.Headline["min-gain-under-contention"]
 	if gain < 1.2 {
 		t.Fatalf("contention erased the gain: %.2fx", gain)
+	}
+}
+
+// TestAblationContention pins A14's contract on the inputs of
+// `smartbench -run A14 -quick -dur 1200 -threads 2 -seed 7`: with the
+// contention model off, aware and blind placement are bit-identical
+// (ratio exactly 1); on the antagonist mix, aware placement beats its
+// blind twin by at least 5% in energy efficiency; and a rerun
+// reproduces the table text and every headline bit for bit.
+func TestAblationContention(t *testing.T) {
+	opts := Options{Seed: 7, DurationNs: 1200e6, ThreadCounts: []int{2}, Quick: true}
+	res, err := AblationContention(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off, ok := res.Headline["aware-over-blind-model-off"]; !ok || math.Float64bits(off) != math.Float64bits(1) {
+		t.Errorf("model-off aware/blind = %v (present %v), want exactly 1", off, ok)
+	}
+	if ant, ok := res.Headline["aware-over-blind-antagonist"]; !ok || ant < 1.05 {
+		t.Errorf("antagonist aware/blind = %.3fx (present %v), want >= 1.05x", ant, ok)
+	}
+	again, err := AblationContention(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := again.Table.String(), res.Table.String(); got != want {
+		t.Errorf("rerun table differs:\n%s\nvs\n%s", got, want)
+	}
+	if len(again.Headline) != len(res.Headline) {
+		t.Errorf("rerun has %d headlines, first run %d", len(again.Headline), len(res.Headline))
+	}
+	for k, v := range res.Headline {
+		if math.Float64bits(again.Headline[k]) != math.Float64bits(v) {
+			t.Errorf("headline %q not reproduced: %v vs %v", k, v, again.Headline[k])
+		}
 	}
 }
 

@@ -198,6 +198,11 @@ func parseParams(s string) (map[string]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("parameter %q: %v", part, err)
 		}
+		// ParseFloat accepts NaN and Inf, which slip past every range
+		// check below (NaN compares false) or never end a draw (Inf).
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return nil, fmt.Errorf("parameter %q: not a finite number", part)
+		}
 		kv[strings.TrimSpace(k)] = f
 	}
 	return kv, nil

@@ -50,6 +50,28 @@ func TestParseArrivalRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestParseArrivalRejectsNonFinite: strconv.ParseFloat accepts NaN and
+// Inf, which every range check passes (NaN compares false) and which
+// hang or silence the draw (an Inf rate never ends the Poisson split,
+// a NaN rate draws nothing). Every kind and parameter must refuse them.
+func TestParseArrivalRejectsNonFinite(t *testing.T) {
+	params := map[string][]string{
+		"uniform": {"rate"},
+		"diurnal": {"rate", "depth", "period"},
+		"bursty":  {"rate", "burst", "pburst", "pcalm"},
+	}
+	for _, kind := range []string{"uniform", "diurnal", "bursty"} {
+		for _, p := range params[kind] {
+			for _, v := range []string{"NaN", "Inf", "+Inf", "-Inf", "infinity"} {
+				in := kind + ":" + p + "=" + v
+				if _, err := ParseArrival(in, rng.New(1)); err == nil {
+					t.Errorf("ParseArrival(%q) accepted, want error", in)
+				}
+			}
+		}
+	}
+}
+
 // drawAll draws count ticks of tickNs each and returns every arrival
 // offset in order.
 func drawAll(t *testing.T, spec string, seed uint64, ticks int, tickNs int64) []int64 {

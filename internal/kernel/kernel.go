@@ -433,10 +433,8 @@ type Kernel struct {
 	nextEpoch Time
 
 	// observers receive scheduling trace events; slots are assigned by
-	// AddObserver and never reused. setSlot is the slot owned by the
-	// single-observer SetObserver compatibility hook (-1 when none).
+	// AddObserver and never reused.
 	observers []Observer
-	setSlot   int
 }
 
 // New constructs a kernel over machine m with the given balancing
@@ -465,7 +463,6 @@ func New(m *machine.Machine, b Balancer, cfg Config) (*Kernel, error) {
 		cores:    make([]coreRun, plat.NumCores()),
 		bank:     bank,
 		r:        rng.New(cfg.Seed),
-		setSlot:  -1,
 	}
 	for i := range k.cores {
 		k.cores[i] = coreRun{id: arch.CoreID(i), sleeping: true}

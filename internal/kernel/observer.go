@@ -83,9 +83,9 @@ type Observer func(TraceEvent)
 
 // AddObserver installs an additional trace observer and returns its
 // slot id for RemoveObserver. Observers compose: every event fans out
-// to all installed observers in installation order, so a trace recorder
-// and a telemetry collector (for example) can watch the same kernel
-// without fighting over a single hook.
+// to all installed observers in installation order, so a telemetry
+// collector and a raw-event tail (for example) can watch the same
+// kernel without fighting over a single hook.
 func (k *Kernel) AddObserver(o Observer) int {
 	if o == nil {
 		return -1
@@ -102,25 +102,6 @@ func (k *Kernel) RemoveObserver(id int) {
 		return
 	}
 	k.observers[id] = nil
-	if id == k.setSlot {
-		k.setSlot = -1
-	}
-}
-
-// SetObserver installs (or, with nil, removes) a single trace observer.
-// Kept for single-observer call sites; it owns one slot, so repeated
-// calls replace rather than accumulate, and it coexists with observers
-// installed through AddObserver.
-func (k *Kernel) SetObserver(o Observer) {
-	if o == nil {
-		k.RemoveObserver(k.setSlot)
-		return
-	}
-	if k.setSlot >= 0 && k.setSlot < len(k.observers) {
-		k.observers[k.setSlot] = o
-		return
-	}
-	k.setSlot = k.AddObserver(o)
 }
 
 // emit delivers an event to every installed observer.

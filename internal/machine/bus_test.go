@@ -33,7 +33,7 @@ func TestBusDisabledByDefault(t *testing.T) {
 	}
 	ts, _ := m.NewThreadState(memBoundSpec())
 	for i := 0; i < 50; i++ {
-		if _, err := m.ExecSlice(ts, 0, 2e6); err != nil {
+		if _, err := execOn(m, ts, 0, 2e6); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -51,7 +51,7 @@ func TestBusContentionInflatesLatency(t *testing.T) {
 	}
 	ts, _ := m.NewThreadState(memBoundSpec())
 	for i := 0; i < 200; i++ {
-		if _, err := m.ExecSlice(ts, 0, 2e6); err != nil {
+		if _, err := execOn(m, ts, 0, 2e6); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -79,7 +79,7 @@ func TestBusContentionReducesThroughput(t *testing.T) {
 		var total uint64
 		for round := 0; round < 100; round++ {
 			for i, ts := range states {
-				res, err := m.ExecSlice(ts, arch.CoreTypeID(i), 2e6)
+				res, err := execOn(m, ts, arch.CoreID(i), 2e6)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -105,13 +105,13 @@ func TestBusContentionDecays(t *testing.T) {
 	}
 	ts, _ := m.NewThreadState(memBoundSpec())
 	for i := 0; i < 100; i++ {
-		_, _ = m.ExecSlice(ts, 0, 2e6)
+		_, _ = execOn(m, ts, 0, 2e6)
 	}
 	loaded := m.MemLatencyScale()
 	// Compute-bound traffic afterwards: contention must decay.
 	cs, _ := m.NewThreadState(simpleSpec(1<<40, 0, 0))
 	for i := 0; i < 100; i++ {
-		_, _ = m.ExecSlice(cs, 0, 2e6)
+		_, _ = execOn(m, cs, 0, 2e6)
 	}
 	cooled := m.MemLatencyScale()
 	if cooled >= loaded {
@@ -120,13 +120,13 @@ func TestBusContentionDecays(t *testing.T) {
 }
 
 func TestEvaluateContendedMonotone(t *testing.T) {
-	// Exposed via machine for convenience; scale raises memory stalls,
-	// so IPC must fall monotonically on memory-bound code.
+	// The memory-latency scale the bus model applies raises memory
+	// stalls, so IPC must fall monotonically on memory-bound code.
 	spec := memBoundSpec()
 	ct := arch.BigCore()
 	prev := 10.0
 	for _, scale := range []float64{0.5, 1, 2, 4, 8} {
-		met := perfmodel.EvaluateContended(&spec.Phases[0], &ct, scale)
+		met := perfmodel.EvaluateShared(&spec.Phases[0], &ct, scale, 1)
 		if met.IPC > prev+1e-12 {
 			t.Fatalf("IPC not monotone in contention at scale %g", scale)
 		}

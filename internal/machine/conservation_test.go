@@ -38,7 +38,7 @@ func TestInstructionConservationAcrossSlicing(t *testing.T) {
 
 	// Reference: one giant slice on the Big core.
 	ref := mkState()
-	refRes, err := m.ExecSlice(ref, 1, 1e12)
+	refRes, err := execOn(m, ref, 1, 1e12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +56,7 @@ func TestInstructionConservationAcrossSlicing(t *testing.T) {
 				break
 			}
 			dur := int64(1e4 + r.Intn(3e6))
-			tid := arch.CoreTypeID(r.Intn(4))
-			res, err := m.ExecSlice(ts, tid, dur)
+			res, err := execOn(m, ts, arch.CoreID(r.Intn(4)), dur)
 			if err != nil {
 				return false
 			}
@@ -84,7 +83,7 @@ func TestCountersNeverExceedInstructions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
-		res, err := m.ExecSlice(ts, arch.CoreTypeID(i%4), 2e6)
+		res, err := execOn(m, ts, arch.CoreID(i%4), 2e6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,11 +114,11 @@ func TestEnergyMonotoneInDuration(t *testing.T) {
 		}
 		return ts
 	}
-	short, err := m.ExecSlice(mk(), 0, 1e6)
+	short, err := execOn(m, mk(), 0, 1e6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	long, err := m.ExecSlice(mk(), 0, 4e6)
+	long, err := execOn(m, mk(), 0, 4e6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,8 @@
 // instructions by class, busy/stall cycles, cache/TLB/branch miss
 // events, and consumed energy.
 //
-// The discrete-event kernel (internal/kernel) calls ExecSlice once per
-// scheduling quantum; the resulting counter deltas are what the
+// The discrete-event kernel (internal/kernel) calls ExecSliceOnCore
+// once per scheduling quantum; the resulting counter deltas are what the
 // SmartBalance sensing phase samples at context-switch time.
 package machine
 
@@ -237,38 +237,16 @@ type SliceResult struct {
 	Finished bool
 }
 
-// ExecSlice runs thread t on a core of type tid for at most maxDurNs of
-// execution time and returns the counter deltas. The slice ends early at
-// a sleep point or when the thread finishes. maxDurNs must be positive.
-func (m *Machine) ExecSlice(t *ThreadState, tid arch.CoreTypeID, maxDurNs int64) (SliceResult, error) {
-	var res SliceResult
-	err := m.ExecSliceInto(&res, t, tid, maxDurNs)
-	return res, err
-}
-
-// ExecSliceInto is ExecSlice writing its result into *out (which is
-// reset first): the scheduler hot path targets the core's pending-slice
-// slot directly instead of copying the ~100-byte result twice per
-// slice. It executes with core identity unknown, so the LLC-domain
-// contention model (which needs to know the co-runner set) is not
-// applied; the kernel's dispatch path uses ExecSliceOnCore.
-func (m *Machine) ExecSliceInto(out *SliceResult, t *ThreadState, tid arch.CoreTypeID, maxDurNs int64) error {
-	return m.execSlice(out, t, tid, -1, maxDurNs)
-}
-
-// ExecSliceOnCore is ExecSliceInto with the executing core identified,
-// which lets the LLC-domain contention model degrade the slice by the
-// core's co-runner pressure and fold the slice's footprint back into
-// the model. With the model disabled it is arithmetically identical to
-// ExecSliceInto on the core's type.
-func (m *Machine) ExecSliceOnCore(out *SliceResult, t *ThreadState, core arch.CoreID, maxDurNs int64) error {
-	return m.execSlice(out, t, m.plat.TypeID(core), int(core), maxDurNs)
-}
-
-// execSlice is the shared slice-execution loop. core < 0 means the
-// executing core is unknown (no LLC-domain contention applies).
-func (m *Machine) execSlice(out *SliceResult, t *ThreadState, tid arch.CoreTypeID, core int, maxDurNs int64) error {
-	res := out
+// ExecSliceOnCore runs thread t on the given core for at most
+// maxDurNs of execution time and writes the counter deltas into *res
+// (which is reset first; the scheduler hot path targets the core's
+// pending-slice slot directly instead of copying the ~100-byte result
+// twice per slice). The slice ends early at a sleep point or when the
+// thread finishes. maxDurNs must be positive. Knowing the core lets
+// the LLC-domain contention model degrade the slice by the core's
+// co-runner pressure and fold the slice's footprint back into the
+// model.
+func (m *Machine) ExecSliceOnCore(res *SliceResult, t *ThreadState, core arch.CoreID, maxDurNs int64) error {
 	*res = SliceResult{}
 	if maxDurNs <= 0 {
 		return fmt.Errorf("machine: non-positive slice duration %d", maxDurNs) //sbvet:allow hotpath(diagnostic formats only on the rejected-input path)
@@ -276,6 +254,7 @@ func (m *Machine) execSlice(out *SliceResult, t *ThreadState, tid arch.CoreTypeI
 	if t.finished {
 		return ErrFinished
 	}
+	tid := m.plat.TypeID(core)
 	ct := &m.plat.Types[tid]
 	pmod := m.pm.ForType(tid)
 	freqGHz := ct.FreqMHz / 1000 // cycles per ns
@@ -283,9 +262,9 @@ func (m *Machine) execSlice(out *SliceResult, t *ThreadState, tid arch.CoreTypeI
 	// busTauNs/ewmaTauNs scale, far slower than a slice).
 	latScale := m.MemLatencyScale()
 	missScale := 1.0
-	if m.cont != nil && core >= 0 {
-		missScale = m.cont.MissScale(arch.CoreID(core))
-		latScale *= m.cont.LatScale(arch.CoreID(core))
+	if m.cont != nil {
+		missScale = m.cont.MissScale(core)
+		latScale *= m.cont.LatScale(core)
 	}
 
 	remaining := float64(maxDurNs)
@@ -377,8 +356,8 @@ func (m *Machine) execSlice(out *SliceResult, t *ThreadState, tid arch.CoreTypeI
 		res.DurNs = 1
 	}
 	m.recordBusTraffic(res.DurNs, memTrafficBytes)
-	if m.cont != nil && core >= 0 {
-		m.cont.RecordSlice(arch.CoreID(core), res.DurNs, wsKB, memTrafficBytes)
+	if m.cont != nil {
+		m.cont.RecordSlice(core, res.DurNs, wsKB, memTrafficBytes)
 	}
 	return nil
 }

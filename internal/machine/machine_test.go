@@ -16,6 +16,14 @@ func newMachine(t *testing.T) *Machine {
 	return m
 }
 
+// execOn runs one slice of ts on core c and returns its result. On
+// QuadHMP core i has type i, so the core also names the type.
+func execOn(m *Machine, ts *ThreadState, c arch.CoreID, maxDurNs int64) (SliceResult, error) {
+	var res SliceResult
+	err := m.ExecSliceOnCore(&res, ts, c, maxDurNs)
+	return res, err
+}
+
 func simpleSpec(instr uint64, sleepNs int64, repeats int) *workload.ThreadSpec {
 	return &workload.ThreadSpec{
 		Name:      "t",
@@ -52,7 +60,7 @@ func TestNewThreadStateValidates(t *testing.T) {
 func TestExecSliceBasicCounters(t *testing.T) {
 	m := newMachine(t)
 	ts, _ := m.NewThreadState(simpleSpec(100e6, 0, 0))
-	res, err := m.ExecSlice(ts, 1, 1e6) // 1ms on the Big core
+	res, err := execOn(m, ts, 1, 1e6) // 1ms on the Big core
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +101,7 @@ func TestExecSliceIPSConsistentWithModel(t *testing.T) {
 	ts, _ := m.NewThreadState(simpleSpec(1e9, 0, 0))
 	met := m.SteadyMetrics(ts, 0)
 	huge := m.Platform().Type(0)
-	res, err := m.ExecSlice(ts, 0, 2e6)
+	res, err := execOn(m, ts, 0, 2e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +116,7 @@ func TestExecSliceFinishes(t *testing.T) {
 	m := newMachine(t)
 	ts, _ := m.NewThreadState(simpleSpec(1e6, 0, 1))
 	// 1M instructions at >0.5e9 IPS finish well inside 100ms.
-	res, err := m.ExecSlice(ts, 3, 100e6)
+	res, err := execOn(m, ts, 3, 100e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +129,7 @@ func TestExecSliceFinishes(t *testing.T) {
 	if res.DurNs >= 100e6 {
 		t.Fatal("slice should end early at completion")
 	}
-	if _, err := m.ExecSlice(ts, 3, 1e6); err != ErrFinished {
+	if _, err := execOn(m, ts, 3, 1e6); err != ErrFinished {
 		t.Fatalf("want ErrFinished, got %v", err)
 	}
 }
@@ -129,7 +137,7 @@ func TestExecSliceFinishes(t *testing.T) {
 func TestExecSliceSleepPoint(t *testing.T) {
 	m := newMachine(t)
 	ts, _ := m.NewThreadState(simpleSpec(1e6, 5e6, 0))
-	res, err := m.ExecSlice(ts, 1, 100e6)
+	res, err := execOn(m, ts, 1, 100e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +157,7 @@ func TestExecSliceSleepJitterPropagates(t *testing.T) {
 	// Slice shorter than the phase: no sleep yet.
 	m := newMachine(t)
 	ts, _ := m.NewThreadState(simpleSpec(1e9, 5e6, 0))
-	res, err := m.ExecSlice(ts, 1, 1e6)
+	res, err := execOn(m, ts, 1, 1e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +183,7 @@ func TestExecSliceMultiPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.ExecSlice(ts, 0, 1e9)
+	res, err := execOn(m, ts, 0, 1e9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +205,7 @@ func TestExecSliceRepeatsAndPhaseWrap(t *testing.T) {
 	ts, _ := m.NewThreadState(spec)
 	totalInstr := uint64(0)
 	for !ts.Finished() {
-		res, err := m.ExecSlice(ts, 2, 1e5)
+		res, err := execOn(m, ts, 2, 1e5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,10 +219,10 @@ func TestExecSliceRepeatsAndPhaseWrap(t *testing.T) {
 func TestExecSliceInvalidDuration(t *testing.T) {
 	m := newMachine(t)
 	ts, _ := m.NewThreadState(simpleSpec(1e6, 0, 0))
-	if _, err := m.ExecSlice(ts, 0, 0); err == nil {
+	if _, err := execOn(m, ts, 0, 0); err == nil {
 		t.Fatal("zero duration accepted")
 	}
-	if _, err := m.ExecSlice(ts, 0, -5); err == nil {
+	if _, err := execOn(m, ts, 0, -5); err == nil {
 		t.Fatal("negative duration accepted")
 	}
 }
@@ -229,11 +237,11 @@ func TestCoreTypeChangesThroughput(t *testing.T) {
 	specs2, _ := workload.Benchmark("swaptions", 1, 1)
 	tsSmall, _ := m.NewThreadState(&specs2[0])
 
-	rh, err := m.ExecSlice(tsHuge, 0, 5e6)
+	rh, err := execOn(m, tsHuge, 0, 5e6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := m.ExecSlice(tsSmall, 3, 5e6)
+	rs, err := execOn(m, tsSmall, 3, 5e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +272,7 @@ func TestEnergyAccumulatesOverSlices(t *testing.T) {
 	ts, _ := m.NewThreadState(simpleSpec(1e9, 0, 0))
 	var total float64
 	for i := 0; i < 10; i++ {
-		res, err := m.ExecSlice(ts, 1, 1e6)
+		res, err := execOn(m, ts, 1, 1e6)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,9 +298,10 @@ func BenchmarkExecSlice(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var res SliceResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.ExecSlice(ts, 1, 1e6); err != nil {
+		if err := m.ExecSliceOnCore(&res, ts, 1, 1e6); err != nil {
 			b.Fatal(err)
 		}
 	}

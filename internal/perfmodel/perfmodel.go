@@ -163,15 +163,6 @@ func Evaluate(ph *workload.Phase, ct *arch.CoreType) Metrics {
 	return EvaluateShared(ph, ct, 1, 1)
 }
 
-// EvaluateContended computes Metrics with the effective memory latency
-// scaled by memLatScale >= 1 — the hook the shared-bus contention model
-// uses (Section 5's cores share a bus to main memory, so misses from
-// other cores inflate everyone's miss latency). Scales below 1 clamp
-// to 1.
-func EvaluateContended(ph *workload.Phase, ct *arch.CoreType, memLatScale float64) Metrics {
-	return EvaluateShared(ph, ct, memLatScale, 1)
-}
-
 // EvaluateShared is the full shared-resource evaluation: memLatScale
 // inflates the effective memory latency (bus/bandwidth queueing) and
 // llcMissScale inflates the conditional L2->memory miss probability

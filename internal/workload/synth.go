@@ -93,23 +93,23 @@ func (s SynthSpec) Validate() error {
 	switch {
 	case s.Phases < 1 || s.Phases > 8:
 		return fmt.Errorf("workload: synth phases %d outside [1,8]", s.Phases)
-	case s.InsM < 1 || s.InsM > 500:
+	case !within(s.InsM, 1, 500):
 		return fmt.Errorf("workload: synth ins %v outside [1,500] (millions)", s.InsM)
-	case s.ILP < 0.5 || s.ILP > 8:
+	case !within(s.ILP, 0.5, 8):
 		return fmt.Errorf("workload: synth ilp %v outside [0.5,8]", s.ILP)
-	case s.Mem < 0 || s.Mem > 0.6:
+	case !within(s.Mem, 0, 0.6):
 		return fmt.Errorf("workload: synth mem %v outside [0,0.6]", s.Mem)
-	case s.Bsh < 0 || s.Bsh > 0.25:
+	case !within(s.Bsh, 0, 0.25):
 		return fmt.Errorf("workload: synth bsh %v outside [0,0.25]", s.Bsh)
-	case s.WsIKB < 1 || s.WsIKB > 1024:
+	case !within(s.WsIKB, 1, 1024):
 		return fmt.Errorf("workload: synth wsi %v outside [1,1024] KB", s.WsIKB)
-	case s.WsDKB < 1 || s.WsDKB > 65536:
+	case !within(s.WsDKB, 1, 65536):
 		return fmt.Errorf("workload: synth wsd %v outside [1,65536] KB", s.WsDKB)
-	case s.Ent < 0 || s.Ent > 1:
+	case !within(s.Ent, 0, 1):
 		return fmt.Errorf("workload: synth ent %v outside [0,1]", s.Ent)
-	case s.MLP < 1 || s.MLP > 8:
+	case !within(s.MLP, 1, 8):
 		return fmt.Errorf("workload: synth mlp %v outside [1,8]", s.MLP)
-	case s.SleepM < 0 || s.SleepM > 50:
+	case !within(s.SleepM, 0, 50):
 		return fmt.Errorf("workload: synth sleep %v outside [0,50] ms", s.SleepM)
 	case s.Ant < AntNone || s.Ant > AntCacheResident:
 		return fmt.Errorf("workload: synth ant %d outside [0,2]", s.Ant)

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -71,6 +72,24 @@ func TestParseSynthRejectsBadSpecs(t *testing.T) {
 		if _, err := ParseSynth(in); err == nil {
 			t.Errorf("ParseSynth(%q) accepted, want error", in)
 		}
+	}
+}
+
+// TestParseSynthRejectsNonFinite: every synth range check must refuse
+// NaN, which compares false against both bounds, and the infinities.
+func TestParseSynthRejectsNonFinite(t *testing.T) {
+	for _, p := range []string{"ins", "ilp", "mem", "bsh", "wsi", "wsd", "ent", "mlp", "sleep"} {
+		for _, v := range []string{"NaN", "Inf", "-Inf"} {
+			in := "synth:" + p + "=" + v
+			if _, err := ParseSynth(in); err == nil {
+				t.Errorf("ParseSynth(%q) accepted, want error", in)
+			}
+		}
+	}
+	s := DefaultSynth()
+	s.MLP = math.NaN()
+	if err := s.Validate(); err == nil {
+		t.Error("SynthSpec.Validate accepted MLP = NaN")
 	}
 }
 

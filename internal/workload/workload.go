@@ -15,6 +15,7 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"smartbalance/internal/rng"
 )
@@ -63,27 +64,32 @@ func (p *Phase) Validate() error {
 	switch {
 	case p.Instructions == 0:
 		return fmt.Errorf("workload: phase %q has zero instructions", p.Name)
-	case p.ILP < 0.1 || p.ILP > 16:
+	case !within(p.ILP, 0.1, 16):
 		return fmt.Errorf("workload: phase %q ILP %.2f outside [0.1,16]", p.Name, p.ILP)
-	case p.MemShare < 0 || p.MemShare > 0.75:
+	case !within(p.MemShare, 0, 0.75):
 		return fmt.Errorf("workload: phase %q MemShare %.2f outside [0,0.75]", p.Name, p.MemShare)
-	case p.BranchShare < 0 || p.BranchShare > 0.5:
+	case !within(p.BranchShare, 0, 0.5):
 		return fmt.Errorf("workload: phase %q BranchShare %.2f outside [0,0.5]", p.Name, p.BranchShare)
 	case p.MemShare+p.BranchShare > 0.95:
 		return fmt.Errorf("workload: phase %q mem+branch share %.2f too high", p.Name, p.MemShare+p.BranchShare)
-	case p.WorkingSetIKB <= 0 || p.WorkingSetDKB <= 0:
-		return fmt.Errorf("workload: phase %q non-positive working set", p.Name)
-	case p.BranchEntropy < 0 || p.BranchEntropy > 1:
+	case !within(p.WorkingSetIKB, math.SmallestNonzeroFloat64, math.MaxFloat64) ||
+		!within(p.WorkingSetDKB, math.SmallestNonzeroFloat64, math.MaxFloat64):
+		return fmt.Errorf("workload: phase %q working set not positive and finite", p.Name)
+	case !within(p.BranchEntropy, 0, 1):
 		return fmt.Errorf("workload: phase %q BranchEntropy %.2f outside [0,1]", p.Name, p.BranchEntropy)
-	case p.MLP < 1 || p.MLP > 16:
+	case !within(p.MLP, 1, 16):
 		return fmt.Errorf("workload: phase %q MLP %.2f outside [1,16]", p.Name, p.MLP)
-	case p.TLBPressureI < 0 || p.TLBPressureI > 1 || p.TLBPressureD < 0 || p.TLBPressureD > 1:
+	case !within(p.TLBPressureI, 0, 1) || !within(p.TLBPressureD, 0, 1):
 		return fmt.Errorf("workload: phase %q TLB pressure outside [0,1]", p.Name)
 	case p.SleepAfterNs < 0:
 		return fmt.Errorf("workload: phase %q negative sleep", p.Name)
 	}
 	return nil
 }
+
+// within reports lo <= v <= hi. Range checks go through it because it
+// is false for NaN, which a plain v < lo || v > hi lets through.
+func within(v, lo, hi float64) bool { return v >= lo && v <= hi }
 
 // ThreadSpec is the full behavioural description of one thread: a cycle
 // of phases repeated Repeats times (0 = repeat forever, for

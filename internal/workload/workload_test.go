@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -44,6 +45,32 @@ func TestPhaseValidateRejectsBad(t *testing.T) {
 		c.mod(&p)
 		if err := p.Validate(); err == nil {
 			t.Errorf("%s: accepted", c.name)
+		}
+	}
+}
+
+// TestPhaseValidateRejectsNonFinite: NaN passes any check written as
+// v < lo || v > hi, and +Inf passes a lower bound alone, so every float
+// attribute is tried with NaN and both infinities.
+func TestPhaseValidateRejectsNonFinite(t *testing.T) {
+	fields := map[string]func(*Phase) *float64{
+		"ILP":           func(p *Phase) *float64 { return &p.ILP },
+		"MemShare":      func(p *Phase) *float64 { return &p.MemShare },
+		"BranchShare":   func(p *Phase) *float64 { return &p.BranchShare },
+		"WorkingSetIKB": func(p *Phase) *float64 { return &p.WorkingSetIKB },
+		"WorkingSetDKB": func(p *Phase) *float64 { return &p.WorkingSetDKB },
+		"BranchEntropy": func(p *Phase) *float64 { return &p.BranchEntropy },
+		"MLP":           func(p *Phase) *float64 { return &p.MLP },
+		"TLBPressureI":  func(p *Phase) *float64 { return &p.TLBPressureI },
+		"TLBPressureD":  func(p *Phase) *float64 { return &p.TLBPressureD },
+	}
+	for name, field := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := validPhase()
+			*field(&p) = v
+			if err := p.Validate(); err == nil {
+				t.Errorf("%s = %v: accepted", name, v)
+			}
 		}
 	}
 }

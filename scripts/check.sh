@@ -42,9 +42,6 @@ echo "== bench-check"
 echo "== hunt-check"
 ./scripts/hunt_check.sh
 
-echo "== contention-check"
-./scripts/contention_check.sh
-
 echo "== go test -race ./..."
 go test -race ./...
 

@@ -45,7 +45,6 @@ import (
 	"smartbalance/internal/powermodel"
 	"smartbalance/internal/telemetry"
 	"smartbalance/internal/thermal"
-	"smartbalance/internal/trace"
 	"smartbalance/internal/workload"
 )
 
@@ -305,10 +304,8 @@ type System struct {
 	k    *kernel.Kernel
 	plat *Platform
 
-	// rec is the recorder the last EnableTrace call installed; tel and
-	// telObs track the telemetry collector and its kernel observer slot
-	// (-1 when none). Both observers compose on the kernel's fan-out.
-	rec    *trace.Recorder
+	// tel and telObs track the telemetry collector and its kernel
+	// observer slot (-1 when none).
 	tel    *telemetry.Collector
 	telObs int
 }
@@ -388,30 +385,6 @@ func (s *System) Run(d time.Duration) error {
 // Stats snapshots the cumulative run statistics.
 func (s *System) Stats() *RunStats { return s.k.Stats() }
 
-// TraceRecorder records scheduling events (context switches,
-// migrations, sleeps/wakes, epochs) for inspection.
-type TraceRecorder = trace.Recorder
-
-// EnableTrace attaches a scheduling-trace recorder retaining up to
-// limit raw events (aggregate statistics cover the whole run). Call
-// before Run. Each call makes a fresh recorder bound to this system's
-// kernel alone (recorders are one-per-kernel; see internal/trace), and
-// replaces any recorder a previous call installed.
-func (s *System) EnableTrace(limit int) (*TraceRecorder, error) {
-	rec, err := trace.NewRecorder(limit)
-	if err != nil {
-		return nil, err
-	}
-	if s.rec != nil {
-		s.rec.Detach()
-	}
-	if err := rec.Attach(s.k); err != nil {
-		return nil, err
-	}
-	s.rec = rec
-	return rec, nil
-}
-
 // Telemetry collection (DESIGN.md §10): deterministic spans, metrics,
 // and flight-recorder dumps for the whole sense-predict-balance loop.
 
@@ -437,8 +410,9 @@ func NewTelemetryCollector(cfg TelemetryConfig) *TelemetryCollector {
 // events feed event/instruction counters and epoch rotation, and a
 // SmartBalance controller (bare or thermally wrapped) additionally
 // reports per-phase spans, health gauges, and anomaly triggers. Call
-// before Run. Repeated calls replace the previous collector; the
-// collector composes with EnableTrace — both observe the same kernel.
+// before Run. Repeated calls replace the previous collector; it
+// composes with any other observer installed through
+// Kernel().AddObserver.
 func (s *System) EnableTelemetry(cfg TelemetryConfig) *TelemetryCollector {
 	c := telemetry.New(cfg)
 	c.SetMeta("balancer", s.k.Balancer().Name())

@@ -248,29 +248,20 @@ func TestDVFSFacade(t *testing.T) {
 	}
 }
 
-func TestSystemFullAndTraceFacade(t *testing.T) {
+func TestSystemFullFacade(t *testing.T) {
 	sys, err := NewSystemFull(QuadHMP(), NewVanillaBalancer(), DefaultKernelConfig(),
 		MachineOptions{BusBandwidthGBps: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := sys.EnableTrace(256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.EnableTrace(0); err == nil {
-		t.Fatal("zero trace limit accepted")
-	}
+	tel := sys.EnableTelemetry(TelemetryConfig{})
 	specs, _ := Benchmark("canneal", 2, 2)
 	_ = sys.SpawnAll(specs)
 	if err := sys.Run(200 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if rec.TotalInstructions() == 0 {
-		t.Fatal("trace recorded nothing")
-	}
-	if rec.Summary() == "" {
-		t.Fatal("empty trace summary")
+	if got, want := tel.Counter("kernel_instructions_total").Value(), int64(sys.Stats().TotalInstructions()); got == 0 || got != want {
+		t.Fatalf("kernel_instructions_total = %d, RunStats say %d", got, want)
 	}
 	if _, err := NewSystemFull(QuadHMP(), NewVanillaBalancer(), DefaultKernelConfig(),
 		MachineOptions{BusBandwidthGBps: -1}); err == nil {

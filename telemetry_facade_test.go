@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"smartbalance/internal/kernel"
 )
 
 // telemetryRun builds a SmartBalance system, runs it with telemetry
-// (and optionally tracing) attached, and returns the pieces.
-func telemetryRun(t *testing.T, seed uint64, withTrace bool) (*System, *TelemetryCollector, *TraceRecorder) {
+// attached (and, with withTap, a second kernel observer installed
+// before it that sums slice instructions), and returns the pieces.
+func telemetryRun(t *testing.T, seed uint64, withTap bool) (*System, *TelemetryCollector, *int64) {
 	t.Helper()
 	plat := QuadHMP()
 	pred, err := TrainPredictor(plat.Types, seed)
@@ -28,11 +31,14 @@ func telemetryRun(t *testing.T, seed uint64, withTrace bool) (*System, *Telemetr
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec *TraceRecorder
-	if withTrace {
-		if rec, err = sys.EnableTrace(1 << 16); err != nil {
-			t.Fatal(err)
-		}
+	var tapped *int64
+	if withTap {
+		tapped = new(int64)
+		sys.Kernel().AddObserver(func(e kernel.TraceEvent) {
+			if e.Kind == kernel.TraceSlice {
+				*tapped += int64(e.Instr)
+			}
+		})
 	}
 	tel := sys.EnableTelemetry(TelemetryConfig{})
 	tel.SetMeta("seed", "s") // fixed label: seed differences must not touch the meta
@@ -46,7 +52,7 @@ func telemetryRun(t *testing.T, seed uint64, withTrace bool) (*System, *Telemetr
 	if err := sys.Run(600 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	return sys, tel, rec
+	return sys, tel, tapped
 }
 
 func TestTelemetryFacadeEndToEnd(t *testing.T) {
@@ -117,20 +123,20 @@ func TestTelemetryDeterministic(t *testing.T) {
 	}
 }
 
-// TestTraceAndTelemetryCompose is the multi-observer regression: -trace
-// and -telemetry must not race for a single observer slot.
+// TestTraceAndTelemetryCompose is the multi-observer regression: the
+// collector and another kernel observer (sbsim -trace's raw tail, say)
+// must not race for a single observer slot.
 func TestTraceAndTelemetryCompose(t *testing.T) {
-	_, tel, rec := telemetryRun(t, 1, true)
-	if rec.TotalInstructions() == 0 {
-		t.Fatal("trace recorder starved: telemetry stole the observer slot")
+	_, tel, tapped := telemetryRun(t, 1, true)
+	if *tapped == 0 {
+		t.Fatal("second observer starved: telemetry stole the observer slot")
 	}
-	got := tel.Counter("kernel_instructions_total").Value()
-	if got != int64(rec.TotalInstructions()) {
-		t.Fatalf("collector saw %d instructions, recorder %d — observers see different streams",
-			got, rec.TotalInstructions())
+	if got := tel.Counter("kernel_instructions_total").Value(); got != *tapped {
+		t.Fatalf("collector saw %d instructions, second observer %d — observers see different streams",
+			got, *tapped)
 	}
 	// And attaching telemetry twice replaces rather than double-counts.
-	sys, tel2, rec2 := telemetryRun(t, 1, true)
+	sys, tel2, _ := telemetryRun(t, 1, true)
 	fresh := sys.EnableTelemetry(TelemetryConfig{})
 	if err := sys.Run(100 * time.Millisecond); err != nil {
 		t.Fatal(err)
@@ -149,5 +155,4 @@ func TestTraceAndTelemetryCompose(t *testing.T) {
 	if after := tel2.Counter("kernel_instructions_total").Value(); after != before {
 		t.Fatalf("replaced collector still receiving events (%d -> %d)", before, after)
 	}
-	_ = rec2
 }

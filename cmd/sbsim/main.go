@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"smartbalance"
+	"smartbalance/internal/trace"
 )
 
 func main() {
@@ -96,10 +97,10 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			tel.SetMeta("fault", *faultStr)
 		}
 	}
-	var tail *eventTail
+	var tail *trace.Tail
 	if *traceN > 0 {
-		tail = newEventTail(*traceN)
-		sys.Kernel().AddObserver(tail.observe)
+		tail = trace.NewTail(*traceN)
+		sys.Kernel().AddObserver(tail.Observe)
 	}
 	if err := sys.SpawnAll(specs); err != nil {
 		return fail("%v", err)
@@ -132,7 +133,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if tail != nil {
-		writeTrace(stdout, tel.Trace().Metrics, plat.NumCores(), tail)
+		trace.Write(stdout, tel.Trace().Metrics, plat.NumCores(), tail)
 	}
 	if *telPath != "" {
 		if inj != nil {

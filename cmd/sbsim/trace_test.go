@@ -5,39 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"smartbalance/internal/kernel"
 )
-
-// feed pushes n strictly ordered synthetic events through a tail.
-func feed(tail *eventTail, n int) {
-	for i := 0; i < n; i++ {
-		tail.observe(kernel.TraceEvent{At: int64(i), Kind: kernel.TraceWake, Core: 0, Thread: 1})
-	}
-}
-
-// TestRingEvictsOldestFirst pins the eviction policy: the ring never
-// holds more than its bound, and the retained window is always the
-// contiguous, in-order tail of the stream, before and after it wraps.
-func TestRingEvictsOldestFirst(t *testing.T) {
-	for _, total := range []int{5, 8, 21, 1000} {
-		tail := newEventTail(8)
-		feed(tail, total)
-		if tail.seen != total {
-			t.Fatalf("total %d: tail counted %d events", total, tail.seen)
-		}
-		evs := tail.events()
-		if want := min(total, 8); len(evs) != want {
-			t.Fatalf("total %d: retained %d events, want %d", total, len(evs), want)
-		}
-		for i, e := range evs {
-			if want := int64(total - len(evs) + i); e.At != want {
-				t.Fatalf("total %d: retained[%d].At = %d, want %d (eviction must be oldest-first)",
-					total, i, e.At, want)
-			}
-		}
-	}
-}
 
 // traceCounts is the counter half of `sbsim -dur 300 -trace 8` on the
 // defaults (quad, Mix1 x 4, smartbalance, seed 1).

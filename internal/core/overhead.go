@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"smartbalance/internal/arch"
@@ -67,8 +68,10 @@ func (p PhaseTimes) FractionOfEpoch(epochNs int64) float64 {
 
 // MeasurePhases times one sense-predict-optimize pass of the real
 // implementation at the given scale, using a trained predictor and a
-// synthetic measurement population. repeat > 1 averages over several
-// passes for stable numbers. Timing uses the host clock; for
+// synthetic measurement population. With repeat > 1 each phase keeps
+// its fastest pass: host interference (preemption, other processes)
+// only ever adds time, so the minimum is the closest estimate of the
+// controller's own cost. Timing uses the host clock; for
 // deterministic output (tests, golden runs) use MeasurePhasesWithClock
 // and a FakeClock.
 func MeasurePhases(pred *Predictor, sp ScalePoint, repeat int, seed uint64) (PhaseTimes, error) {
@@ -115,7 +118,11 @@ func MeasurePhasesWithClock(pred *Predictor, sp ScalePoint, repeat int, seed uin
 		srcs[i] = arch.CoreTypeID(r.Intn(q))
 	}
 
-	pt := PhaseTimes{Scale: sp, MaxIter: ScaledMaxIter(sp.Cores, sp.Threads)}
+	const unset = time.Duration(math.MaxInt64)
+	pt := PhaseTimes{
+		Scale: sp, MaxIter: ScaledMaxIter(sp.Cores, sp.Threads),
+		Sense: unset, Predict: unset, Optimize: unset,
+	}
 	for rep := 0; rep < repeat; rep++ {
 		// ---- Sense: assemble measurements (per-thread aggregation). ----
 		t0 := clk.Now()
@@ -124,7 +131,7 @@ func MeasurePhasesWithClock(pred *Predictor, sp ScalePoint, repeat int, seed uin
 			meas[i] = ProfileMeasurement(&phases[i], types, srcs[i], pms[srcs[i]], 0, nil)
 			meas[i].Util = 0.3 + 0.7*r.Float64()
 		}
-		pt.Sense += sinceOn(clk, t0)
+		pt.Sense = min(pt.Sense, sinceOn(clk, t0))
 
 		// ---- Predict: fill S(k) and P(k). ----
 		t1 := clk.Now()
@@ -163,7 +170,7 @@ func MeasurePhasesWithClock(pred *Predictor, sp ScalePoint, repeat int, seed uin
 			prob.Power[i] = powRow
 			prob.Util[i] = meas[i].Util
 		}
-		pt.Predict += sinceOn(clk, t1)
+		pt.Predict = min(pt.Predict, sinceOn(clk, t1))
 
 		// ---- Optimize: Algorithm 1 at the scaled iteration budget. ----
 		t2 := clk.Now()
@@ -177,11 +184,8 @@ func MeasurePhasesWithClock(pred *Predictor, sp ScalePoint, repeat int, seed uin
 		if _, err := Anneal(prob, initial, cfg); err != nil {
 			return PhaseTimes{}, err
 		}
-		pt.Optimize += sinceOn(clk, t2)
+		pt.Optimize = min(pt.Optimize, sinceOn(clk, t2))
 	}
-	pt.Sense /= time.Duration(repeat)
-	pt.Predict /= time.Duration(repeat)
-	pt.Optimize /= time.Duration(repeat)
 	// Migration: modelled, not host-timed (see MigrationCostNs).
 	pt.Migrate = time.Duration(sp.Threads/2) * time.Duration(MigrationCostNs)
 	return pt, nil

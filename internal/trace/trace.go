@@ -1,4 +1,10 @@
-package main
+// Package trace is the raw half of sbsim's -trace report: a ring
+// holding the last n kernel events, and the text report that prints
+// them under the kernel-event counters of a telemetry collector. It
+// aggregates nothing itself; telemetry.KernelObserver is the one
+// aggregator of kernel events, and the report reads its counts from
+// the collector, so the two cannot disagree.
+package trace
 
 import (
 	"fmt"
@@ -9,25 +15,23 @@ import (
 	"smartbalance/internal/telemetry"
 )
 
-// eventTail is the raw half of -trace: a ring holding the last n
-// kernel events, installed beside the telemetry collector with
-// Kernel().AddObserver. The aggregates come from the collector; only
-// the tail is kept here.
-type eventTail struct {
+// Tail is a ring holding the last n kernel events, installed beside a
+// telemetry collector with Kernel.AddObserver. Like its kernel it is
+// single-threaded: concurrent kernels need one tail each.
+type Tail struct {
 	buf  []kernel.TraceEvent
 	next int // slot the next event overwrites
 	seen int // events observed in total
 }
 
-// newEventTail makes a tail retaining at most n events; n must be
-// positive.
-func newEventTail(n int) *eventTail {
-	return &eventTail{buf: make([]kernel.TraceEvent, n)}
+// NewTail makes a tail retaining at most n events; n must be positive.
+func NewTail(n int) *Tail {
+	return &Tail{buf: make([]kernel.TraceEvent, n)}
 }
 
-// observe is the kernel.Observer callback: it overwrites the oldest
+// Observe is the kernel.Observer callback: it overwrites the oldest
 // retained event once the ring is full.
-func (t *eventTail) observe(e kernel.TraceEvent) {
+func (t *Tail) Observe(e kernel.TraceEvent) {
 	t.buf[t.next] = e
 	t.next++
 	if t.next == len(t.buf) {
@@ -36,8 +40,8 @@ func (t *eventTail) observe(e kernel.TraceEvent) {
 	t.seen++
 }
 
-// events returns the retained events, oldest first.
-func (t *eventTail) events() []kernel.TraceEvent {
+// Events returns the retained events, oldest first.
+func (t *Tail) Events() []kernel.TraceEvent {
 	if t.seen < len(t.buf) {
 		return t.buf[:t.seen]
 	}
@@ -46,10 +50,15 @@ func (t *eventTail) events() []kernel.TraceEvent {
 	return append(out, t.buf[:t.next]...)
 }
 
-// writeTrace prints the -trace section: event counts per kind, context
-// switches per core and migration arrivals per core, all read from the
-// collector's kernel counters, then the tail's raw events.
-func writeTrace(w io.Writer, metrics []telemetry.Metric, cores int, tail *eventTail) {
+// Seen reports how many events the tail observed, evicted ones
+// included.
+func (t *Tail) Seen() int { return t.seen }
+
+// Write prints the report: event counts per kind, context switches per
+// core and migration arrivals per core, all read from a collector's
+// kernel counters (metrics is its snapshot), then the tail's raw
+// events.
+func Write(w io.Writer, metrics []telemetry.Metric, cores int, tail *Tail) {
 	count := make(map[string]int64, len(metrics))
 	for _, m := range metrics {
 		count[m.Key] = int64(m.Value)
@@ -75,7 +84,7 @@ func writeTrace(w io.Writer, metrics []telemetry.Metric, cores int, tail *eventT
 	if arrivals == 0 {
 		fmt.Fprint(w, " none")
 	}
-	evs := tail.events()
+	evs := tail.Events()
 	fmt.Fprintf(w, "\nlast %d of %d events:\n", len(evs), tail.seen)
 	for _, e := range evs {
 		fmt.Fprintln(w, e.String())

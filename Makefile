@@ -1,6 +1,6 @@
 # Convenience targets; scripts/check.sh is the canonical gate.
 
-.PHONY: build test race vet sbvet sweep-check fault-check telemetry-check fleet-check bench bench-check perfbench hunt-check check
+.PHONY: build test race vet sbvet bench bench-check perfbench check
 
 build:
 	go build ./...
@@ -17,18 +17,6 @@ vet:
 sbvet:
 	go run ./cmd/sbvet ./...
 
-sweep-check:
-	./scripts/sweep_check.sh
-
-fault-check:
-	./scripts/fault_check.sh
-
-telemetry-check:
-	./scripts/telemetry_check.sh
-
-fleet-check:
-	./scripts/fleet_check.sh
-
 bench:
 	./scripts/bench.sh
 
@@ -41,9 +29,6 @@ perfbench:
 	go -C perfbench test .
 	bash perfbench/run.sh --workload node-contended --seed 1 --seconds 1 --trace 0
 	bash perfbench/run.sh --workload node-scale --seed 1 --seconds 1 --trace 0
-
-hunt-check:
-	./scripts/hunt_check.sh
 
 check:
 	./scripts/check.sh

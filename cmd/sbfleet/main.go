@@ -159,9 +159,9 @@ func printPerNode(w io.Writer, res *smartbalance.FleetResult) {
 	}
 }
 
-// headline renders the machine-readable result line scripts parse
-// (scripts/fleet_check.sh greps for it); floats use the shortest exact
-// rendering so the line is byte-stable.
+// headline renders the machine-readable result line, one key=value
+// field per metric; floats use the shortest exact rendering so the
+// line is byte-stable.
 func headline(res *smartbalance.FleetResult) string {
 	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	return fmt.Sprintf("headline policy=%s nodes=%d requests=%d completed=%d inflight=%d jpr=%s p50_ms=%s p99_ms=%s max_ms=%s energy_j=%s",

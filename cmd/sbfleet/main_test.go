@@ -37,14 +37,18 @@ func TestCompareRunsEveryPolicy(t *testing.T) {
 	}
 }
 
+// TestStdoutAndTelemetryIdenticalAcrossWorkers runs the canned bursty
+// scenario (the cell internal/fleet's policy test pins) serially and on
+// eight workers: the parallel node stepper must not leak scheduling
+// order into stdout or the telemetry export.
 func TestStdoutAndTelemetryIdenticalAcrossWorkers(t *testing.T) {
 	dir := t.TempDir()
 	telA := filepath.Join(dir, "a.jsonl")
 	telB := filepath.Join(dir, "b.jsonl")
-	outA := runCLI(t, "-nodes", "4", "-dur", "100", "-seed", "7", "-arrival", "bursty",
-		"-workers", "1", "-telemetry", telA)
-	outB := runCLI(t, "-nodes", "4", "-dur", "100", "-seed", "7", "-arrival", "bursty",
-		"-workers", "8", "-telemetry", telB)
+	canned := []string{"-nodes", "8", "-profile", "quad,biglittle", "-balancer", "smartbalance",
+		"-arrival", "bursty:rate=300,burst=6,pburst=0.08,pcalm=0.25", "-dur", "400", "-seed", "7"}
+	outA := runCLI(t, append(canned, "-workers", "1", "-telemetry", telA)...)
+	outB := runCLI(t, append(canned, "-workers", "8", "-telemetry", telB)...)
 	if outA != outB {
 		t.Errorf("stdout differs between -workers 1 and 8:\n%s\nvs\n%s", outA, outB)
 	}

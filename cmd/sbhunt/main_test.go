@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -42,19 +44,51 @@ func TestHuntWritesAndReplaysCorpus(t *testing.T) {
 		t.Skip("full hunt in -short mode")
 	}
 	dir := t.TempDir()
-	corpus := filepath.Join(dir, "corpus")
 	cache := filepath.Join(dir, "cache")
-	// Seed 3 at this budget is the corpus-generation configuration; it
-	// finds counterexamples on several objectives.
-	out := runCLI(t, "-seed", "3", "-gens", "4", "-pop", "12",
-		"-workers", "8", "-cache", cache, "-out", corpus)
-	if !strings.Contains(out, "corpus ") {
-		t.Fatalf("hunt found no counterexamples to pin:\n%s", out)
+	// Seed 6 at this budget is the corpus-generation configuration
+	// (DESIGN.md §14): testdata/corpus was produced by exactly this run.
+	// Neither the worker pool nor the cache state may leak into the hunt
+	// log or the minimized genomes.
+	gen := []string{"-seed", "6", "-gens", "6", "-pop", "16"}
+	runHunt := func(corpus string, extra ...string) string {
+		t.Helper()
+		return runCLI(t, append(append(extra, gen...), "-out", filepath.Join(dir, corpus))...)
 	}
-	replay := runCLI(t, "-replay", corpus, "-workers", "8", "-cache", cache)
+	serial := runHunt("corpus1", "-workers", "1")
+	cold := runHunt("corpus8", "-workers", "8", "-cache", cache)
+	warm := runHunt("corpus8w", "-workers", "8", "-cache", cache)
+	if serial != cold || cold != warm {
+		t.Fatalf("hunt log differs across -workers 1, 8 cold, 8 warm:\n%s\nvs\n%s\nvs\n%s", serial, cold, warm)
+	}
+	files := readCorpus(t, filepath.Join(dir, "corpus1"))
+	if len(files) < 3 {
+		t.Fatalf("seed 6 found %d minimized counterexamples, want >= 3:\n%s", len(files), serial)
+	}
+	if !reflect.DeepEqual(files, readCorpus(t, filepath.Join(dir, "corpus8"))) {
+		t.Fatal("corpus files differ between -workers 1 and -workers 8")
+	}
+	replay := runCLI(t, "-replay", filepath.Join(dir, "corpus1"), "-workers", "8", "-cache", cache)
 	if !strings.Contains(replay, "failed=0") || strings.Contains(replay, "GONE") {
 		t.Errorf("fresh corpus replay failed:\n%s", replay)
 	}
+}
+
+// readCorpus maps each file in a corpus directory to its contents.
+func readCorpus(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(data)
+	}
+	return files
 }
 
 func TestReplayFailsOnEmptyCorpus(t *testing.T) {

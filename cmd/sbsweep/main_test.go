@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -51,27 +54,43 @@ func TestParseSeeds(t *testing.T) {
 
 // TestRunColdWarmIdentical drives the full binary flow twice against
 // one cache directory: the warm rerun must be served entirely from the
-// cache and print byte-identical canonical output.
+// cache, print byte-identical canonical output, and say so in its
+// Prometheus export — zero misses, and no executed-jobs sample (that
+// counter registers lazily, so a fully cached run never creates it).
 func TestRunColdWarmIdentical(t *testing.T) {
-	cacheDir := t.TempDir()
+	dir := t.TempDir()
 	args := []string{
 		"-platforms", "quad", "-balancers", "vanilla,pinned",
-		"-workloads", "Mix1", "-threads", "2", "-seeds", "1-2",
-		"-dur", "30", "-cache", cacheDir, "-json",
+		"-workloads", "Mix1,swaptions", "-threads", "2", "-seeds", "1-2",
+		"-dur", "60", "-cache", filepath.Join(dir, "cache"), "-json",
 	}
 	var out1, err1, out2, err2 bytes.Buffer
 	if code := run(args, &out1, &err1); code != 0 {
 		t.Fatalf("cold run exited %d\n%s", code, err1.String())
 	}
-	warm := append(append([]string{}, args...), "-expect-cached", "-times", "-progress")
+	prom := filepath.Join(dir, "warm.prom")
+	warm := append(append([]string{}, args...), "-expect-cached", "-times", "-progress", "-telemetry", prom)
 	if code := run(warm, &out2, &err2); code != 0 {
 		t.Fatalf("warm run exited %d\n%s", code, err2.String())
 	}
 	if !bytes.Equal(out1.Bytes(), out2.Bytes()) {
 		t.Fatalf("warm stdout differs from cold:\n--- cold\n%s\n--- warm\n%s", out1.String(), out2.String())
 	}
-	if !strings.Contains(err2.String(), "cached=4") {
+	if !strings.Contains(err2.String(), "cached=8") {
 		t.Fatalf("warm run not fully cached:\n%s", err2.String())
+	}
+	text, err := os.ReadFile(prom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(text), "\n")
+	if !slices.Contains(lines, "sweep_cache_misses_total 0") {
+		t.Errorf("warm export lacks sweep_cache_misses_total 0:\n%s", text)
+	}
+	for _, l := range lines {
+		if strings.HasPrefix(l, "sweep_jobs_executed_total ") && l != "sweep_jobs_executed_total 0" {
+			t.Errorf("warm export reports executed jobs: %s", l)
+		}
 	}
 }
 

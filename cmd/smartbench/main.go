@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -29,26 +30,42 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main minus os.Exit, so tests can drive the full binary flow.
+func run(argv []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("smartbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		run     = flag.String("run", "all", "comma-separated artefact ids (T2,T3,T4,F4a,F4b,F5,F6,F7,F8) or 'all'")
-		quick   = flag.Bool("quick", false, "trim workload sets for a fast smoke run")
-		durMs   = flag.Int64("dur", 1200, "simulated duration per scenario in milliseconds")
-		threads = flag.String("threads", "2,4,8", "comma-separated thread counts per benchmark")
-		seed    = flag.Uint64("seed", 1, "experiment seed")
-		csvDir  = flag.String("csv", "", "directory to write per-artefact CSV files (optional)")
-		report  = flag.String("report", "", "write a Markdown paper-vs-measured digest to this file (optional)")
-		list    = flag.Bool("list", false, "list the regenerable artefacts and exit")
-		seeds   = flag.Int("seeds", 0, "replicate each artefact over N seeds and report mean/std instead of one run")
-		workers = flag.Int("workers", 0, "sweep-engine worker pool size (<= 0 selects GOMAXPROCS)")
-		swJSON  = flag.String("sweepjson", "", "time a serial-vs-parallel replication sweep, write the JSON record to this file, and exit")
+		runIDs  = fs.String("run", "all", "comma-separated artefact ids (T2,T3,T4,F4a,F4b,F5,F6,F7,F8) or 'all'")
+		quick   = fs.Bool("quick", false, "trim workload sets for a fast smoke run")
+		durMs   = fs.Int64("dur", 1200, "simulated duration per scenario in milliseconds")
+		threads = fs.String("threads", "2,4,8", "comma-separated thread counts per benchmark")
+		seed    = fs.Uint64("seed", 1, "experiment seed")
+		csvDir  = fs.String("csv", "", "directory to write per-artefact CSV files (optional)")
+		report  = fs.String("report", "", "write a Markdown paper-vs-measured digest to this file (optional)")
+		list    = fs.Bool("list", false, "list the regenerable artefacts and exit")
+		seeds   = fs.Int("seeds", 0, "replicate each artefact over N seeds and report mean/std instead of one run")
+		workers = fs.Int("workers", 0, "sweep-engine worker pool size (<= 0 selects GOMAXPROCS)")
+		swJSON  = fs.String("sweepjson", "", "time a serial-vs-parallel replication sweep, write the JSON record to this file, and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(argv); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "smartbench: "+format+"\n", args...)
+		return 1
+	}
 
 	if *list {
 		for _, id := range smartbalance.ExperimentIDs() {
-			fmt.Println(id)
+			fmt.Fprintln(stdout, id)
 		}
-		return
+		return 0
 	}
 
 	opts := smartbalance.DefaultExperimentOptions()
@@ -58,7 +75,7 @@ func main() {
 	opts.Workers = *workers
 	tcs, err := parseInts(*threads)
 	if err != nil {
-		fatalf("bad -threads: %v", err)
+		return fail("bad -threads: %v", err)
 	}
 	opts.ThreadCounts = tcs
 
@@ -68,18 +85,18 @@ func main() {
 			n = 8
 		}
 		id := "F6"
-		if *run != "all" && !strings.Contains(*run, ",") {
-			id = strings.TrimSpace(*run)
+		if *runIDs != "all" && !strings.Contains(*runIDs, ",") {
+			id = strings.TrimSpace(*runIDs)
 		}
-		if err := emitSweepJSON(*swJSON, id, opts, *seed, n); err != nil {
-			fatalf("sweepjson: %v", err)
+		if err := emitSweepJSON(stdout, *swJSON, id, opts, *seed, n); err != nil {
+			return fail("sweepjson: %v", err)
 		}
-		return
+		return 0
 	}
 
 	ids := smartbalance.ExperimentIDs()
-	if *run != "all" {
-		ids = strings.Split(*run, ",")
+	if *runIDs != "all" {
+		ids = strings.Split(*runIDs, ",")
 	}
 	known := map[string]bool{}
 	for _, id := range smartbalance.ExperimentIDs() {
@@ -87,13 +104,13 @@ func main() {
 	}
 	for _, id := range ids {
 		if !known[strings.TrimSpace(id)] {
-			fatalf("unknown artefact %q; known: %s", id, strings.Join(smartbalance.ExperimentIDs(), ","))
+			return fail("unknown artefact %q; known: %s", id, strings.Join(smartbalance.ExperimentIDs(), ","))
 		}
 	}
 
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fatalf("csv dir: %v", err)
+			return fail("csv dir: %v", err)
 		}
 	}
 
@@ -113,61 +130,62 @@ func main() {
 			res, err = smartbalance.RunExperiment(id, opts)
 		}
 		if err != nil {
-			fatalf("%s: %v", id, err)
+			return fail("%s: %v", id, err)
 		}
 		collected = append(collected, res)
-		fmt.Printf("\n")
-		if err := res.Table.Render(os.Stdout); err != nil {
-			fatalf("%s: render: %v", id, err)
+		fmt.Fprintf(stdout, "\n")
+		if err := res.Table.Render(stdout); err != nil {
+			return fail("%s: render: %v", id, err)
 		}
 		if res.Bars != nil {
-			fmt.Println()
-			if err := res.Bars.Render(os.Stdout, 40); err != nil {
-				fatalf("%s: bars: %v", id, err)
+			fmt.Fprintln(stdout)
+			if err := res.Bars.Render(stdout, 40); err != nil {
+				return fail("%s: bars: %v", id, err)
 			}
 		}
-		fmt.Printf("  paper claim: %s\n", res.PaperClaim)
+		fmt.Fprintf(stdout, "  paper claim: %s\n", res.PaperClaim)
 		keys := make([]string, 0, len(res.Headline))
 		for k := range res.Headline {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			fmt.Printf("  headline %-28s %.4g\n", k+":", res.Headline[k])
+			fmt.Fprintf(stdout, "  headline %-28s %.4g\n", k+":", res.Headline[k])
 		}
-		fmt.Printf("  (regenerated in %v)\n", time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "  (regenerated in %v)\n", time.Since(start).Round(time.Millisecond))
 
 		if *csvDir != "" {
 			path := filepath.Join(*csvDir, id+".csv")
 			f, err := os.Create(path)
 			if err != nil {
-				fatalf("%s: %v", id, err)
+				return fail("%s: %v", id, err)
 			}
 			if err := res.Table.RenderCSV(f); err != nil {
 				f.Close()
-				fatalf("%s: csv: %v", id, err)
+				return fail("%s: csv: %v", id, err)
 			}
 			if err := f.Close(); err != nil {
-				fatalf("%s: csv close: %v", id, err)
+				return fail("%s: csv close: %v", id, err)
 			}
-			fmt.Printf("  wrote %s\n", path)
+			fmt.Fprintf(stdout, "  wrote %s\n", path)
 		}
 	}
 
 	if *report != "" {
 		f, err := os.Create(*report)
 		if err != nil {
-			fatalf("report: %v", err)
+			return fail("report: %v", err)
 		}
 		if err := smartbalance.WriteReport(f, collected, opts); err != nil {
 			f.Close()
-			fatalf("report: %v", err)
+			return fail("report: %v", err)
 		}
 		if err := f.Close(); err != nil {
-			fatalf("report close: %v", err)
+			return fail("report close: %v", err)
 		}
-		fmt.Printf("\nwrote %s\n", *report)
+		fmt.Fprintf(stdout, "\nwrote %s\n", *report)
 	}
+	return 0
 }
 
 // sweepRecord is the BENCH_sweep.json schema: the serial-vs-parallel
@@ -187,7 +205,7 @@ type sweepRecord struct {
 // are byte-identical (the sweep engine's determinism contract), and
 // writes the timing record. Wall time is read here, at the binary
 // boundary, and never influences the results themselves.
-func emitSweepJSON(path, id string, opts smartbalance.ExperimentOptions, seed uint64, n int) error {
+func emitSweepJSON(stdout io.Writer, path, id string, opts smartbalance.ExperimentOptions, seed uint64, n int) error {
 	seedList := make([]uint64, n)
 	for i := range seedList {
 		seedList[i] = seed + uint64(i)
@@ -234,7 +252,7 @@ func emitSweepJSON(path, id string, opts smartbalance.ExperimentOptions, seed ui
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("sweep %s over %d seeds: serial %v, parallel %v on %d procs (%.2fx); wrote %s\n",
+	fmt.Fprintf(stdout, "sweep %s over %d seeds: serial %v, parallel %v on %d procs (%.2fx); wrote %s\n",
 		id, n, serialWall.Round(time.Millisecond), parallelWall.Round(time.Millisecond),
 		rec.Workers, rec.Speedup, path)
 	return nil
@@ -250,9 +268,4 @@ func parseInts(s string) ([]int, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "smartbench: "+format+"\n", args...)
-	os.Exit(1)
 }

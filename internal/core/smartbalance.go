@@ -727,63 +727,6 @@ func (s *SmartBalance) buildProblem(plat *arch.Platform, k *kernel.Kernel, meas 
 	return prob, nil
 }
 
-// BuildProblem assembles the optimisation input from the epoch's
-// measurements: S(k) and P(k) rows per thread (measured on the source
-// type, predicted elsewhere), the utilisation vector, and per-core idle
-// power. Allocating form for external callers; the controller's epoch
-// path uses the scratch-backed buildProblem.
-func (s *SmartBalance) BuildProblem(plat *arch.Platform, k *kernel.Kernel, meas []Measurement) (*Problem, error) {
-	n := plat.NumCores()
-	prob := &Problem{
-		IPS:       make([][]float64, len(meas)),
-		Power:     make([][]float64, len(meas)),
-		Util:      make([]float64, len(meas)),
-		IdlePower: make([]float64, n),
-		Weights:   s.cfg.Weights,
-		Mode:      s.cfg.Objective,
-	}
-	if s.cont != nil {
-		t := &ContentionTerm{}
-		s.fillContentionTerm(t, plat, meas)
-		prob.Contention = t
-	}
-	pm := k.Machine().PowerModels()
-	for j := 0; j < n; j++ {
-		prob.IdlePower[j] = pm.ForType(plat.TypeID(arch.CoreID(j))).SleepW()
-	}
-	// Predict once per (thread, type), then expand to cores.
-	q := plat.NumTypes()
-	for i := range meas {
-		m := &meas[i]
-		ipsByType := make([]float64, q)
-		powByType := make([]float64, q)
-		for tid := 0; tid < q; tid++ {
-			ips, err := s.pred.PredictIPS(m, arch.CoreTypeID(tid))
-			if err != nil {
-				return nil, fmt.Errorf("core: predict ips: %w", err)
-			}
-			p, err := s.pred.PredictPower(m, arch.CoreTypeID(tid))
-			if err != nil {
-				return nil, fmt.Errorf("core: predict power: %w", err)
-			}
-			ipsByType[tid] = ips
-			powByType[tid] = p
-		}
-		prob.IPS[i] = make([]float64, n)
-		prob.Power[i] = make([]float64, n)
-		for j := 0; j < n; j++ {
-			tid := plat.TypeID(arch.CoreID(j))
-			prob.IPS[i][j] = ipsByType[tid]
-			prob.Power[i][j] = powByType[tid]
-		}
-		prob.Util[i] = m.Util
-	}
-	if prob.Contention != nil {
-		s.normalizeContentionIPS(prob.Contention, prob.IPS, meas)
-	}
-	return prob, nil
-}
-
 // affinityMatrix extracts the tasks' CPU-affinity masks, or nil when no
 // task is restricted. It probes with HasAffinity/AllowedOn rather than
 // AllowedMask so the (overwhelmingly common) unrestricted case touches

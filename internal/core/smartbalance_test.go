@@ -207,7 +207,7 @@ func TestBuildProblemShape(t *testing.T) {
 		{SrcType: 0, IPC: 1.2, IPS: 2.4e9, PowerW: 5, Util: 1, Valid: true},
 		{SrcType: 3, IPC: 0.5, IPS: 0.25e9, PowerW: 0.06, Util: 0.4, Valid: true},
 	}
-	prob, err := sb.BuildProblem(plat, k, meas)
+	prob, err := sb.buildProblem(plat, k, meas)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"smartbalance/internal/arch"
 	"smartbalance/internal/core"
 	"smartbalance/internal/kernel"
+	"smartbalance/internal/machine"
 	"smartbalance/internal/rng"
 	"smartbalance/internal/stats"
 	"smartbalance/internal/tablefmt"
@@ -232,7 +233,7 @@ func AblationEpochLength(opts Options) (*Result, error) {
 		m := kernel.DefaultConfig()
 		m.EpochNs = ep
 		m.Seed = opts.Seed
-		st, err := runScenarioWithConfig(plat, smart, specs, opts.DurationNs, m)
+		st, err := runScenarioWithConfig(plat, smart, specs, opts.DurationNs, m, machine.Options{}, false)
 		if err != nil {
 			return nil, fmt.Errorf("A4 epoch %dms: %w", ep/1e6, err)
 		}
@@ -293,7 +294,7 @@ func AblationMigrationPenalty(opts Options) (*Result, error) {
 		cfg := kernel.DefaultConfig()
 		cfg.MigrationPenaltyNs = pen
 		cfg.Seed = opts.Seed
-		st, err := runScenarioWithConfig(plat, smart, specs, opts.DurationNs, cfg)
+		st, err := runScenarioWithConfig(plat, smart, specs, opts.DurationNs, cfg, machine.Options{}, false)
 		if err != nil {
 			return nil, fmt.Errorf("A5 penalty %dus: %w", pen/1000, err)
 		}

@@ -6,6 +6,7 @@ import (
 	"smartbalance/internal/arch"
 	"smartbalance/internal/core"
 	"smartbalance/internal/kernel"
+	"smartbalance/internal/machine"
 	"smartbalance/internal/tablefmt"
 	"smartbalance/internal/thermal"
 	"smartbalance/internal/workload"
@@ -80,7 +81,7 @@ func AblationThermal(opts Options) (*Result, error) {
 			return nil, err
 		}
 		st, err := runScenarioWithConfig(plat, func(*arch.Platform) (kernel.Balancer, error) { return bal, nil },
-			specs, opts.DurationNs, kernel.DefaultConfig())
+			specs, opts.DurationNs, kernel.DefaultConfig(), machine.Options{}, false)
 		if err != nil {
 			return nil, fmt.Errorf("A8 %s: %w", v.label, err)
 		}

@@ -37,35 +37,15 @@ func AblationBusContention(opts Options) (*Result, error) {
 	var minGain float64 = 1e9
 	var freeVanilla float64
 	for _, bw := range bandwidths {
-		mopts := machine.Options{BusBandwidthGBps: bw}
 		run := func(bf balancerFactory) (*kernel.RunStats, error) {
 			specs, err := workload.Benchmark("canneal", 4, opts.Seed)
 			if err != nil {
 				return nil, err
 			}
-			m, err := machine.NewWithOptions(plat, mopts)
-			if err != nil {
-				return nil, err
-			}
-			b, err := bf(plat)
-			if err != nil {
-				return nil, err
-			}
 			cfg := kernel.DefaultConfig()
 			cfg.Seed = opts.Seed
-			k, err := kernel.New(m, b, cfg)
-			if err != nil {
-				return nil, err
-			}
-			for i := range specs {
-				if _, err := k.Spawn(&specs[i]); err != nil {
-					return nil, err
-				}
-			}
-			if err := k.Run(opts.DurationNs); err != nil {
-				return nil, err
-			}
-			return k.Stats(), nil
+			return runScenarioWithConfig(plat, bf, specs, opts.DurationNs, cfg,
+				machine.Options{BusBandwidthGBps: bw}, false)
 		}
 		van, err := run(vanilla)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"smartbalance/internal/arch"
 	"smartbalance/internal/core"
 	"smartbalance/internal/kernel"
+	"smartbalance/internal/machine"
 	"smartbalance/internal/tablefmt"
 )
 
@@ -52,7 +53,7 @@ func AblationObjectiveGoals(opts Options) (*Result, error) {
 			}
 			st, err := runScenarioWithConfig(plat,
 				func(*arch.Platform) (kernel.Balancer, error) { return sb, nil },
-				specs, opts.DurationNs, kernel.DefaultConfig())
+				specs, opts.DurationNs, kernel.DefaultConfig(), machine.Options{}, false)
 			if err != nil {
 				return nil, fmt.Errorf("A10 %s/%s: %w", name, mode, err)
 			}

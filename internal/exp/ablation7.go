@@ -7,6 +7,7 @@ import (
 	"smartbalance/internal/balancer"
 	"smartbalance/internal/hpc"
 	"smartbalance/internal/kernel"
+	"smartbalance/internal/machine"
 	"smartbalance/internal/tablefmt"
 	"smartbalance/internal/workload"
 )
@@ -44,7 +45,7 @@ func AblationSensorNoise(opts Options) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			return runScenarioWithConfig(plat, bf, specs, opts.DurationNs, cfg)
+			return runScenarioWithConfig(plat, bf, specs, opts.DurationNs, cfg, machine.Options{}, false)
 		}
 		van, err := run(vanilla)
 		if err != nil {

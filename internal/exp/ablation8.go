@@ -7,6 +7,7 @@ import (
 	"smartbalance/internal/balancer"
 	"smartbalance/internal/fault"
 	"smartbalance/internal/kernel"
+	"smartbalance/internal/machine"
 	"smartbalance/internal/tablefmt"
 	"smartbalance/internal/workload"
 )
@@ -88,7 +89,7 @@ func AblationFaultRobustness(opts Options) (*Result, error) {
 			}
 			cfg.Faults = inj
 		}
-		return runScenarioWithConfig(plat, bf, specs, opts.DurationNs, cfg)
+		return runScenarioWithConfig(plat, bf, specs, opts.DurationNs, cfg, machine.Options{}, false)
 	}
 
 	tb := tablefmt.New("Ablation A13: fault-injection robustness (big.LITTLE, Mix5, 4 threads)",

@@ -50,46 +50,6 @@ func a14Workload(antagonists bool, seed uint64) ([]workload.ThreadSpec, error) {
 	return specs, nil
 }
 
-// runScenarioContended is runScenarioWithConfig on a machine with
-// explicit options; aware additionally couples the balancer to the
-// machine's contention model (the SetContention half of the A14 split —
-// blind arms run on the same contended machine but optimise without the
-// interference term).
-func runScenarioContended(plat *arch.Platform, bf balancerFactory, specs []workload.ThreadSpec,
-	durNs int64, cfg kernel.Config, mopts machine.Options, aware bool) (*kernel.RunStats, error) {
-	m, err := machine.NewWithOptions(plat, mopts)
-	if err != nil {
-		return nil, err
-	}
-	b, err := bf(plat)
-	if err != nil {
-		return nil, err
-	}
-	if aware {
-		if sink, ok := b.(interface {
-			SetContention(*contention.Model)
-		}); ok {
-			sink.SetContention(m.Contention())
-		}
-	}
-	k, err := kernel.New(m, b, cfg)
-	if err != nil {
-		return nil, err
-	}
-	for i := range specs {
-		if _, err := k.Spawn(&specs[i]); err != nil {
-			return nil, err
-		}
-	}
-	if err := k.Run(durNs); err != nil {
-		return nil, err
-	}
-	if err := k.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("exp: post-run invariant violation: %w", err)
-	}
-	return k.Stats(), nil
-}
-
 // AblationContention (A14) isolates the value of contention-aware
 // placement. The paper's model treats cores as private-cache islands;
 // internal/contention adds the cluster LLC and memory-bandwidth
@@ -141,7 +101,7 @@ func AblationContention(opts Options) (*Result, error) {
 		}
 		cfg := kernel.DefaultConfig()
 		cfg.Seed = opts.Seed
-		return runScenarioContended(plat, bf, specs, a14DurMult*opts.DurationNs, cfg,
+		return runScenarioWithConfig(plat, bf, specs, a14DurMult*opts.DurationNs, cfg,
 			machine.Options{Contention: rows[row].spec}, aware)
 	}
 

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"smartbalance/internal/arch"
+	"smartbalance/internal/contention"
 	"smartbalance/internal/core"
 	"smartbalance/internal/kernel"
 	"smartbalance/internal/machine"
@@ -138,18 +139,30 @@ type balancerFactory func(plat *arch.Platform) (kernel.Balancer, error)
 func runScenario(plat *arch.Platform, bf balancerFactory, specs []workload.ThreadSpec, durNs int64, seed uint64) (*kernel.RunStats, error) {
 	cfg := kernel.DefaultConfig()
 	cfg.Seed = seed
-	return runScenarioWithConfig(plat, bf, specs, durNs, cfg)
+	return runScenarioWithConfig(plat, bf, specs, durNs, cfg, machine.Options{}, false)
 }
 
-// runScenarioWithConfig is runScenario with an explicit kernel config.
-func runScenarioWithConfig(plat *arch.Platform, bf balancerFactory, specs []workload.ThreadSpec, durNs int64, cfg kernel.Config) (*kernel.RunStats, error) {
-	m, err := machine.New(plat)
+// runScenarioWithConfig is runScenario with an explicit kernel config
+// and machine options. aware additionally couples the balancer to the
+// machine's contention model (the SetContention half of the A14 split:
+// blind arms run on the same contended machine but optimise without
+// the interference term).
+func runScenarioWithConfig(plat *arch.Platform, bf balancerFactory, specs []workload.ThreadSpec,
+	durNs int64, cfg kernel.Config, mopts machine.Options, aware bool) (*kernel.RunStats, error) {
+	m, err := machine.NewWithOptions(plat, mopts)
 	if err != nil {
 		return nil, err
 	}
 	b, err := bf(plat)
 	if err != nil {
 		return nil, err
+	}
+	if aware {
+		if sink, ok := b.(interface {
+			SetContention(*contention.Model)
+		}); ok {
+			sink.SetContention(m.Contention())
+		}
 	}
 	k, err := kernel.New(m, b, cfg)
 	if err != nil {

@@ -106,6 +106,9 @@ func (p Plan) Validate() error {
 	if s := p.sensorSum(); s > 1+1e-12 {
 		return fmt.Errorf("fault: sensor fault rates sum to %g > 1 (they are mutually exclusive per thread-epoch)", s)
 	}
+	if math.IsNaN(p.SpikeFactor) || math.IsInf(p.SpikeFactor, 0) {
+		return fmt.Errorf("fault: spike factor %g not finite", p.SpikeFactor)
+	}
 	if p.SpikeFactor != 0 && p.SpikeFactor < 1 { //sbvet:allow floateq(zero is the use-default sentinel, never a computed value)
 		return fmt.Errorf("fault: spike factor %g below 1", p.SpikeFactor)
 	}
@@ -114,10 +117,12 @@ func (p Plan) Validate() error {
 
 // Clamped returns the nearest valid plan: each rate clamped to [0, 1]
 // (NaN reads as 0), the mutually exclusive sensor rates rescaled
-// proportionally when their sum exceeds 1, and a non-zero SpikeFactor
-// raised to at least 1. Validate is nil on the result. Mutation-based
-// callers (the adversarial hunt) perturb rates independently and rely
-// on this to land back inside the plan domain instead of erroring.
+// proportionally when their sum exceeds 1, a negative or non-finite
+// SpikeFactor reset to 0 (the default), and any other non-zero
+// SpikeFactor raised to at least 1. Validate is nil on the result.
+// Mutation-based callers (the adversarial hunt) perturb rates
+// independently and rely on this to land back inside the plan domain
+// instead of erroring.
 func (p Plan) Clamped() Plan {
 	clamp01 := func(v float64) float64 {
 		if math.IsNaN(v) || v < 0 {
@@ -142,7 +147,7 @@ func (p Plan) Clamped() Plan {
 		q.PowerDropRate /= s
 		q.PowerSpikeRate /= s
 	}
-	if math.IsNaN(q.SpikeFactor) || q.SpikeFactor < 0 {
+	if math.IsNaN(q.SpikeFactor) || math.IsInf(q.SpikeFactor, 0) || q.SpikeFactor < 0 {
 		q.SpikeFactor = 0
 	}
 	if q.SpikeFactor != 0 && q.SpikeFactor < 1 { //sbvet:allow floateq(zero is the use-default sentinel, never a computed value)

@@ -240,7 +240,8 @@ func TestParsePlanRoundTrip(t *testing.T) {
 	if (Plan{}).String() != "none" {
 		t.Fatalf("zero plan renders as %q", (Plan{}).String())
 	}
-	for _, bad := range []string{"drop", "drop=x", "bogus=1", "drop=1.5", "drop=0.7;stale=0.7", "spikex=0.5", "seed=-1"} {
+	for _, bad := range []string{"drop", "drop=x", "bogus=1", "drop=1.5", "drop=0.7;stale=0.7", "spikex=0.5", "seed=-1",
+		"powerspike=0.5;spikex=NaN", "powerspike=0.5;spikex=Inf"} {
 		if _, err := ParsePlan(bad); err == nil {
 			t.Fatalf("ParsePlan(%q) accepted invalid spec", bad)
 		}
@@ -270,6 +271,8 @@ func TestClampedProducesValidPlans(t *testing.T) {
 		{SpikeFactor: 0.3}, // below the minimum
 		{SpikeFactor: -2},  // nonsense
 		{DropRate: math.NaN(), PowerSpikeRate: math.Inf(1)},
+		{PowerSpikeRate: 0.5, SpikeFactor: math.Inf(1)}, // multiplies power by infinity
+		{PowerSpikeRate: 0.5, SpikeFactor: math.NaN()},
 	}
 	for i, p := range cases {
 		q := p.Clamped()

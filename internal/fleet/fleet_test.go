@@ -8,8 +8,8 @@ import (
 )
 
 // burstyGateConfig is the canned scenario the energy-policy gate (and
-// scripts/fleet_check.sh) runs: a heterogeneous 8-node fleet under
-// bursty traffic.
+// sbfleet's TestStdoutAndTelemetryIdenticalAcrossWorkers) runs: a
+// heterogeneous 8-node fleet under bursty traffic.
 func burstyGateConfig(policy string) Config {
 	cfg := DefaultConfig()
 	cfg.Nodes = 8

@@ -6,8 +6,8 @@
 // where SmartBalance loses energy efficiency to a baseline, an SLO
 // breaks, the flight recorder trips, or parallel execution diverges
 // from serial. Found counterexamples are shrunk by a deterministic
-// delta-debugging minimizer and pinned into a JSON corpus that CI
-// replays forever after (scripts/hunt_check.sh).
+// delta-debugging minimizer and pinned into a JSON corpus that the
+// test suite replays forever after (TestCheckedInCorpusStillViolates).
 //
 // Determinism contract (DESIGN.md §14): the entire hunt — mutation
 // sequence, evaluation results, minimization trace, corpus bytes — is

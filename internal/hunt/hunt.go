@@ -3,6 +3,7 @@ package hunt
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"smartbalance/internal/rng"
@@ -85,6 +86,14 @@ func Run(cfg Config) (*Result, error) {
 	for _, t := range cfg.Tiers {
 		if t != TierNode && t != TierFleet {
 			return nil, fmt.Errorf("hunt: unknown tier %q (node | fleet)", t)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"slo-p99", cfg.SLO.P99Ms}, {"slo-jpr", cfg.SLO.JPR}, {"margin", cfg.Margin}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return nil, fmt.Errorf("hunt: %s %g is not finite", f.name, f.v)
 		}
 	}
 	logf := func(format string, args ...any) {

@@ -2,6 +2,7 @@ package hunt
 
 import (
 	"bytes"
+	"math"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -262,5 +263,28 @@ func TestLoadCorpusRejectsWrongSchema(t *testing.T) {
 func TestRunRejectsUnknownTier(t *testing.T) {
 	if _, err := Run(Config{Seed: 1, Tiers: []string{"galaxy"}}); err == nil {
 		t.Error("Run accepted an unknown tier")
+	}
+}
+
+// TestRunRejectsNonFiniteTolerances: withDefaults replaces only values
+// <= 0, so a NaN or +Inf SLO or margin would otherwise reach the
+// evaluator (NaN breaks the corpus encoding, +Inf silently finds
+// nothing). Run must refuse them before searching.
+func TestRunRejectsNonFiniteTolerances(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"slo-p99 NaN", Config{SLO: SLO{P99Ms: math.NaN()}}},
+		{"slo-p99 +Inf", Config{SLO: SLO{P99Ms: math.Inf(1)}}},
+		{"slo-jpr NaN", Config{SLO: SLO{JPR: math.NaN()}}},
+		{"slo-jpr +Inf", Config{SLO: SLO{JPR: math.Inf(1)}}},
+		{"margin NaN", Config{Margin: math.NaN()}},
+		{"margin +Inf", Config{Margin: math.Inf(1)}},
+	} {
+		c.cfg.Seed, c.cfg.Generations, c.cfg.Population = 6, 1, 2
+		if _, err := Run(c.cfg); err == nil {
+			t.Errorf("Run accepted %s", c.name)
+		}
 	}
 }

@@ -130,8 +130,8 @@ func TestSweepTelemetryCacheCounters(t *testing.T) {
 	}
 
 	// Warm run with a fresh cache handle: zero misses, all jobs cached —
-	// the property scripts/sweep_check.sh asserts from the Prometheus
-	// export.
+	// the property sbsweep's TestRunColdWarmIdentical asserts from the
+	// Prometheus export.
 	warmCache, err := OpenCache(cache.Dir())
 	if err != nil {
 		t.Fatal(err)

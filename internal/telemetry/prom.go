@@ -14,7 +14,7 @@ import (
 // _count; histogram keys must be label-free for the expansion to be
 // well-formed. Counters and gauges registered but never touched render
 // as explicit zeros, so "this never happened" is an assertable fact —
-// the property scripts/sweep_check.sh leans on.
+// the property sbsweep's TestRunColdWarmIdentical leans on.
 func WriteProm(w io.Writer, tr *Trace) error {
 	bw := bufio.NewWriter(w)
 	lastFamily := ""

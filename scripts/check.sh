@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # check.sh — the full verification gate, run from anywhere in the repo.
 # Mirrors what CI should run: formatting, go vet, the project's own
-# sbvet determinism/safety analyzers, the build, and the race-enabled
-# test suite. Fails fast on the first broken stage.
+# sbvet determinism/safety analyzers, the build, the BENCH_core.json
+# schema gate, and the race-enabled test suite. The fixed-seed
+# contracts (sweep cache, fault robustness, telemetry, fleet and hunt
+# determinism) are Go tests, so the race run covers them too. Fails
+# fast on the first broken stage.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,23 +27,8 @@ go run ./cmd/sbvet ./...
 echo "== go build ./..."
 go build ./...
 
-echo "== sweep-check"
-./scripts/sweep_check.sh
-
-echo "== fault-check"
-./scripts/fault_check.sh
-
-echo "== telemetry-check"
-./scripts/telemetry_check.sh
-
-echo "== fleet-check"
-./scripts/fleet_check.sh
-
 echo "== bench-check"
 ./scripts/bench_check.sh
-
-echo "== hunt-check"
-./scripts/hunt_check.sh
 
 echo "== go test -race ./..."
 go test -race ./...

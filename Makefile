@@ -1,6 +1,6 @@
 # Convenience targets; scripts/check.sh is the canonical gate.
 
-.PHONY: build test race vet sbvet bench bench-check perfbench check
+.PHONY: build test race vet sbvet perfbench check
 
 build:
 	go build ./...
@@ -16,12 +16,6 @@ vet:
 
 sbvet:
 	go run ./cmd/sbvet ./...
-
-bench:
-	./scripts/bench.sh
-
-bench-check:
-	./scripts/bench_check.sh
 
 # The repository benchmark's harness tests plus one-second node-contended
 # and node-scale correctness runs (each exits 1 on any violation).

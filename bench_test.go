@@ -13,8 +13,8 @@ package smartbalance
 //
 // The BenchmarkReplicate pair additionally times the sweep engine
 // itself: the same seed replication on one worker versus the full
-// GOMAXPROCS pool (`smartbench -sweepjson` records the same
-// comparison to a JSON file).
+// GOMAXPROCS pool (TestReplicateParallelMatchesSerial in internal/exp
+// pins the two outputs byte-identical).
 
 import (
 	"testing"

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -65,6 +66,42 @@ func TestStdoutAndTelemetryIdenticalAcrossWorkers(t *testing.T) {
 	}
 	if len(a) == 0 {
 		t.Error("telemetry export is empty")
+	}
+}
+
+// TestReadmeCompareBlockIsCurrent runs README's worked -compare
+// example and requires each line of README's console block to equal
+// the output line for the same policy with its max= field dropped, so
+// a change that moves these numbers must re-anchor README.
+func TestReadmeCompareBlockIsCurrent(t *testing.T) {
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(readme), "### sbfleet")
+	_, block, ok := strings.Cut(section, "```console\n")
+	block, _, closed := strings.Cut(block, "```")
+	if !ok || !closed {
+		t.Fatal("README's sbfleet section has no console block")
+	}
+	out := runCLI(t, "-nodes", "8", "-arrival", "bursty:rate=300,burst=6,pburst=0.08,pcalm=0.25",
+		"-dur", "400", "-seed", "7", "-compare")
+	maxField := regexp.MustCompile(` max=\s*[0-9.]+ms`)
+	byPolicy := map[string]string{}
+	for _, l := range strings.Split(out, "\n") {
+		if f := strings.Fields(l); len(f) > 1 && strings.HasPrefix(f[1], "joules/request=") {
+			byPolicy[f[0]] = maxField.ReplaceAllString(l, "")
+		}
+	}
+	lines := strings.Split(strings.TrimSpace(block), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("README console block has %d lines, want one per policy:\n%s", len(lines), block)
+	}
+	for _, want := range lines {
+		policy := strings.Fields(want)[0]
+		if got := byPolicy[policy]; got != want {
+			t.Errorf("README shows\n  %s\nbut sbfleet prints\n  %s", want, got)
+		}
 	}
 }
 

@@ -9,18 +9,14 @@
 //	smartbench -quick               # trimmed workloads (seconds, not minutes)
 //	smartbench -dur 2000 -threads 2,4,8
 //	smartbench -csv out/            # also write one CSV per artefact
-//	smartbench -sweepjson BENCH_sweep.json   # serial-vs-parallel sweep timing
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -48,7 +44,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		list    = fs.Bool("list", false, "list the regenerable artefacts and exit")
 		seeds   = fs.Int("seeds", 0, "replicate each artefact over N seeds and report mean/std instead of one run")
 		workers = fs.Int("workers", 0, "sweep-engine worker pool size (<= 0 selects GOMAXPROCS)")
-		swJSON  = fs.String("sweepjson", "", "time a serial-vs-parallel replication sweep, write the JSON record to this file, and exit")
 	)
 	if err := fs.Parse(argv); err != nil {
 		if err == flag.ErrHelp {
@@ -78,21 +73,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return fail("bad -threads: %v", err)
 	}
 	opts.ThreadCounts = tcs
-
-	if *swJSON != "" {
-		n := *seeds
-		if n < 2 {
-			n = 8
-		}
-		id := "F6"
-		if *runIDs != "all" && !strings.Contains(*runIDs, ",") {
-			id = strings.TrimSpace(*runIDs)
-		}
-		if err := emitSweepJSON(stdout, *swJSON, id, opts, *seed, n); err != nil {
-			return fail("sweepjson: %v", err)
-		}
-		return 0
-	}
 
 	ids := smartbalance.ExperimentIDs()
 	if *runIDs != "all" {
@@ -186,76 +166,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "\nwrote %s\n", *report)
 	}
 	return 0
-}
-
-// sweepRecord is the BENCH_sweep.json schema: the serial-vs-parallel
-// wall time of one replication sweep, plus the byte-identity verdict.
-type sweepRecord struct {
-	Artefact   string  `json:"artefact"`
-	Seeds      int     `json:"seeds"`
-	Workers    int     `json:"workers"`
-	SerialNs   int64   `json:"serial_ns"`
-	ParallelNs int64   `json:"parallel_ns"`
-	Speedup    float64 `json:"speedup"`
-	Identical  bool    `json:"identical"`
-}
-
-// emitSweepJSON replicates one artefact over n seeds twice — once on a
-// single worker, once on the full pool — verifies the rendered tables
-// are byte-identical (the sweep engine's determinism contract), and
-// writes the timing record. Wall time is read here, at the binary
-// boundary, and never influences the results themselves.
-func emitSweepJSON(stdout io.Writer, path, id string, opts smartbalance.ExperimentOptions, seed uint64, n int) error {
-	seedList := make([]uint64, n)
-	for i := range seedList {
-		seedList[i] = seed + uint64(i)
-	}
-	render := func(workers int) ([]byte, time.Duration, error) {
-		o := opts
-		o.Workers = workers
-		t0 := time.Now()
-		res, err := smartbalance.ReplicateExperiment(id, o, seedList)
-		wall := time.Since(t0)
-		if err != nil {
-			return nil, 0, err
-		}
-		var buf bytes.Buffer
-		if err := res.Table.Render(&buf); err != nil {
-			return nil, 0, err
-		}
-		return buf.Bytes(), wall, nil
-	}
-	serialOut, serialWall, err := render(1)
-	if err != nil {
-		return fmt.Errorf("serial sweep: %w", err)
-	}
-	parallelOut, parallelWall, err := render(0)
-	if err != nil {
-		return fmt.Errorf("parallel sweep: %w", err)
-	}
-	rec := sweepRecord{
-		Artefact:   id,
-		Seeds:      n,
-		Workers:    runtime.GOMAXPROCS(0),
-		SerialNs:   serialWall.Nanoseconds(),
-		ParallelNs: parallelWall.Nanoseconds(),
-		Speedup:    float64(serialWall) / float64(parallelWall),
-		Identical:  bytes.Equal(serialOut, parallelOut),
-	}
-	if !rec.Identical {
-		return fmt.Errorf("parallel replication of %s diverged from serial — determinism contract violated", id)
-	}
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "sweep %s over %d seeds: serial %v, parallel %v on %d procs (%.2fx); wrote %s\n",
-		id, n, serialWall.Round(time.Millisecond), parallelWall.Round(time.Millisecond),
-		rec.Workers, rec.Speedup, path)
-	return nil
 }
 
 func parseInts(s string) ([]int, error) {

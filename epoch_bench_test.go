@@ -1,12 +1,13 @@
 package smartbalance
 
 // Epoch hot-path benchmarks: the cost of one sense→predict→balance
-// iteration in isolation, the quantity ROADMAP item 2 tracks across
-// PRs via BENCH_core.json (`make bench`). The harness runs a real
-// system long enough to capture one representative epoch's sensing
-// snapshot, then replays the controller's Rebalance against it so the
-// numbers isolate the balancer (Fig. 7's overhead claim) from the
-// workload simulation around it.
+// iteration in isolation, for measuring while working on the
+// controller; perfbench (BENCHMARK.json) is the repository benchmark,
+// and TestEpochHotAllocsPinned holds the allocation ceilings. The
+// harness runs a real system long enough to capture one representative
+// epoch's sensing snapshot, then replays the controller's Rebalance
+// against it so the numbers isolate the balancer from the workload
+// simulation around it.
 
 import (
 	"testing"
@@ -140,7 +141,7 @@ func TestEpochHotAllocsPinned(t *testing.T) {
 }
 
 // BenchmarkEpochHot measures one replayed sense→predict→balance epoch
-// with telemetry disabled — the ns/epoch headline of BENCH_core.json.
+// with telemetry disabled.
 func BenchmarkEpochHot(b *testing.B) {
 	cap, k := epochHotHarness(b, false, false)
 	b.ReportAllocs()
@@ -163,7 +164,7 @@ func BenchmarkEpochHotTelemetry(b *testing.B) {
 
 // BenchmarkEpochHotContended replays the epoch on the clustered
 // big.LITTLE platform with the LLC-domain contention model coupled in —
-// the contention-aware objective's overhead headline in BENCH_core.json.
+// the contention-aware objective's overhead.
 func BenchmarkEpochHotContended(b *testing.B) {
 	cap, k := epochHotHarness(b, false, true)
 	b.ReportAllocs()

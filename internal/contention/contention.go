@@ -56,8 +56,8 @@ const (
 	maxBWUtil = 0.9
 )
 
-// SpecPrefix introduces optional key=value overrides in the spec
-// grammar after the leading "on".
+// specOn is the leading keyword of an enabled spec; optional
+// comma-separated key=value overrides follow it.
 const specOn = "on"
 
 // Spec is the canonical, serialisable configuration of the contention

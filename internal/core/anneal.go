@@ -328,6 +328,19 @@ func ScaledMaxIter(nCores, nThreads int) int {
 	}
 }
 
+// epochAnneal returns the optimiser config for one balancing epoch:
+// c with its seed mixed with the epoch index and, when MaxIter <= 0,
+// the Fig. 8(a) budget ScaledMaxIter(nCores, nThreads). Every other
+// field is the caller's. The balancer constructors validate
+// epochAnneal(c, 1, 1, 0), so MaxIter <= 0 defers only the budget.
+func epochAnneal(c AnnealConfig, nCores, nThreads, epoch int) AnnealConfig {
+	if c.MaxIter <= 0 {
+		c.MaxIter = ScaledMaxIter(nCores, nThreads)
+	}
+	c.Seed ^= uint64(epoch) * 0x9E3779B97F4A7C15
+	return c
+}
+
 func intLog2(v int) int {
 	n := 0
 	for v > 1 {

@@ -21,9 +21,9 @@ func (realClock) Now() time.Time {
 	return time.Now() //sbvet:allow wallclock(single real-time entry point behind the Clock interface)
 }
 
-// RealClock returns the Clock backed by host time. Use it only at the
-// cmd/ and examples/ boundary, where measuring actual controller
-// overhead (Fig. 7) is the point.
+// RealClock returns the Clock backed by host time. Use it only where
+// measuring actual controller overhead is the point: the cmd/ and
+// examples/ boundary, and exp.Figure7.
 func RealClock() Clock { return realClock{} }
 
 // FakeClock is a deterministic Clock for simulations and tests: every

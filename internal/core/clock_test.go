@@ -64,28 +64,3 @@ func TestSmartBalanceOverheadDeterministicWithFakeClock(t *testing.T) {
 		t.Errorf("Sense = %v, want exactly %v (one step per epoch)", a.Sense, want)
 	}
 }
-
-// TestMeasurePhasesWithFakeClock pins the exact accounting: each timed
-// phase brackets its work with two clock reads, so a FakeClock charges
-// precisely one step per phase regardless of host load.
-func TestMeasurePhasesWithFakeClock(t *testing.T) {
-	pred, err := Train(arch.Table2Types(), DefaultTrainConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const step = 10 * time.Microsecond
-	pt, err := MeasurePhasesWithClock(pred, ScalePoint{Cores: 4, Threads: 8}, 2, 1, NewFakeClock(step))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, got := range map[string]time.Duration{
-		"Sense": pt.Sense, "Predict": pt.Predict, "Optimize": pt.Optimize,
-	} {
-		if got != step {
-			t.Errorf("%s = %v, want exactly %v", name, got, step)
-		}
-	}
-	if pt.Migrate != 4*time.Duration(MigrationCostNs) {
-		t.Errorf("Migrate = %v, want modelled 4x%dns", pt.Migrate, MigrationCostNs)
-	}
-}

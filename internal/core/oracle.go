@@ -23,10 +23,9 @@ type OracleBalance struct {
 // NewOracle builds an oracle-matrix balancer with the given optimiser
 // configuration.
 func NewOracle(cfg Config) (*OracleBalance, error) {
-	if cfg.Anneal.MaxIter > 0 {
-		if err := cfg.Anneal.Validate(); err != nil {
-			return nil, err
-		}
+	acfg := epochAnneal(cfg.Anneal, 1, 1, 0)
+	if err := acfg.Validate(); err != nil {
+		return nil, err
 	}
 	return &OracleBalance{cfg: cfg}, nil
 }
@@ -51,13 +50,7 @@ func (o *OracleBalance) Rebalance(k *kernel.Kernel, _ kernel.Time,
 	for i, t := range tasks {
 		initial[i] = t.Core()
 	}
-	acfg := o.cfg.Anneal
-	if acfg.MaxIter <= 0 {
-		acfg = DefaultAnnealConfig()
-		acfg.MaxIter = ScaledMaxIter(plat.NumCores(), len(tasks))
-	}
-	acfg.Seed ^= uint64(o.epochs) * 0x9E3779B97F4A7C15
-	res, err := Anneal(prob, initial, acfg)
+	res, err := Anneal(prob, initial, epochAnneal(o.cfg.Anneal, plat.NumCores(), len(tasks), o.epochs))
 	if err != nil {
 		return
 	}

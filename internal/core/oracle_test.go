@@ -26,7 +26,8 @@ func TestNewOracleValidatesAnneal(t *testing.T) {
 	if _, err := NewOracle(cfg); err == nil {
 		t.Fatal("bad anneal config accepted")
 	}
-	// MaxIter <= 0 selects the scaled budget and skips validation.
+	// MaxIter <= 0 selects the scaled budget; the other fields are
+	// still validated (TestZeroMaxIterKeepsAnnealConfig).
 	cfg = DefaultConfig()
 	cfg.Anneal.MaxIter = 0
 	if _, err := NewOracle(cfg); err != nil {

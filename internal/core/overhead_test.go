@@ -1,10 +1,6 @@
 package core
 
-import (
-	"testing"
-
-	"smartbalance/internal/arch"
-)
+import "testing"
 
 func TestScalabilityScenarios(t *testing.T) {
 	sc := ScalabilityScenarios()
@@ -16,75 +12,5 @@ func TestScalabilityScenarios(t *testing.T) {
 	}
 	if sc[len(sc)-1].Cores != 128 || sc[len(sc)-1].Threads != 256 {
 		t.Fatalf("last scenario %+v", sc[len(sc)-1])
-	}
-}
-
-func TestMeasurePhasesQuad(t *testing.T) {
-	pred, err := Train(arch.Table2Types(), DefaultTrainConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt, err := MeasurePhases(pred, ScalePoint{Cores: 4, Threads: 8}, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pt.Sense <= 0 || pt.Predict <= 0 || pt.Optimize <= 0 || pt.Migrate <= 0 {
-		t.Fatalf("missing phase times: %+v", pt)
-	}
-	if pt.Total() <= 0 {
-		t.Fatal("zero total")
-	}
-	// The paper: "for typical embedded platforms ... with 2 to 8 cores,
-	// the average overhead ... is negligible with respect to the 60ms
-	// epoch length (less than 1%)". Host hardware differs, so allow 5%.
-	if frac := pt.FractionOfEpoch(60e6); frac > 0.05 {
-		t.Fatalf("quad-core overhead %.2f%% of a 60ms epoch", 100*frac)
-	}
-	if pt.Migrate.Nanoseconds() != 4*MigrationCostNs {
-		t.Fatalf("migration model wrong: %v", pt.Migrate)
-	}
-}
-
-func TestMeasurePhasesScalesWithSize(t *testing.T) {
-	pred, err := Train(arch.Table2Types(), DefaultTrainConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	small, err := MeasurePhases(pred, ScalePoint{Cores: 2, Threads: 4}, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := MeasurePhases(pred, ScalePoint{Cores: 64, Threads: 128}, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if big.Predict <= small.Predict {
-		t.Fatalf("predict phase did not scale: %v vs %v", big.Predict, small.Predict)
-	}
-	if big.Migrate <= small.Migrate {
-		t.Fatal("migration model did not scale")
-	}
-	if big.MaxIter < small.MaxIter {
-		t.Fatal("iteration budget should not shrink with scale")
-	}
-}
-
-func TestMeasurePhasesValidation(t *testing.T) {
-	pred, err := Train(arch.Table2Types(), DefaultTrainConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MeasurePhases(pred, ScalePoint{Cores: 0, Threads: 4}, 1, 1); err == nil {
-		t.Fatal("zero cores accepted")
-	}
-	if _, err := MeasurePhases(pred, ScalePoint{Cores: 2, Threads: 0}, 1, 1); err == nil {
-		t.Fatal("zero threads accepted")
-	}
-}
-
-func TestFractionOfEpochDegenerate(t *testing.T) {
-	var pt PhaseTimes
-	if pt.FractionOfEpoch(0) != 0 {
-		t.Fatal("zero epoch should yield zero fraction")
 	}
 }

@@ -17,7 +17,8 @@ import (
 // Config parameterises the SmartBalance controller.
 type Config struct {
 	// Anneal configures the Algorithm 1 optimiser. MaxIter <= 0 selects
-	// the scaled budget of Fig. 8(a) automatically.
+	// the scaled budget of Fig. 8(a) at each epoch; every other field
+	// is used as given.
 	Anneal AnnealConfig
 	// Weights are the per-core objective weights ω_j (nil = all ones).
 	Weights []float64
@@ -174,7 +175,8 @@ func New(pred *Predictor, cfg Config) (*SmartBalance, error) {
 	if !pred.Trained() {
 		return nil, errors.New("core: predictor is not fully trained")
 	}
-	if err := cfg.Anneal.Validate(); cfg.Anneal.MaxIter > 0 && err != nil {
+	acfg := epochAnneal(cfg.Anneal, 1, 1, 0)
+	if err := acfg.Validate(); err != nil {
 		return nil, err
 	}
 	clk := cfg.Clock
@@ -597,13 +599,7 @@ func (s *SmartBalance) Rebalance(k *kernel.Kernel, now kernel.Time,
 	for i, task := range optTasks {
 		s.initial[i] = task.Core()
 	}
-	acfg := s.cfg.Anneal
-	if acfg.MaxIter <= 0 {
-		acfg = DefaultAnnealConfig()
-		acfg.MaxIter = ScaledMaxIter(plat.NumCores(), len(optTasks))
-	}
-	acfg.Seed ^= uint64(s.epochs) * 0x9E3779B97F4A7C15
-	result, err := s.ann.Run(prob, s.initial, acfg)
+	result, err := s.ann.Run(prob, s.initial, epochAnneal(s.cfg.Anneal, plat.NumCores(), len(optTasks), s.epochs))
 	s.overhead.Optimize += sinceOn(s.clock, t2)
 	if err != nil {
 		return

@@ -58,6 +58,46 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestZeroMaxIterKeepsAnnealConfig: MaxIter <= 0 defers only the
+// iteration budget to the epoch's scale. Both constructors still
+// validate every other field, and the epoch config keeps the caller's
+// seed and acceptance rule.
+func TestZeroMaxIterKeepsAnnealConfig(t *testing.T) {
+	pred, err := Train(arch.Table2Types(), DefaultTrainConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctors := map[string]func(Config) error{
+		"New":       func(c Config) error { _, err := New(pred, c); return err },
+		"NewOracle": func(c Config) error { _, err := NewOracle(c); return err },
+	}
+	for _, tc := range []struct {
+		name  string
+		mod   func(*AnnealConfig)
+		valid bool
+	}{
+		{"default", func(*AnnealConfig) {}, true},
+		{"seed-and-float", func(c *AnnealConfig) { c.Seed, c.UseFloat = 42, true }, true},
+		{"negative-perturb", func(c *AnnealConfig) { c.Perturb = -1 }, false},
+		{"zero-accept", func(c *AnnealConfig) { c.Accept = 0 }, false},
+		{"swap-above-one", func(c *AnnealConfig) { c.SwapFraction = 2 }, false},
+	} {
+		cfg := DefaultConfig()
+		cfg.Anneal.MaxIter = 0
+		tc.mod(&cfg.Anneal)
+		for name, ctor := range ctors {
+			if err := ctor(cfg); (err == nil) != tc.valid {
+				t.Errorf("%s: %s error = %v, want valid=%v", tc.name, name, err, tc.valid)
+			}
+		}
+		want := cfg.Anneal
+		want.MaxIter = ScaledMaxIter(4, 8)
+		if got := epochAnneal(cfg.Anneal, 4, 8, 0); got != want {
+			t.Errorf("%s: epoch config %#v, want %#v", tc.name, got, want)
+		}
+	}
+}
+
 func TestSmartBalanceName(t *testing.T) {
 	sb := newSmartBalance(t, arch.Table2Types())
 	if sb.Name() != "smartbalance" {

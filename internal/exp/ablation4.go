@@ -69,7 +69,7 @@ func AblationBusContention(opts Options) (*Result, error) {
 		tb.AddRow(label, tablefmt.FormatFloat(van.EnergyEfficiency()),
 			tablefmt.FormatFloat(sm.EnergyEfficiency()), fmt.Sprintf("%.2fx", gain))
 	}
-	tb.AddNote("M/M/1-style queueing on aggregate L1-miss traffic; uncontended vanilla baseline %.3g IPS/W", freeVanilla)
+	tb.AddNote("M/M/1-style queueing on aggregate L2-miss traffic; uncontended vanilla baseline %.3g IPS/W", freeVanilla)
 	return &Result{
 		ID:       "A9",
 		Title:    "Shared-bus contention",

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
+	"smartbalance/internal/arch"
 	"smartbalance/internal/core"
 )
 
@@ -168,28 +170,87 @@ func TestFigure6(t *testing.T) {
 }
 
 func TestFigure7(t *testing.T) {
-	res, err := Figure7(quickOpts())
+	res, costs, err := figure7(quickOpts(), core.RealClock())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Table.NumRows() != 3 { // quick: first three scenarios
 		t.Fatalf("F7 rows = %d", res.Table.NumRows())
 	}
-	if res.Headline["quad-core-epoch-fraction"] <= 0 {
-		t.Fatal("quad-core fraction missing")
+	scales := core.ScalabilityScenarios()[:3]
+	for i, oh := range costs {
+		if oh.Sense <= 0 || oh.Predict <= 0 || oh.Optimize <= 0 || oh.Epochs < f7MinTimed {
+			t.Errorf("%+v: missing phase times: %+v", scales[i], oh)
+		}
 	}
-	// The fraction is real host time, so the budget depends on how fast
-	// this machine runs the controller: under the race detector (which
-	// slows instrumented code ~10x and shares the host with sibling test
-	// binaries) only gross regressions are detectable.
-	limit := 0.05
-	if raceEnabled {
-		limit = 0.5
-	}
-	if res.Headline["quad-core-epoch-fraction"] > limit {
-		t.Fatalf("quad-core overhead %.2f%% of epoch (budget %.0f%%)",
-			100*res.Headline["quad-core-epoch-fraction"], 100*limit)
-	}
+
+	t.Run("quad", func(t *testing.T) {
+		const quad = 1 // ScalabilityScenarios: 2, 4, 8, ... cores
+		if scales[quad].Cores != 4 || scales[quad].Threads != 8 {
+			t.Fatalf("scenario %d is %+v, want 4 cores / 8 threads", quad, scales[quad])
+		}
+		if costs[quad].Total() <= 0 {
+			t.Fatalf("zero quad total: %+v", costs[quad])
+		}
+		if costs[quad].Migrate != 4*core.MigrationCostNs {
+			t.Errorf("quad migrate* = %v, want modelled 4 x %v", costs[quad].Migrate, core.MigrationCostNs)
+		}
+		if res.Headline["quad-core-epoch-fraction"] <= 0 {
+			t.Fatal("quad-core fraction missing")
+		}
+		// The paper: under 1% of the 60 ms epoch for 2-8 cores. The
+		// fraction is real host time, so the budget depends on how fast
+		// this machine runs the controller: under the race detector
+		// (which slows instrumented code ~10x and shares the host with
+		// sibling test binaries) only gross regressions are detectable.
+		limit := 0.05
+		if raceEnabled {
+			limit = 0.5
+		}
+		if res.Headline["quad-core-epoch-fraction"] > limit {
+			t.Fatalf("quad-core overhead %.2f%% of epoch (budget %.0f%%)",
+				100*res.Headline["quad-core-epoch-fraction"], 100*limit)
+		}
+	})
+
+	t.Run("scales_with_size", func(t *testing.T) {
+		for i, oh := range costs {
+			if want := time.Duration(scales[i].Threads/2) * core.MigrationCostNs; oh.Migrate != want {
+				t.Errorf("%+v: migrate* = %v, want modelled %v", scales[i], oh.Migrate, want)
+			}
+		}
+		// The Fig. 8(a) budget grows eightfold from 2 to 8 cores.
+		if costs[2].Optimize <= costs[0].Optimize {
+			t.Errorf("optimize did not scale: %v at 8 cores, %v at 2", costs[2].Optimize, costs[0].Optimize)
+		}
+	})
+
+	t.Run("validation", func(t *testing.T) {
+		pred, err := core.Train(arch.Table2Types(), core.DefaultTrainConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range []core.ScalePoint{{Cores: 0, Threads: 4}, {Cores: 2, Threads: 0}} {
+			if _, err := phaseCost(pred, sp, 1, core.RealClock()); err == nil {
+				t.Errorf("invalid scale %+v accepted", sp)
+			}
+		}
+	})
+
+	// Each timed phase brackets its work with two clock reads, so under
+	// a FakeClock every scale reads exactly one step per phase.
+	t.Run("fake_clock", func(t *testing.T) {
+		const step = 10 * time.Microsecond
+		_, fake, err := figure7(quickOpts(), core.NewFakeClock(step))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, oh := range fake {
+			if oh.Sense != step || oh.Predict != step || oh.Optimize != step {
+				t.Errorf("%+v under FakeClock(%v): %+v, want one step per phase", scales[i], step, oh)
+			}
+		}
+	})
 }
 
 func TestFigure8(t *testing.T) {
@@ -319,30 +380,33 @@ func renderResult(t *testing.T, res *Result) string {
 // TestReplicateParallelMatchesSerial is the satellite contract for the
 // sweep-engine rewiring: running the per-seed replication on one worker
 // or several produces byte-identical tables and identical headlines.
+// F6 is the artefact BenchmarkReplicateParallel times.
 func TestReplicateParallelMatchesSerial(t *testing.T) {
 	serialOpts := quickOpts()
 	serialOpts.Workers = 1
 	parallelOpts := quickOpts()
 	parallelOpts.Workers = 4
 	seeds := []uint64{1, 2, 3}
-	serial, err := Replicate("F4a", serialOpts, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Replicate("F4a", parallelOpts, seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, pt := renderResult(t, serial), renderResult(t, parallel)
-	if st != pt {
-		t.Fatalf("parallel replication table differs from serial:\n--- serial\n%s\n--- parallel\n%s", st, pt)
-	}
-	if len(serial.Headline) == 0 {
-		t.Fatal("no headlines to compare")
-	}
-	for k, v := range serial.Headline {
-		if pv, ok := parallel.Headline[k]; !ok || pv != v {
-			t.Fatalf("headline %q: serial %v, parallel %v (ok=%v)", k, v, pv, ok)
+	for _, id := range []string{"F4a", "F6"} {
+		serial, err := Replicate(id, serialOpts, seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parallel, err := Replicate(id, parallelOpts, seeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, pt := renderResult(t, serial), renderResult(t, parallel)
+		if st != pt {
+			t.Fatalf("%s: parallel replication table differs from serial:\n--- serial\n%s\n--- parallel\n%s", id, st, pt)
+		}
+		if len(serial.Headline) == 0 {
+			t.Fatalf("%s: no headlines to compare", id)
+		}
+		for k, v := range serial.Headline {
+			if pv, ok := parallel.Headline[k]; !ok || pv != v {
+				t.Fatalf("%s: headline %q: serial %v, parallel %v (ok=%v)", id, k, v, pv, ok)
+			}
 		}
 	}
 }

@@ -7,9 +7,10 @@ import (
 
 // BenchmarkFleet measures end-to-end fleet throughput — full kernels
 // per node, parallel node stepping — on the canned bursty scenario at
-// the 8- and 32-node points scripts/bench.sh records in
-// BENCH_core.json. Reported as completed requests per wall second and
-// nanoseconds of wall time per completed request.
+// 8 and 32 nodes, for measuring while working on the fleet tier;
+// perfbench's fleet-bursty workload is the repository benchmark.
+// Reported as completed requests per wall second and nanoseconds of
+// wall time per completed request.
 func BenchmarkFleet(b *testing.B) {
 	for _, nodes := range []int{8, 32} {
 		b.Run(fmt.Sprintf("n%d", nodes), func(b *testing.B) {

@@ -49,8 +49,9 @@ type Options struct {
 	// BusBandwidthGBps, when positive, enables the shared-memory-bus
 	// contention model of the paper's Section 5 platform ("the cores
 	// are connected to the main memory through a shared bus"):
-	// aggregate L1-miss traffic across all cores inflates everyone's
-	// effective memory latency with an M/M/1-style queueing factor.
+	// aggregate L2-miss traffic (the misses that escape each core's
+	// private L2) across all cores inflates everyone's effective memory
+	// latency with an M/M/1-style queueing factor.
 	// Zero disables contention (independent cores).
 	BusBandwidthGBps float64
 	// Contention configures the LLC-domain shared-resource model
@@ -76,7 +77,7 @@ type Machine struct {
 	pm   *powermodel.Platform
 	opts Options
 
-	// busBytesPerNs is the decayed average of L1-miss traffic; 1 GB/s
+	// busBytesPerNs is the decayed average of L2-miss traffic; 1 GB/s
 	// equals one byte per nanosecond.
 	busBytesPerNs float64
 

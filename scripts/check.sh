@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
 # check.sh — the full verification gate, run from anywhere in the repo.
-# Mirrors what CI should run: formatting, go vet, the project's own
-# sbvet determinism/safety analyzers, the build, the BENCH_core.json
-# schema gate, and the race-enabled test suite. The fixed-seed
-# contracts (sweep cache, fault robustness, telemetry, fleet and hunt
-# determinism) are Go tests, so the race run covers them too. Fails
-# fast on the first broken stage.
+# Mirrors what CI should run: formatting, go vet (the root module and
+# the perfbench benchmark module, which ./... does not reach), the
+# project's own sbvet determinism/safety analyzers, the build, and the
+# race-enabled test suite. The fixed-seed contracts (sweep cache, fault
+# robustness, telemetry, fleet and hunt determinism) and the epoch
+# allocation ceilings are Go tests, so the race run covers them too.
+# perfbench (BENCHMARK.json) is the repository's only benchmark; the
+# committed BENCH_core.json is frozen history that nothing regenerates
+# or checks. Fails fast on the first broken stage.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,15 +23,15 @@ fi
 echo "== go vet ./..."
 go vet ./...
 
+echo "== go -C perfbench vet ."
+go -C perfbench vet .
+
 echo "== sbvet ./... (includes the hotpath hard gate: zero unsuppressed"
 echo "   allocations reachable from //sbvet:hotpath roots)"
 go run ./cmd/sbvet ./...
 
 echo "== go build ./..."
 go build ./...
-
-echo "== bench-check"
-./scripts/bench_check.sh
 
 echo "== go test -race ./..."
 go test -race ./...

@@ -15,10 +15,11 @@ import (
 	"io"
 	"os"
 	"strconv"
-	"strings"
 	"time"
 
 	"smartbalance"
+	"smartbalance/internal/fault"
+	"smartbalance/internal/scenario"
 	"smartbalance/internal/trace"
 )
 
@@ -32,7 +33,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		platName = fs.String("platform", "quad", "quad | biglittle | scaling:<n>")
-		wl       = fs.String("workload", "Mix1", "benchmark name, MixN, or imb:<T><I> (e.g. imb:HTMI)")
+		wl       = fs.String("workload", "Mix1", `benchmark name, MixN, imb:<T><I> (e.g. imb:HTMI), or synth:key=value,... (e.g. "synth:phases=1,ins=80,mem=0.3")`)
 		threads  = fs.Int("threads", 4, "worker threads per benchmark")
 		balName  = fs.String("balancer", "smartbalance", "smartbalance | vanilla | gts | iks | pinned")
 		durMs    = fs.Int64("dur", 1500, "simulated duration in milliseconds")
@@ -53,15 +54,15 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	plat, err := parsePlatform(*platName)
+	plat, err := scenario.Platform(*platName)
 	if err != nil {
 		return fail("%v", err)
 	}
-	specs, err := parseWorkload(*wl, *threads, *seed)
+	specs, err := scenario.Workload(*wl, *threads, *seed)
 	if err != nil {
 		return fail("%v", err)
 	}
-	bal, err := parseBalancer(*balName, plat, *seed)
+	bal, err := scenario.Balancer(*balName, plat, *seed, *seed)
 	if err != nil {
 		return fail("%v", err)
 	}
@@ -72,9 +73,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 	var inj *smartbalance.FaultInjector
 	if !plan.IsZero() {
-		// Same seed derivation as the sweep engine: the run seed xor a
-		// fixed tag, decorrelating the fault stream from the kernel's.
-		if inj, err = smartbalance.NewFaultInjector(plan, *seed^faultSeedTag); err != nil {
+		if inj, err = smartbalance.NewFaultInjector(plan, fault.SeedFor(*seed)); err != nil {
 			return fail("%v", err)
 		}
 		cfg.Faults = inj
@@ -107,6 +106,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	}
 	if err := sys.Run(time.Duration(*durMs) * time.Millisecond); err != nil {
 		return fail("%v", err)
+	}
+	if err := sys.Kernel().CheckInvariants(); err != nil {
+		return fail("post-run invariant violation: %v", err)
 	}
 	st := sys.Stats()
 	fmt.Fprintf(stdout, "platform : %s\n", plat)
@@ -160,79 +162,4 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			len(tr.Epochs), len(tr.Metrics), len(tr.Anomalies), *telPath)
 	}
 	return 0
-}
-
-// faultSeedTag matches the sweep engine's injector-seed derivation, so
-// `sbsim -fault ... -seed N` and a sweep cell with the same plan and
-// seed inject the identical fault sequence.
-const faultSeedTag = 0xFA_17_1A_9E_5D
-
-func parsePlatform(s string) (*smartbalance.Platform, error) {
-	switch {
-	case s == "quad":
-		return smartbalance.QuadHMP(), nil
-	case s == "biglittle":
-		return smartbalance.OctaBigLittle(), nil
-	case strings.HasPrefix(s, "scaling:"):
-		n, err := strconv.Atoi(strings.TrimPrefix(s, "scaling:"))
-		if err != nil {
-			return nil, fmt.Errorf("bad scaling core count: %v", err)
-		}
-		return smartbalance.ScalingHMP(n)
-	}
-	return nil, fmt.Errorf("unknown platform %q (quad | biglittle | scaling:<n>)", s)
-}
-
-func parseWorkload(s string, threads int, seed uint64) ([]smartbalance.ThreadSpec, error) {
-	if strings.HasPrefix(s, "imb:") {
-		code := strings.TrimPrefix(s, "imb:")
-		// Accept both "HTMI" and "HM" forms.
-		code = strings.ReplaceAll(strings.ReplaceAll(code, "T", ""), "I", "")
-		if len(code) != 2 {
-			return nil, fmt.Errorf("bad IMB code %q (want e.g. HTMI)", s)
-		}
-		tl, err := parseLevel(code[:1])
-		if err != nil {
-			return nil, err
-		}
-		il, err := parseLevel(code[1:])
-		if err != nil {
-			return nil, err
-		}
-		return smartbalance.IMB(tl, il, threads, seed)
-	}
-	for _, m := range smartbalance.MixNames() {
-		if m == s {
-			return smartbalance.Mix(s, threads, seed)
-		}
-	}
-	return smartbalance.Benchmark(s, threads, seed)
-}
-
-func parseLevel(s string) (smartbalance.Level, error) {
-	switch strings.ToUpper(s) {
-	case "H":
-		return smartbalance.High, nil
-	case "M":
-		return smartbalance.Medium, nil
-	case "L":
-		return smartbalance.Low, nil
-	}
-	return 0, fmt.Errorf("unknown level %q", s)
-}
-
-func parseBalancer(s string, plat *smartbalance.Platform, seed uint64) (smartbalance.Balancer, error) {
-	switch s {
-	case "smartbalance":
-		return smartbalance.TrainSmartBalance(plat.Types, seed)
-	case "vanilla":
-		return smartbalance.NewVanillaBalancer(), nil
-	case "gts":
-		return smartbalance.NewGTSBalancer(plat)
-	case "iks":
-		return smartbalance.NewIKSBalancer(plat)
-	case "pinned":
-		return smartbalance.NewPinnedBalancer(), nil
-	}
-	return nil, fmt.Errorf("unknown balancer %q", s)
 }

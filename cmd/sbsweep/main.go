@@ -48,7 +48,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		threads   = fs.String("threads", "4", "comma-separated worker-thread counts")
 		seeds     = fs.String("seeds", "1", "comma-separated seeds; a-b expands the inclusive range")
 		faults    = fs.String("faults", "", `comma-separated fault plans, e.g. "none,drop=0.3;migfail=0.1" (empty sweeps clean)`)
-		contSpecs = fs.String("contentions", "", `comma-separated contention specs, e.g. "none,on" or "on:llc=512" (empty sweeps uncontended)`)
+		contSpecs = fs.String("contentions", "", `comma-separated contention specs, e.g. "none,on" or "none,on,llc=512" (empty sweeps uncontended)`)
 		durMs     = fs.Int64("dur", 1500, "simulated duration per scenario in milliseconds")
 		workers   = fs.Int("workers", 0, "sweep worker pool size (<= 0 selects GOMAXPROCS)")
 		cacheDir  = fs.String("cache", "", "content-addressed result-cache directory (empty disables caching)")
@@ -90,9 +90,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	grid := sweep.Grid{
 		Platforms:   splitList(*platforms),
 		Balancers:   splitList(*balancers),
-		Workloads:   splitList(*workloads),
+		Workloads:   splitSpecs(*workloads),
 		Faults:      splitList(*faults),
-		Contentions: splitList(*contSpecs),
+		Contentions: splitSpecs(*contSpecs),
 		DurationNs:  *durMs * 1e6,
 	}
 	var err error
@@ -221,7 +221,7 @@ func runFleet(a fleetArgs, stdout, stderr io.Writer) int {
 		Profiles:   splitList(a.profiles),
 		Balancers:  splitList(a.balancers),
 		Policies:   splitList(a.policies),
-		Arrivals:   splitList(a.arrivals),
+		Arrivals:   splitSpecs(a.arrivals),
 		DurationNs: a.durMs * 1e6,
 	}
 	// Profile cycles are "+"-separated in the flag (a profile is itself
@@ -331,6 +331,23 @@ func splitList(s string) []string {
 		if part = strings.TrimSpace(part); part != "" {
 			out = append(out, part)
 		}
+	}
+	return out
+}
+
+// splitSpecs is splitList for the axes whose specs carry their own
+// comma-separated key=value parameters (synth workloads, contention
+// and arrival specs): a bare key=value item continues the spec before
+// it, so "on,llc=512" stays one spec. Fault plans separate their keys
+// with ';' and keep plain splitting.
+func splitSpecs(s string) []string {
+	var out []string
+	for _, part := range splitList(s) {
+		if n := len(out); n > 0 && strings.Contains(part, "=") && !strings.Contains(part, ":") {
+			out[n-1] += "," + part
+			continue
+		}
+		out = append(out, part)
 	}
 	return out
 }

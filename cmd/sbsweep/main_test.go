@@ -10,12 +10,26 @@ import (
 )
 
 func TestSplitList(t *testing.T) {
-	got := splitList(" a, b ,,c ")
-	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Fatalf("splitList = %v", got)
-	}
-	if got := splitList(""); len(got) != 0 {
-		t.Fatalf("empty input gave %v", got)
+	for _, tc := range []struct {
+		name  string
+		split func(string) []string
+		in    string
+		want  []string
+	}{
+		{"splitList", splitList, " a, b ,,c ", []string{"a", "b", "c"}},
+		{"splitList", splitList, "", nil},
+		// -faults: plans separate their keys with ';', so every comma splits.
+		{"splitList", splitList, "none,drop=0.3;migfail=0.1", []string{"none", "drop=0.3;migfail=0.1"}},
+		// -workloads, -contentions, -fleet-arrivals: a bare key=value
+		// continues the spec before it.
+		{"splitSpecs", splitSpecs, "Mix1,synth:phases=1,ins=80,ilp=3,mem=0.3,wsd=384",
+			[]string{"Mix1", "synth:phases=1,ins=80,ilp=3,mem=0.3,wsd=384"}},
+		{"splitSpecs", splitSpecs, "none, on,llc=512", []string{"none", "on,llc=512"}},
+		{"splitSpecs", splitSpecs, "bursty,diurnal:rate=400,depth=0.5", []string{"bursty", "diurnal:rate=400,depth=0.5"}},
+	} {
+		if got := tc.split(tc.in); !slices.Equal(got, tc.want) {
+			t.Errorf("%s(%q) = %q, want %q", tc.name, tc.in, got, tc.want)
+		}
 	}
 }
 

@@ -2,9 +2,13 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"smartbalance"
 )
 
 func TestParseInts(t *testing.T) {
@@ -66,6 +70,39 @@ func TestBadFlagsExit(t *testing.T) {
 		var stdout, stderr bytes.Buffer
 		if code := run([]string{args}, &stdout, &stderr); code != want {
 			t.Errorf("smartbench %s exited %d, want %d", args, code, want)
+		}
+	}
+}
+
+// TestCommittedResultsAreCurrent regenerates every artefact except F7
+// (host-timed) at default options and requires each CSV to match the
+// committed one in results/ byte for byte, so the committed tables
+// cannot go stale. Regenerate them with
+// `go run ./cmd/smartbench -csv results`.
+func TestCommittedResultsAreCurrent(t *testing.T) {
+	var ids []string
+	for _, id := range smartbalance.ExperimentIDs() {
+		if id != "F7" {
+			ids = append(ids, id)
+		}
+	}
+	dir := t.TempDir()
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-run", strings.Join(ids, ","), "-csv", dir}, &stdout, &stderr); code != 0 {
+		t.Fatalf("smartbench exited %d: %s", code, stderr.String())
+	}
+	for _, id := range ids {
+		got, err := os.ReadFile(filepath.Join(dir, id+".csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("..", "..", "results", id+".csv"))
+		if err != nil {
+			t.Errorf("%s: %v", id, err)
+			continue
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("results/%s.csv is stale; regenerate with `go run ./cmd/smartbench -csv results`", id)
 		}
 	}
 }

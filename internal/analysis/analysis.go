@@ -1,8 +1,8 @@
 // Package analysis implements sbvet, the repository's own static
 // analyzer. It enforces the invariants the Go compiler cannot check but
 // the reproduction depends on: every simulation result must be a
-// deterministic function of the seed (DESIGN.md §6), and scheduler
-// state must never be copied behind a lock's back.
+// deterministic function of the seed (DESIGN.md §6), and the epoch hot
+// path must not allocate. Lock copies are go vet's copylocks check.
 //
 // The package is deliberately stdlib-only (go/ast, go/parser, go/token,
 // go/types): the build must work offline, so the usual
@@ -67,7 +67,6 @@ var knownAnalyzerNames = map[string]bool{
 	"norand":    true,
 	"floateq":   true,
 	"maporder":  true,
-	"mutexcopy": true,
 	"seedflow":  true,
 	"hotpath":   true,
 }

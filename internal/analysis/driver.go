@@ -13,7 +13,6 @@ func All() []*Analyzer {
 		NoRand(),
 		FloatEq(),
 		MapOrder(),
-		MutexCopy(),
 		SeedFlow(),
 		Hotpath(),
 	}

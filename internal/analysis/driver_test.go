@@ -81,8 +81,8 @@ func TestAnalyzerNamesRegistered(t *testing.T) {
 			t.Errorf("analyzer %q missing from knownAnalyzerNames; its allow annotations would be rejected", a.Name)
 		}
 	}
-	if len(All()) != 7 {
-		t.Errorf("suite has %d analyzers, want 7", len(All()))
+	if len(All()) != 6 {
+		t.Errorf("suite has %d analyzers, want 6", len(All()))
 	}
 }
 

@@ -36,7 +36,6 @@ var goldenCases = []struct {
 	{"norand", NoRand},
 	{"floateq", FloatEq},
 	{"maporder", MapOrder},
-	{"mutexcopy", MutexCopy},
 	{"seedflow", SeedFlow},
 }
 

@@ -27,6 +27,7 @@ var DefaultSimPackages = []string{
 	"smartbalance/internal/fleet",
 	"smartbalance/internal/hunt",
 	"smartbalance/internal/contention",
+	"smartbalance/internal/scenario",
 }
 
 // Wallclock returns the analyzer forbidding time.Now and time.Since in

@@ -17,9 +17,11 @@
 // alone in its domain sees MissScale == LatScale == 1 exactly, so a
 // contention-enabled run with zero co-runner overlap is byte-identical
 // to the pre-contention model (the invariant exp.TestAblationContention
-// pins). Self-induced bus pressure is already modelled by the machine's
-// global shared-bus option; this package adds only the *interference*
-// term.
+// pins). This package adds only the *interference* term. The machine's
+// chip-wide bus option (machine.Options.BusBandwidthGBps) is a separate
+// model that measures neither a core's own pressure nor the aggregate:
+// it reads the mean per-slice miss rate of whichever cores are running
+// (DESIGN.md §15).
 //
 // The model is deterministic: per-core EWMAs updated at slice end in
 // event order, no randomness, no wall-clock, and a fixed per-domain

@@ -8,6 +8,7 @@ import (
 	"smartbalance/internal/kernel"
 	"smartbalance/internal/machine"
 	"smartbalance/internal/rng"
+	"smartbalance/internal/scenario"
 	"smartbalance/internal/stats"
 	"smartbalance/internal/tablefmt"
 	"smartbalance/internal/workload"
@@ -230,10 +231,14 @@ func AblationEpochLength(opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		bal, err := smart(plat)
+		if err != nil {
+			return nil, err
+		}
 		m := kernel.DefaultConfig()
 		m.EpochNs = ep
 		m.Seed = opts.Seed
-		st, err := runScenarioWithConfig(plat, smart, specs, opts.DurationNs, m, machine.Options{}, false)
+		st, err := scenario.Run(plat, bal, specs, opts.DurationNs, m, machine.Options{}, false, nil)
 		if err != nil {
 			return nil, fmt.Errorf("A4 epoch %dms: %w", ep/1e6, err)
 		}
@@ -291,10 +296,14 @@ func AblationMigrationPenalty(opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		bal, err := smart(plat)
+		if err != nil {
+			return nil, err
+		}
 		cfg := kernel.DefaultConfig()
 		cfg.MigrationPenaltyNs = pen
 		cfg.Seed = opts.Seed
-		st, err := runScenarioWithConfig(plat, smart, specs, opts.DurationNs, cfg, machine.Options{}, false)
+		st, err := scenario.Run(plat, bal, specs, opts.DurationNs, cfg, machine.Options{}, false, nil)
 		if err != nil {
 			return nil, fmt.Errorf("A5 penalty %dus: %w", pen/1000, err)
 		}

@@ -7,6 +7,7 @@ import (
 	"smartbalance/internal/core"
 	"smartbalance/internal/kernel"
 	"smartbalance/internal/machine"
+	"smartbalance/internal/scenario"
 	"smartbalance/internal/tablefmt"
 	"smartbalance/internal/thermal"
 	"smartbalance/internal/workload"
@@ -22,9 +23,7 @@ func AblationThermal(opts Options) (*Result, error) {
 		return nil, err
 	}
 	plat := arch.QuadHMP()
-	tc := core.DefaultTrainConfig()
-	tc.Seed = opts.Seed
-	pred, err := core.Train(arch.Table2Types(), tc)
+	pred, err := scenario.Predictor(arch.Table2Types(), opts.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -80,8 +79,7 @@ func AblationThermal(opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := runScenarioWithConfig(plat, func(*arch.Platform) (kernel.Balancer, error) { return bal, nil },
-			specs, opts.DurationNs, kernel.DefaultConfig(), machine.Options{}, false)
+		st, err := scenario.Run(plat, bal, specs, opts.DurationNs, kernel.DefaultConfig(), machine.Options{}, false, nil)
 		if err != nil {
 			return nil, fmt.Errorf("A8 %s: %w", v.label, err)
 		}

@@ -7,6 +7,7 @@ import (
 	"smartbalance/internal/balancer"
 	"smartbalance/internal/kernel"
 	"smartbalance/internal/machine"
+	"smartbalance/internal/scenario"
 	"smartbalance/internal/tablefmt"
 	"smartbalance/internal/workload"
 )
@@ -42,10 +43,14 @@ func AblationBusContention(opts Options) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
+			bal, err := bf(plat)
+			if err != nil {
+				return nil, err
+			}
 			cfg := kernel.DefaultConfig()
 			cfg.Seed = opts.Seed
-			return runScenarioWithConfig(plat, bf, specs, opts.DurationNs, cfg,
-				machine.Options{BusBandwidthGBps: bw}, false)
+			return scenario.Run(plat, bal, specs, opts.DurationNs, cfg,
+				machine.Options{BusBandwidthGBps: bw}, false, nil)
 		}
 		van, err := run(vanilla)
 		if err != nil {
@@ -69,7 +74,7 @@ func AblationBusContention(opts Options) (*Result, error) {
 		tb.AddRow(label, tablefmt.FormatFloat(van.EnergyEfficiency()),
 			tablefmt.FormatFloat(sm.EnergyEfficiency()), fmt.Sprintf("%.2fx", gain))
 	}
-	tb.AddNote("M/M/1-style queueing on aggregate L2-miss traffic; uncontended vanilla baseline %.3g IPS/W", freeVanilla)
+	tb.AddNote("M/M/1-style queueing on the running cores' mean per-slice L2-miss rate; uncontended vanilla baseline %.3g IPS/W", freeVanilla)
 	return &Result{
 		ID:       "A9",
 		Title:    "Shared-bus contention",

@@ -7,6 +7,7 @@ import (
 	"smartbalance/internal/core"
 	"smartbalance/internal/kernel"
 	"smartbalance/internal/machine"
+	"smartbalance/internal/scenario"
 	"smartbalance/internal/tablefmt"
 )
 
@@ -21,9 +22,7 @@ func AblationObjectiveGoals(opts Options) (*Result, error) {
 		return nil, err
 	}
 	plat := arch.QuadHMP()
-	tc := core.DefaultTrainConfig()
-	tc.Seed = opts.Seed
-	pred, err := core.Train(arch.Table2Types(), tc)
+	pred, err := scenario.Predictor(arch.Table2Types(), opts.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -51,9 +50,7 @@ func AblationObjectiveGoals(opts Options) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			st, err := runScenarioWithConfig(plat,
-				func(*arch.Platform) (kernel.Balancer, error) { return sb, nil },
-				specs, opts.DurationNs, kernel.DefaultConfig(), machine.Options{}, false)
+			st, err := scenario.Run(plat, sb, specs, opts.DurationNs, kernel.DefaultConfig(), machine.Options{}, false, nil)
 			if err != nil {
 				return nil, fmt.Errorf("A10 %s/%s: %w", name, mode, err)
 			}

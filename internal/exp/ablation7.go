@@ -8,6 +8,7 @@ import (
 	"smartbalance/internal/hpc"
 	"smartbalance/internal/kernel"
 	"smartbalance/internal/machine"
+	"smartbalance/internal/scenario"
 	"smartbalance/internal/tablefmt"
 	"smartbalance/internal/workload"
 )
@@ -45,7 +46,11 @@ func AblationSensorNoise(opts Options) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			return runScenarioWithConfig(plat, bf, specs, opts.DurationNs, cfg, machine.Options{}, false)
+			bal, err := bf(plat)
+			if err != nil {
+				return nil, err
+			}
+			return scenario.Run(plat, bal, specs, opts.DurationNs, cfg, machine.Options{}, false, nil)
 		}
 		van, err := run(vanilla)
 		if err != nil {

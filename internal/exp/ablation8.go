@@ -8,15 +8,10 @@ import (
 	"smartbalance/internal/fault"
 	"smartbalance/internal/kernel"
 	"smartbalance/internal/machine"
+	"smartbalance/internal/scenario"
 	"smartbalance/internal/tablefmt"
 	"smartbalance/internal/workload"
 )
-
-// faultSeedTag decorrelates the fault injector's random stream from the
-// kernel's for the same experiment seed. It matches the tag used by the
-// sweep engine and sbsim, so any A13 cell can be reproduced from either
-// front end with the same plan and seed.
-const faultSeedTag = 0xFA_17_1A_9E_5D
 
 // compositeFaultPlan builds the A13 fault mix at severity f in [0, 1]:
 // the five mutually exclusive sensor faults share probability mass f
@@ -83,13 +78,17 @@ func AblationFaultRobustness(opts Options) (*Result, error) {
 		if !plan.IsZero() {
 			// A fresh injector per run: injectors are stateful (stale
 			// replay history, fault counters) and serve one kernel.
-			inj, err := fault.New(plan, opts.Seed^faultSeedTag)
+			inj, err := fault.New(plan, fault.SeedFor(opts.Seed))
 			if err != nil {
 				return nil, err
 			}
 			cfg.Faults = inj
 		}
-		return runScenarioWithConfig(plat, bf, specs, opts.DurationNs, cfg, machine.Options{}, false)
+		bal, err := bf(plat)
+		if err != nil {
+			return nil, err
+		}
+		return scenario.Run(plat, bal, specs, opts.DurationNs, cfg, machine.Options{}, false, nil)
 	}
 
 	tb := tablefmt.New("Ablation A13: fault-injection robustness (big.LITTLE, Mix5, 4 threads)",

@@ -8,6 +8,7 @@ import (
 	"smartbalance/internal/contention"
 	"smartbalance/internal/kernel"
 	"smartbalance/internal/machine"
+	"smartbalance/internal/scenario"
 	"smartbalance/internal/tablefmt"
 	"smartbalance/internal/workload"
 )
@@ -99,10 +100,14 @@ func AblationContention(opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		bal, err := bf(plat)
+		if err != nil {
+			return nil, err
+		}
 		cfg := kernel.DefaultConfig()
 		cfg.Seed = opts.Seed
-		return runScenarioWithConfig(plat, bf, specs, a14DurMult*opts.DurationNs, cfg,
-			machine.Options{Contention: rows[row].spec}, aware)
+		return scenario.Run(plat, bal, specs, a14DurMult*opts.DurationNs, cfg,
+			machine.Options{Contention: rows[row].spec}, aware, nil)
 	}
 
 	tb := tablefmt.New("Ablation A14: contention-aware placement (big.LITTLE, victims + antagonists)",

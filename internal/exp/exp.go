@@ -10,10 +10,10 @@ import (
 	"fmt"
 
 	"smartbalance/internal/arch"
-	"smartbalance/internal/contention"
 	"smartbalance/internal/core"
 	"smartbalance/internal/kernel"
 	"smartbalance/internal/machine"
+	"smartbalance/internal/scenario"
 	"smartbalance/internal/tablefmt"
 	"smartbalance/internal/workload"
 )
@@ -134,60 +134,24 @@ func RunnerFor(id string) Runner {
 // per-run state).
 type balancerFactory func(plat *arch.Platform) (kernel.Balancer, error)
 
-// runScenario simulates specs on plat under the factory's balancer for
-// the given duration and returns the run statistics.
+// runScenario simulates specs on plat under a fresh balancer from the
+// factory for the given duration, with the default kernel config
+// seeded by seed, and returns the run statistics.
 func runScenario(plat *arch.Platform, bf balancerFactory, specs []workload.ThreadSpec, durNs int64, seed uint64) (*kernel.RunStats, error) {
-	cfg := kernel.DefaultConfig()
-	cfg.Seed = seed
-	return runScenarioWithConfig(plat, bf, specs, durNs, cfg, machine.Options{}, false)
-}
-
-// runScenarioWithConfig is runScenario with an explicit kernel config
-// and machine options. aware additionally couples the balancer to the
-// machine's contention model (the SetContention half of the A14 split:
-// blind arms run on the same contended machine but optimise without
-// the interference term).
-func runScenarioWithConfig(plat *arch.Platform, bf balancerFactory, specs []workload.ThreadSpec,
-	durNs int64, cfg kernel.Config, mopts machine.Options, aware bool) (*kernel.RunStats, error) {
-	m, err := machine.NewWithOptions(plat, mopts)
-	if err != nil {
-		return nil, err
-	}
 	b, err := bf(plat)
 	if err != nil {
 		return nil, err
 	}
-	if aware {
-		if sink, ok := b.(interface {
-			SetContention(*contention.Model)
-		}); ok {
-			sink.SetContention(m.Contention())
-		}
-	}
-	k, err := kernel.New(m, b, cfg)
-	if err != nil {
-		return nil, err
-	}
-	for i := range specs {
-		if _, err := k.Spawn(&specs[i]); err != nil {
-			return nil, err
-		}
-	}
-	if err := k.Run(durNs); err != nil {
-		return nil, err
-	}
-	if err := k.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("exp: post-run invariant violation: %w", err)
-	}
-	return k.Stats(), nil
+	cfg := kernel.DefaultConfig()
+	cfg.Seed = seed
+	return scenario.Run(plat, b, specs, durNs, cfg, machine.Options{}, false, nil)
 }
 
-// trainedSmartBalanceFactory trains a predictor for the platform's type
-// set once and returns a factory producing fresh controllers.
+// trainedSmartBalanceFactory trains (or reuses, through the shared
+// scenario.Predictor memo) the predictor for the type set and returns
+// a factory producing fresh controllers.
 func trainedSmartBalanceFactory(types []arch.CoreType, seed uint64) (balancerFactory, error) {
-	tc := core.DefaultTrainConfig()
-	tc.Seed = seed
-	pred, err := core.Train(types, tc)
+	pred, err := scenario.Predictor(types, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 
 	"smartbalance/internal/arch"
 	"smartbalance/internal/core"
+	"smartbalance/internal/scenario"
 	"smartbalance/internal/stats"
 	"smartbalance/internal/sweep"
 	"smartbalance/internal/tablefmt"
@@ -19,9 +20,7 @@ func Figure6(opts Options) (*Result, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	tc := core.DefaultTrainConfig()
-	tc.Seed = opts.Seed
-	pred, err := core.Train(arch.Table2Types(), tc)
+	pred, err := scenario.Predictor(arch.Table2Types(), opts.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -46,7 +45,7 @@ func Figure6(opts Options) (*Result, error) {
 		for j := range specs {
 			phases = append(phases, specs[j].Phases...)
 		}
-		perf, power, err := core.PredictionError(pred, phases, tc.SensorSigma, opts.Seed+7)
+		perf, power, err := core.PredictionError(pred, phases, core.DefaultTrainConfig().SensorSigma, opts.Seed+7)
 		if err != nil {
 			return f6Cell{}, fmt.Errorf("F6 %s: %w", name, err)
 		}

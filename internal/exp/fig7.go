@@ -9,6 +9,7 @@ import (
 	"smartbalance/internal/core"
 	"smartbalance/internal/hpc"
 	"smartbalance/internal/kernel"
+	"smartbalance/internal/scenario"
 	"smartbalance/internal/tablefmt"
 	"smartbalance/internal/workload"
 )
@@ -43,9 +44,7 @@ func figure7(opts Options, clk core.Clock) (*Result, []core.PhaseOverhead, error
 	if err := opts.validate(); err != nil {
 		return nil, nil, err
 	}
-	tc := core.DefaultTrainConfig()
-	tc.Seed = opts.Seed
-	pred, err := core.Train(arch.Table2Types(), tc)
+	pred, err := scenario.Predictor(arch.Table2Types(), opts.Seed)
 	if err != nil {
 		return nil, nil, err
 	}

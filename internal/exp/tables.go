@@ -7,6 +7,7 @@ import (
 	"smartbalance/internal/arch"
 	"smartbalance/internal/core"
 	"smartbalance/internal/powermodel"
+	"smartbalance/internal/scenario"
 	"smartbalance/internal/tablefmt"
 	"smartbalance/internal/workload"
 )
@@ -104,9 +105,7 @@ func TablePredictorCoefficients(opts Options) (*Result, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	tc := core.DefaultTrainConfig()
-	tc.Seed = opts.Seed
-	pred, err := core.Train(arch.Table2Types(), tc)
+	pred, err := scenario.Predictor(arch.Table2Types(), opts.Seed)
 	if err != nil {
 		return nil, err
 	}

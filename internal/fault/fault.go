@@ -275,9 +275,15 @@ type Injector struct {
 
 var _ kernel.FaultInjector = (*Injector)(nil)
 
+// SeedFor derives a run's injector seed: the run seed xor a fixed tag,
+// which decorrelates the fault stream from the kernel's. sbsim, the
+// sweep engine and A13 all derive it here, so the same plan and seed
+// inject the identical fault sequence from every front end.
+func SeedFor(runSeed uint64) uint64 { return runSeed ^ 0xFA_17_1A_9E_5D }
+
 // New builds an injector for the plan. seed drives the fault stream
 // when the plan does not pin its own Seed; callers derive it from the
-// scenario seed so one knob reproduces the whole run.
+// scenario seed with SeedFor so one knob reproduces the whole run.
 func New(plan Plan, seed uint64) (*Injector, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err

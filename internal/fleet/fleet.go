@@ -49,10 +49,10 @@ type Config struct {
 	Nodes int
 	// Profile is a comma-separated platform list cycled across nodes
 	// (e.g. "quad,biglittle" alternates 4-core and 8-core chips). Names
-	// match cmd/sbsim: quad | biglittle | scaling:<n>.
+	// are scenario.Platform's: quad | biglittle | scaling:<n>.
 	Profile string
-	// Balancer is the intra-node balancer every node runs
-	// (smartbalance | vanilla | gts | iks | pinned).
+	// Balancer is the intra-node balancer every node runs, resolved by
+	// scenario.Balancer (smartbalance | vanilla | gts | iks | pinned).
 	Balancer string
 	// Policy picks the dispatcher (rr | least | energy).
 	Policy string
@@ -241,7 +241,8 @@ func (f *Fleet) Telemetry() *telemetry.Collector { return f.tel }
 
 // Run executes the whole fleet simulation: admit arrivals for
 // DurationNs in TickNs windows, then drain in-flight requests for up
-// to DrainNs more, and distill the result.
+// to DrainNs more, check every node's kernel invariants (the first
+// violation in node-ID order fails the run), and distill the result.
 //
 // Each tick is: draw the window's arrivals (serial) → step every node
 // to the window's end (parallel-safe) → harvest completions in node-ID
@@ -282,6 +283,11 @@ func (f *Fleet) Run() (*Result, error) {
 		f.recordTick(tick, now, end, 0, completed)
 		now = end
 		tick++
+	}
+	for _, n := range f.nodes {
+		if err := n.kern.CheckInvariants(); err != nil {
+			return nil, fmt.Errorf("fleet: node %d: post-run invariant violation: %w", n.ID, err)
+		}
 	}
 	res := f.result(now)
 	f.exportTelemetry(res)

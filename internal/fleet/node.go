@@ -5,14 +5,10 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"strings"
-	"sync"
 
-	"smartbalance/internal/arch"
-	"smartbalance/internal/balancer"
-	"smartbalance/internal/core"
 	"smartbalance/internal/kernel"
 	"smartbalance/internal/machine"
+	"smartbalance/internal/scenario"
 	"smartbalance/internal/telemetry"
 	"smartbalance/internal/workload"
 )
@@ -83,11 +79,11 @@ const (
 // the predictor-training seed (shared fleet-wide so same-platform nodes
 // reuse one memoised fit).
 func newNode(id int, platName, balName string, trainSeed, kernelSeed, annealSeed uint64, tel *telemetry.Collector) (*Node, error) {
-	plat, err := buildPlatform(platName)
+	plat, err := scenario.Platform(platName)
 	if err != nil {
 		return nil, err
 	}
-	bal, err := buildBalancer(balName, plat, trainSeed, annealSeed)
+	bal, err := scenario.Balancer(balName, plat, trainSeed, annealSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -231,75 +227,4 @@ func quantile(sorted []int64, q float64) int64 {
 // requestName labels a request's thread, e.g. "r184.api".
 func requestName(rq Request) string {
 	return "r" + strconv.FormatUint(rq.ID, 10) + "." + rq.Class
-}
-
-// buildPlatform resolves a node platform name, matching cmd/sbsim's
-// vocabulary.
-func buildPlatform(name string) (*arch.Platform, error) {
-	switch {
-	case name == "quad":
-		return arch.QuadHMP(), nil
-	case name == "biglittle":
-		return arch.OctaBigLittle(), nil
-	case strings.HasPrefix(name, "scaling:"):
-		nc, err := strconv.Atoi(strings.TrimPrefix(name, "scaling:"))
-		if err != nil {
-			return nil, fmt.Errorf("fleet: bad scaling core count in %q: %v", name, err)
-		}
-		return arch.ScalingHMP(nc)
-	}
-	return nil, fmt.Errorf("fleet: unknown platform %q (quad | biglittle | scaling:<n>)", name)
-}
-
-// buildBalancer resolves a node's intra-chip balancer.
-func buildBalancer(name string, plat *arch.Platform, trainSeed, annealSeed uint64) (kernel.Balancer, error) {
-	switch name {
-	case "smartbalance":
-		pred, err := trainedPredictor(plat.Types, trainSeed)
-		if err != nil {
-			return nil, err
-		}
-		cfg := core.DefaultConfig()
-		cfg.Anneal.Seed = annealSeed
-		return core.New(pred, cfg)
-	case "vanilla":
-		return balancer.Vanilla{}, nil
-	case "gts":
-		return balancer.NewGTS(plat)
-	case "iks":
-		return balancer.NewIKS(plat)
-	case "pinned":
-		return balancer.Pinned{}, nil
-	}
-	return nil, fmt.Errorf("fleet: unknown balancer %q (smartbalance | vanilla | gts | iks | pinned)", name)
-}
-
-// predictorEntry is one memoised training run.
-type predictorEntry struct {
-	once sync.Once
-	pred *core.Predictor
-	err  error
-}
-
-// predictorCache memoises trained predictors per (core-type set,
-// seed), exactly like the sweep engine's: training is a pure function
-// of both, so memoisation cannot change any result — it only stops N
-// same-platform nodes from redoing one identical fit.
-var predictorCache sync.Map
-
-// trainedPredictor trains (or reuses) the predictor for the type set.
-func trainedPredictor(types []arch.CoreType, seed uint64) (*core.Predictor, error) {
-	names := make([]string, len(types))
-	for i := range types {
-		names[i] = types[i].Name
-	}
-	key := fmt.Sprintf("%s|%d", strings.Join(names, ","), seed)
-	v, _ := predictorCache.LoadOrStore(key, &predictorEntry{})
-	e := v.(*predictorEntry)
-	e.once.Do(func() {
-		tc := core.DefaultTrainConfig()
-		tc.Seed = seed
-		e.pred, e.err = core.Train(types, tc)
-	})
-	return e.pred, e.err
 }

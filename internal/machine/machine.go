@@ -48,10 +48,12 @@ type ThreadState struct {
 type Options struct {
 	// BusBandwidthGBps, when positive, enables the shared-memory-bus
 	// contention model of the paper's Section 5 platform ("the cores
-	// are connected to the main memory through a shared bus"):
-	// aggregate L2-miss traffic (the misses that escape each core's
-	// private L2) across all cores inflates everyone's effective memory
-	// latency with an M/M/1-style queueing factor.
+	// are connected to the main memory through a shared bus"): L2-miss
+	// traffic (the misses that escape each core's private L2) inflates
+	// everyone's effective memory latency with an M/M/1-style queueing
+	// factor. The bus reads one EWMA that folds every core's slices in
+	// event order, so it tracks the mean per-slice rate of whichever
+	// cores are running, not their aggregate (DESIGN.md §15).
 	// Zero disables contention (independent cores).
 	BusBandwidthGBps float64
 	// Contention configures the LLC-domain shared-resource model
@@ -77,8 +79,9 @@ type Machine struct {
 	pm   *powermodel.Platform
 	opts Options
 
-	// busBytesPerNs is the decayed average of L2-miss traffic; 1 GB/s
-	// equals one byte per nanosecond.
+	// busBytesPerNs is the decayed average of per-slice L2-miss
+	// traffic rates over all cores; 1 GB/s equals one byte per
+	// nanosecond.
 	busBytesPerNs float64
 
 	// cont is the LLC-domain contention model; nil when disabled.

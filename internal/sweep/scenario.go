@@ -4,19 +4,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
-	"sync"
 
-	"smartbalance/internal/arch"
-	"smartbalance/internal/balancer"
 	"smartbalance/internal/contention"
-	"smartbalance/internal/core"
 	"smartbalance/internal/fault"
 	"smartbalance/internal/kernel"
 	"smartbalance/internal/machine"
+	"smartbalance/internal/scenario"
 	"smartbalance/internal/telemetry"
-	"smartbalance/internal/workload"
 )
 
 // SchemaVersion participates in every scenario fingerprint. Bump it
@@ -26,11 +20,10 @@ const SchemaVersion = "sbsweep-v1"
 
 // Scenario is one cell of a design-space sweep: a platform, a
 // balancing policy, a workload, and the seed driving every source of
-// randomness in the run. Naming follows cmd/sbsim: platform "quad" |
-// "biglittle" | "scaling:<n>", workload a benchmark name, "MixN", or
-// "imb:<T><I>", balancer "smartbalance" | "smartbalance-blind" |
-// "vanilla" | "gts" | "iks" | "pinned" ("-blind" is the SmartBalance
-// controller denied the contention topology — the A14 baseline).
+// randomness in the run. Platform, workload and balancer names are
+// internal/scenario's vocabulary, plus one sweep-only balancer,
+// "smartbalance-blind": the SmartBalance controller denied the
+// contention topology (the A14 baseline).
 type Scenario struct {
 	Platform   string `json:"platform"`
 	Balancer   string `json:"balancer"`
@@ -176,10 +169,6 @@ type Outcome struct {
 	Epochs       int      `json:"epochs"`
 }
 
-// faultSeedTag decorrelates the fault injector's seed stream from the
-// kernel's for the same scenario seed.
-const faultSeedTag = 0xFA_17_1A_9E_5D
-
 // RunScenario executes one scenario end to end: resolve the platform,
 // workload, and balancer, simulate for the scenario's duration, check
 // kernel invariants, and distill the run statistics.
@@ -197,19 +186,27 @@ func RunScenarioObserved(sc Scenario, tel *telemetry.Collector) (*Outcome, error
 	return runScenario(sc, tel)
 }
 
+// runScenario resolves the scenario's names, runs it through
+// scenario.Run and distills the outcome.
 func runScenario(sc Scenario, tel *telemetry.Collector) (*Outcome, error) {
 	if err := sc.validate(); err != nil {
 		return nil, err
 	}
-	plat, err := buildPlatform(sc.Platform)
+	plat, err := scenario.Platform(sc.Platform)
 	if err != nil {
 		return nil, err
 	}
-	specs, err := buildWorkload(sc.Workload, sc.Threads, sc.Seed)
+	specs, err := scenario.Workload(sc.Workload, sc.Threads, sc.Seed)
 	if err != nil {
 		return nil, err
 	}
-	bal, err := buildBalancer(sc.Balancer, plat, sc.Seed)
+	// "-blind" runs the same controller on the same contended machine;
+	// Run just never calls SetContention on it.
+	balName, aware := sc.Balancer, true
+	if balName == "smartbalance-blind" {
+		balName, aware = "smartbalance", false
+	}
+	bal, err := scenario.Balancer(balName, plat, sc.Seed, sc.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -217,63 +214,26 @@ func runScenario(sc Scenario, tel *telemetry.Collector) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, err := machine.NewWithOptions(plat, machine.Options{Contention: cspec})
+	cfg := kernel.DefaultConfig()
+	cfg.Seed = sc.Seed
+	plan, err := fault.ParsePlan(sc.Fault)
 	if err != nil {
 		return nil, err
 	}
-	if sc.Balancer != "smartbalance-blind" {
-		// Contention-aware controllers read the machine's domain model;
-		// the "-blind" arm runs the same controller with the same ground
-		// truth but never learns the topology (the A14 baseline).
-		if aware, ok := bal.(interface {
-			SetContention(*contention.Model)
-		}); ok {
-			aware.SetContention(m.Contention())
-		}
-	}
-	cfg := kernel.DefaultConfig()
-	cfg.Seed = sc.Seed
-	if sc.Fault != "" {
-		plan, err := fault.ParsePlan(sc.Fault)
+	if !plan.IsZero() {
+		inj, err := fault.New(plan, fault.SeedFor(sc.Seed))
 		if err != nil {
 			return nil, err
 		}
-		if !plan.IsZero() {
-			// The injector seed derives from the scenario seed (xor a
-			// fixed tag to decorrelate it from the kernel's stream), so
-			// one seed knob reproduces the whole faulty run.
-			inj, err := fault.New(plan, sc.Seed^faultSeedTag)
-			if err != nil {
-				return nil, err
-			}
-			cfg.Faults = inj
-		}
-	}
-	k, err := kernel.New(m, bal, cfg)
-	if err != nil {
-		return nil, err
+		cfg.Faults = inj
 	}
 	if tel != nil {
 		tel.SetMeta("scenario", sc.Key())
-		k.AddObserver(telemetry.KernelObserver(tel))
-		if sink, ok := bal.(interface {
-			SetTelemetry(*telemetry.Collector)
-		}); ok {
-			sink.SetTelemetry(tel)
-		}
 	}
-	for i := range specs {
-		if _, err := k.Spawn(&specs[i]); err != nil {
-			return nil, err
-		}
-	}
-	if err := k.Run(sc.DurationNs); err != nil {
+	st, err := scenario.Run(plat, bal, specs, sc.DurationNs, cfg, machine.Options{Contention: cspec}, aware, tel)
+	if err != nil {
 		return nil, err
 	}
-	if err := k.CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("sweep: post-run invariant violation: %w", err)
-	}
-	st := k.Stats()
 	return &Outcome{
 		Scenario:     sc,
 		EnergyEff:    st.EnergyEfficiency(),
@@ -324,119 +284,4 @@ func DecodeOutcome(data []byte) (*Outcome, error) {
 		return nil, fmt.Errorf("sweep: undecodable outcome: %w", err)
 	}
 	return &out, nil
-}
-
-// buildPlatform resolves a platform name.
-func buildPlatform(name string) (*arch.Platform, error) {
-	switch {
-	case name == "quad":
-		return arch.QuadHMP(), nil
-	case name == "biglittle":
-		return arch.OctaBigLittle(), nil
-	case strings.HasPrefix(name, "scaling:"):
-		n, err := strconv.Atoi(strings.TrimPrefix(name, "scaling:"))
-		if err != nil {
-			return nil, fmt.Errorf("sweep: bad scaling core count in %q: %v", name, err)
-		}
-		return arch.ScalingHMP(n)
-	}
-	return nil, fmt.Errorf("sweep: unknown platform %q (quad | biglittle | scaling:<n>)", name)
-}
-
-// buildWorkload resolves a workload name into thread specs.
-func buildWorkload(name string, threads int, seed uint64) ([]workload.ThreadSpec, error) {
-	if strings.HasPrefix(name, workload.SynthPrefix) {
-		return workload.Synth(name, threads, seed)
-	}
-	if strings.HasPrefix(name, "imb:") {
-		code := strings.TrimPrefix(name, "imb:")
-		// Accept both "HTMI" and "HM" forms, as cmd/sbsim does.
-		code = strings.ReplaceAll(strings.ReplaceAll(code, "T", ""), "I", "")
-		if len(code) != 2 {
-			return nil, fmt.Errorf("sweep: bad IMB code %q (want e.g. imb:HTMI)", name)
-		}
-		tl, err := parseLevel(code[:1])
-		if err != nil {
-			return nil, err
-		}
-		il, err := parseLevel(code[1:])
-		if err != nil {
-			return nil, err
-		}
-		return workload.IMB(tl, il, threads, seed)
-	}
-	for _, m := range workload.MixNames() {
-		if m == name {
-			return workload.Mix(name, threads, seed)
-		}
-	}
-	return workload.Benchmark(name, threads, seed)
-}
-
-// parseLevel resolves an IMB level letter.
-func parseLevel(s string) (workload.Level, error) {
-	switch strings.ToUpper(s) {
-	case "H":
-		return workload.High, nil
-	case "M":
-		return workload.Medium, nil
-	case "L":
-		return workload.Low, nil
-	}
-	return 0, fmt.Errorf("sweep: unknown IMB level %q", s)
-}
-
-// buildBalancer resolves a balancer name for the platform.
-func buildBalancer(name string, plat *arch.Platform, seed uint64) (kernel.Balancer, error) {
-	switch name {
-	case "smartbalance", "smartbalance-blind":
-		pred, err := trainedPredictor(plat.Types, seed)
-		if err != nil {
-			return nil, err
-		}
-		cfg := core.DefaultConfig()
-		cfg.Anneal.Seed = seed
-		return core.New(pred, cfg)
-	case "vanilla":
-		return balancer.Vanilla{}, nil
-	case "gts":
-		return balancer.NewGTS(plat)
-	case "iks":
-		return balancer.NewIKS(plat)
-	case "pinned":
-		return balancer.Pinned{}, nil
-	}
-	return nil, fmt.Errorf("sweep: unknown balancer %q (smartbalance | smartbalance-blind | vanilla | gts | iks | pinned)", name)
-}
-
-// predictorEntry is one memoised training run.
-type predictorEntry struct {
-	once sync.Once
-	pred *core.Predictor
-	err  error
-}
-
-// predictorCache memoises trained predictors per (core-type set, seed).
-// Training is a pure function of both, so memoisation cannot change any
-// result — it only stops concurrent scenarios on the same platform from
-// redoing an identical fit.
-var predictorCache sync.Map
-
-// trainedPredictor trains (or reuses) the predictor for the type set.
-func trainedPredictor(types []arch.CoreType, seed uint64) (*core.Predictor, error) {
-	// The key preserves type order: CoreTypeID is positional, so the
-	// same set in a different order is a different predictor.
-	names := make([]string, len(types))
-	for i := range types {
-		names[i] = types[i].Name
-	}
-	key := fmt.Sprintf("%s|%d", strings.Join(names, ","), seed)
-	v, _ := predictorCache.LoadOrStore(key, &predictorEntry{})
-	e := v.(*predictorEntry)
-	e.once.Do(func() {
-		tc := core.DefaultTrainConfig()
-		tc.Seed = seed
-		e.pred, e.err = core.Train(types, tc)
-	})
-	return e.pred, e.err
 }

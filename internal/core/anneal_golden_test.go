@@ -36,6 +36,7 @@ type goldenCase struct {
 	Weights    bool
 	UseFloat   bool
 	Warm       bool // slow-cooling schedule: many downhill acceptances
+	Ties       bool // utilisations repeat exactly, mostly at 1.0
 	Seed       uint64
 }
 
@@ -56,6 +57,9 @@ func (c goldenCase) name() string {
 	if c.Warm {
 		s += "-warm"
 	}
+	if c.Ties {
+		s += "-ties"
+	}
 	return fmt.Sprintf("%s-s%d", s, c.Seed)
 }
 
@@ -73,6 +77,12 @@ type goldenOutcome struct {
 // goldenCases covers every ObjectiveMode with contention on and off, m
 // from 1 to 16 on 1 to 8 cores, and rotates affinity masks, weights,
 // the float Metropolis rule and a warm schedule across the table.
+//
+// The tie cases put four to eight threads on each core with
+// utilisations that repeat exactly, mostly 1.0 as Mix1's threads do.
+// Tied demands make coreShareInto's stable sort, and so the order of a
+// core's member list, decide which thread takes each rounded share:
+// the continuous draws of the other cases never exercise that order.
 func goldenCases() []goldenCase {
 	var cases []goldenCase
 	idx := 0
@@ -94,6 +104,22 @@ func goldenCases() []goldenCase {
 			}
 		}
 	}
+	for _, shape := range [][2]int{{16, 4}, {24, 3}} {
+		for _, mode := range []ObjectiveMode{GlobalRatio, PerCoreRatioSum, MaxThroughput} {
+			for _, cont := range []bool{false, true} {
+				cases = append(cases, goldenCase{
+					M:          shape[0],
+					N:          shape[1],
+					Mode:       mode,
+					Contention: cont,
+					Warm:       idx%2 == 1,
+					Ties:       true,
+					Seed:       uint64(1000 + idx),
+				})
+				idx++
+			}
+		}
+	}
 	return cases
 }
 
@@ -102,6 +128,16 @@ func (c goldenCase) build() (*Problem, Allocation, AnnealConfig) {
 	r := rng.New(c.Seed)
 	p := randomProblem(r, c.M, c.N)
 	p.Mode = c.Mode
+	if c.Ties {
+		shared := [...]float64{0.25, 0.5, 0.75}
+		for i := range p.Util {
+			if r.Float64() < 0.7 {
+				p.Util[i] = 1
+			} else {
+				p.Util[i] = shared[r.Intn(len(shared))]
+			}
+		}
+	}
 	if c.Contention {
 		p.Contention = randomContention(r, c.M, c.N)
 	}

@@ -149,7 +149,7 @@ func (a *Annealer) Run(prob *Problem, initial Allocation, cfg AnnealConfig) (*An
 	accept := cfg.Accept * scale
 	perturb := cfg.Perturb
 
-	a.best = growAlloc(a.best, len(eval.alloc))
+	a.best = grow(a.best, len(eval.alloc))
 	copy(a.best, eval.alloc)
 	bestScore := eval.Objective()
 	a.res = AnnealResult{Initial: bestScore}
@@ -157,13 +157,6 @@ func (a *Annealer) Run(prob *Problem, initial Allocation, cfg AnnealConfig) (*An
 
 	for iter := 0; iter < cfg.MaxIter; iter++ {
 		res.Iterations++
-		// Move generation. The perturbation magnitude bounds how far the
-		// new core index may land from the current one (Algorithm 1's
-		// pos_new = pos + sqrt(perturb)*randi(...)).
-		span := int(math.Sqrt(perturb)*float64(n)) + 1
-		if span > n {
-			span = n
-		}
 		// The candidate move is carried in plain locals and applied in an
 		// explicit branch — a closure here would allocate every iteration.
 		var diff float64
@@ -187,6 +180,13 @@ func (a *Annealer) Run(prob *Problem, initial Allocation, cfg AnnealConfig) (*An
 			diff = eval.SwapDelta(i, j)
 			isSwap, mvI, mvJ = true, i, j
 		} else {
+			// The perturbation magnitude bounds how far the new core
+			// index may land from the current one (Algorithm 1's
+			// pos_new = pos + sqrt(perturb)*randi(...)).
+			span := int(math.Sqrt(perturb)*float64(n)) + 1
+			if span > n {
+				span = n
+			}
 			i := r.Intn(m)
 			cur := int(eval.alloc[i])
 			// |off| <= span <= n, so one compare-and-adjust wraps dst into

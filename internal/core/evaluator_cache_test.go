@@ -68,6 +68,40 @@ func checkCaches(t *testing.T, e *Evaluator, ctx string) {
 	}
 }
 
+// checkMemo asserts that every edit-memo entry tagged with its core's
+// current stamp equals, bit for bit, a fresh coreEval of the member
+// list it stands for, and returns how many entries are current.
+func checkMemo(t *testing.T, e *Evaluator, ctx string) int {
+	t.Helper()
+	n := len(e.stamp)
+	same := func(edit string, i int, m editMemo, j int, list []int) {
+		t.Helper()
+		g, w := e.coreEval(j, list)
+		if math.Float64bits(g) != math.Float64bits(m.gips) || math.Float64bits(w) != math.Float64bits(m.power) {
+			t.Fatalf("%s: memo of core %d %s thread %d holds (%v, %v), fresh evaluation of %v gives (%v, %v)", ctx, j, edit, i, m.gips, m.power, list, g, w)
+		}
+	}
+	current := 0
+	for i, c := range e.alloc {
+		if m := e.without[i]; m.stamp == e.stamp[c] {
+			same("without", i, m, int(c), removeInPlace(append([]int(nil), e.byCore[c]...), i))
+			current++
+		}
+		for j := 0; j < n; j++ {
+			m := e.with[i*n+j]
+			if m.stamp != e.stamp[j] {
+				continue
+			}
+			if arch.CoreID(j) == c {
+				t.Fatalf("%s: memo with thread %d on its own core %d is current", ctx, i, j)
+			}
+			same("with", i, m, j, append(append([]int(nil), e.byCore[j]...), i))
+			current++
+		}
+	}
+	return current
+}
+
 // TestEvaluatorCacheConsistency drives random sequences of previews
 // and commits — matched, with no preview, and with a preview of one
 // candidate followed by a commit of another — and checks after every
@@ -83,6 +117,12 @@ func TestEvaluatorCacheConsistency(t *testing.T) {
 		if trial%2 == 1 {
 			p.Contention = randomContention(r, m, n)
 		}
+		if trial%4 >= 2 {
+			// Tied demands, mostly at full demand, as Mix1's threads.
+			for i := range p.Util {
+				p.Util[i] = [...]float64{1, 1, 1, 0.5, 0.25}[r.Intn(5)]
+			}
+		}
 		alloc := make(Allocation, m)
 		for i := range alloc {
 			alloc[i] = arch.CoreID(r.Intn(n))
@@ -92,7 +132,9 @@ func TestEvaluatorCacheConsistency(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkCaches(t, e, "reset")
+		checkMemo(t, e, "reset")
 		randMove := func() (int, arch.CoreID) { return r.Intn(m), arch.CoreID(r.Intn(n)) }
+		served := 0
 		for step := 0; step < 80; step++ {
 			// Optionally leave a preview behind: of the committed
 			// candidate, or of an unrelated one.
@@ -114,6 +156,7 @@ func TestEvaluatorCacheConsistency(t *testing.T) {
 				}
 			}
 			checkCaches(t, e, "after preview")
+			served += checkMemo(t, e, "after preview")
 			before := uncachedFold(e)
 			var got float64
 			if swap {
@@ -122,9 +165,13 @@ func TestEvaluatorCacheConsistency(t *testing.T) {
 				got = e.Move(i, dst)
 			}
 			checkCaches(t, e, "after commit")
+			served += checkMemo(t, e, "after commit")
 			if want := uncachedFold(e) - before; math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("trial %d step %d: commit returned %v, uncached folds differ by %v", trial, step, got, want)
 			}
+		}
+		if m > 1 && n > 1 && served == 0 {
+			t.Fatalf("trial %d: no memo entry was ever current", trial)
 		}
 		// A Reset onto a different allocation must drop the old preview.
 		i, dst := randMove()
@@ -137,5 +184,77 @@ func TestEvaluatorCacheConsistency(t *testing.T) {
 		}
 		e.Move(i, dst)
 		checkCaches(t, e, "commit after reset")
+		checkMemo(t, e, "commit after reset")
+	}
+}
+
+// TestEvaluatorMemoNeverServesStaleEdits fills the edit memo, then
+// checks the two ways an entry could outlive its core state: a Reset
+// to a different problem of the same shape, after which no entry may
+// be current, and a thread that leaves its core and returns within one
+// run, whose removal must be scored again.
+func TestEvaluatorMemoNeverServesStaleEdits(t *testing.T) {
+	r := rng.New(977)
+	const m, n = 9, 3
+	for trial := 0; trial < 20; trial++ {
+		p := randomProblem(r, m, n)
+		if trial%2 == 1 {
+			p.Contention = randomContention(r, m, n)
+		}
+		alloc := make(Allocation, m)
+		for i := range alloc {
+			alloc[i] = arch.CoreID(i % n)
+		}
+		e, err := NewEvaluator(p, alloc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				e.MoveDelta(i, arch.CoreID(j))
+			}
+		}
+		if got := checkMemo(t, e, "filled"); got != m*n {
+			t.Fatalf("trial %d: %d current entries after scoring every move, want %d", trial, got, m*n)
+		}
+
+		// Leave and return: thread 0 moves away and back, so its core
+		// holds the same members again but must not reuse the removal
+		// scored before it left.
+		home := e.alloc[0]
+		away := (home + 1) % n
+		before := e.without[0]
+		e.Move(0, away)
+		e.Move(0, home)
+		if e.without[0].stamp == e.stamp[home] {
+			t.Fatalf("trial %d: removal memo of a returned thread is current before re-scoring", trial)
+		}
+		e.MoveDelta(0, away)
+		after := e.without[0]
+		if after.stamp == before.stamp || after.stamp != e.stamp[home] {
+			t.Fatalf("trial %d: returned thread's removal was not re-scored (stamp %d -> %d, core stamp %d)", trial, before.stamp, after.stamp, e.stamp[home])
+		}
+		checkMemo(t, e, "after return")
+
+		// Reset to a different problem of the same shape.
+		q := randomProblem(r, m, n)
+		if err := e.Reset(q, alloc); err != nil {
+			t.Fatal(err)
+		}
+		if got := checkMemo(t, e, "after reset"); got != 0 {
+			t.Fatalf("trial %d: %d memo entries survive a Reset", trial, got)
+		}
+		fresh, err := NewEvaluator(q, alloc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				got, want := e.MoveDelta(i, arch.CoreID(j)), fresh.MoveDelta(i, arch.CoreID(j))
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d: MoveDelta(%d, %d) after Reset %v, fresh evaluator %v", trial, i, j, got, want)
+				}
+			}
+		}
 	}
 }

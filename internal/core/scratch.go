@@ -6,56 +6,21 @@ package core
 // steady-state epochs allocate nothing. The grow helpers return stale
 // contents on the fast path — callers must overwrite every element.
 
-// growFloats returns s resized to n, reallocating only when capacity
-// is insufficient. Contents are unspecified.
-func growFloats(s []float64, n int) []float64 {
+// grow returns s resized to n, reallocating only when capacity is
+// insufficient. Contents are unspecified.
+func grow[S ~[]E, E any](s S, n int) S {
 	if cap(s) < n {
-		return make([]float64, n) //sbvet:allow hotpath(scratch grows to the high-water mark once; steady-state epochs reuse it)
+		return make(S, n) //sbvet:allow hotpath(scratch grows to the high-water mark once; steady-state epochs reuse it)
 	}
 	return s[:n]
 }
 
-// growInts returns s resized to n; contents are unspecified.
-func growInts(s []int, n int) []int {
+// growRows returns s resized to n rows, keeping existing row headers
+// (and so each row's backing capacity) where possible. Row contents
+// are unspecified; callers re-point or truncate every row.
+func growRows[S ~[]E, E any](s S, n int) S {
 	if cap(s) < n {
-		return make([]int, n) //sbvet:allow hotpath(scratch grows to the high-water mark once; steady-state epochs reuse it)
-	}
-	return s[:n]
-}
-
-// growAlloc returns s resized to n; contents are unspecified.
-func growAlloc(s Allocation, n int) Allocation {
-	if cap(s) < n {
-		return make(Allocation, n) //sbvet:allow hotpath(scratch grows to the high-water mark once; steady-state epochs reuse it)
-	}
-	return s[:n]
-}
-
-// growBools returns s resized to n; contents are unspecified.
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n) //sbvet:allow hotpath(scratch grows to the high-water mark once; steady-state epochs reuse it)
-	}
-	return s[:n]
-}
-
-// growFloatRows returns s resized to n rows, keeping existing row
-// headers (and their backing capacity) where possible. Row contents
-// are unspecified; callers re-point every row.
-func growFloatRows(s [][]float64, n int) [][]float64 {
-	if cap(s) < n {
-		grown := make([][]float64, n) //sbvet:allow hotpath(scratch grows to the high-water mark once; steady-state epochs reuse it)
-		copy(grown, s)
-		return grown
-	}
-	return s[:n]
-}
-
-// growIntRows returns s resized to n rows, keeping existing row
-// headers so per-row capacity survives reuse across epochs.
-func growIntRows(s [][]int, n int) [][]int {
-	if cap(s) < n {
-		grown := make([][]int, n) //sbvet:allow hotpath(scratch grows to the high-water mark once; steady-state epochs reuse it)
+		grown := make(S, n) //sbvet:allow hotpath(scratch grows to the high-water mark once; steady-state epochs reuse it)
 		copy(grown, s)
 		return grown
 	}

@@ -292,8 +292,8 @@ func (s *SmartBalance) fillContentionTerm(t *ContentionTerm, plat *arch.Platform
 	if t.MaxBWUtil > contMaxBWUtilIPS {
 		t.MaxBWUtil = contMaxBWUtilIPS
 	}
-	t.WsKB = growFloats(t.WsKB, len(meas))
-	t.BwGBps = growFloats(t.BwGBps, len(meas))
+	t.WsKB = grow(t.WsKB, len(meas))
+	t.BwGBps = grow(t.BwGBps, len(meas))
 	for i := range meas {
 		mm := &meas[i]
 		ct := &plat.Types[mm.SrcType]
@@ -332,14 +332,14 @@ func (s *SmartBalance) fillContentionTerm(t *ContentionTerm, plat *arch.Platform
 func (s *SmartBalance) normalizeContentionIPS(t *ContentionTerm, ips [][]float64, meas []Measurement) {
 	nd := len(t.DomLLCKB)
 	n := len(t.DomainOf)
-	s.contCurWs = growFloats(s.contCurWs, nd)
-	s.contCurBw = growFloats(s.contCurBw, nd)
+	s.contCurWs = grow(s.contCurWs, nd)
+	s.contCurBw = grow(s.contCurBw, nd)
 	for d := 0; d < nd; d++ {
 		s.contCurWs[d] = 0
 		s.contCurBw[d] = 0
 	}
-	s.contCoreWs = growFloats(s.contCoreWs, n)
-	s.contCoreBw = growFloats(s.contCoreBw, n)
+	s.contCoreWs = grow(s.contCoreWs, n)
+	s.contCoreBw = grow(s.contCoreBw, n)
 	for c := 0; c < n; c++ {
 		s.contCoreWs[c] = 0
 		s.contCoreBw[c] = 0
@@ -523,12 +523,8 @@ func (s *SmartBalance) Rebalance(k *kernel.Kernel, now kernel.Time,
 	s.optTasks, s.meas = optTasks, meas
 	// Drop measurements of exited threads.
 	if len(s.lastMeasure) > 2*len(tasks)+16 {
-		alive := make(map[kernel.ThreadID]bool, len(tasks)) //sbvet:allow hotpath(exited-thread reclamation runs only when the retained map outgrows the live set by 2x)
-		for _, task := range tasks {
-			alive[task.ID] = true
-		}
 		for id := range s.lastMeasure { //sbvet:allow hotpath(reclamation branch; bounded by the retained-measurement map and entered rarely)
-			if !alive[id] {
+			if t := k.Task(id); t == nil || t.State() == kernel.StateFinished {
 				delete(s.lastMeasure, id)
 				delete(s.lastGood, id)
 			}
@@ -595,7 +591,7 @@ func (s *SmartBalance) Rebalance(k *kernel.Kernel, now kernel.Time,
 
 	// ---- Phase 3: balance — Algorithm 1 over allocations. ----
 	t2 := s.clock.Now()
-	s.initial = growAlloc(s.initial, len(optTasks))
+	s.initial = grow(s.initial, len(optTasks))
 	for i, task := range optTasks {
 		s.initial[i] = task.Core()
 	}
@@ -679,14 +675,14 @@ func (s *SmartBalance) buildProblem(plat *arch.Platform, k *kernel.Kernel, meas 
 		s.fillContentionTerm(&s.contTerm, plat, meas)
 		prob.Contention = &s.contTerm
 	}
-	prob.Util = growFloats(prob.Util, m)
-	prob.IdlePower = growFloats(prob.IdlePower, n)
-	prob.IPS = growFloatRows(prob.IPS, m)
-	prob.Power = growFloatRows(prob.Power, m)
-	s.ipsBuf = growFloats(s.ipsBuf, m*n)
-	s.powBuf = growFloats(s.powBuf, m*n)
-	s.ipsByType = growFloats(s.ipsByType, q)
-	s.powByType = growFloats(s.powByType, q)
+	prob.Util = grow(prob.Util, m)
+	prob.IdlePower = grow(prob.IdlePower, n)
+	prob.IPS = growRows(prob.IPS, m)
+	prob.Power = growRows(prob.Power, m)
+	s.ipsBuf = grow(s.ipsBuf, m*n)
+	s.powBuf = grow(s.powBuf, m*n)
+	s.ipsByType = grow(s.ipsByType, q)
+	s.powByType = grow(s.powByType, q)
 	pm := k.Machine().PowerModels()
 	for j := 0; j < n; j++ {
 		prob.IdlePower[j] = pm.ForType(plat.TypeID(arch.CoreID(j))).SleepW()

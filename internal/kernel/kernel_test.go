@@ -659,3 +659,58 @@ func TestByBenchmark(t *testing.T) {
 		t.Fatal("groups not sorted")
 	}
 }
+
+// TestActiveTasksFollowTheLiveSet spawns short tasks across many
+// epochs, next to long-lived ones, so tasks exit between most
+// boundaries. At every boundary ActiveTasks must equal the spawn-order
+// filter of the non-finished tasks, and the compacted live list must
+// hold exactly those tasks.
+func TestActiveTasksFollowTheLiveSet(t *testing.T) {
+	boundaries := 0
+	check := func(k *Kernel, _ Time, _ []hpc.ThreadSample, _ []hpc.CoreEpochSample) {
+		boundaries++
+		var want []ThreadID
+		for _, task := range k.Tasks() {
+			if task.State() != StateFinished {
+				want = append(want, task.ID)
+			}
+		}
+		got := k.ActiveTasks()
+		if len(got) != len(want) || len(k.live) != len(want) {
+			t.Fatalf("boundary %d: %d active, %d live, want %d", boundaries, len(got), len(k.live), len(want))
+		}
+		for i, id := range want {
+			if got[i].ID != id || k.live[i].ID != id {
+				t.Fatalf("boundary %d, slot %d: active %d, live %d, want %d", boundaries, i, got[i].ID, k.live[i].ID, id)
+			}
+		}
+	}
+	k := newKernel(t, arch.QuadHMP(), balancerFunc(check))
+	for step := 0; step < 60; step++ {
+		for i := 0; i < 3; i++ {
+			spec := busySpec("short")
+			spec.Phases[0].Instructions = uint64(1+(step+i)%7) * 1e6
+			spec.Repeats = 1
+			if _, err := k.Spawn(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if step%10 == 0 {
+			if _, err := k.Spawn(busySpec("long")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := k.Run(k.Now() + 17e6); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if boundaries < 10 {
+		t.Fatalf("only %d epoch boundaries", boundaries)
+	}
+	if s := k.Stats(); len(s.Tasks) != 186 || len(k.live) >= len(s.Tasks)/2 {
+		t.Fatalf("%d tasks in stats, %d live: exited tasks were not compacted out", len(s.Tasks), len(k.live))
+	}
+	if err := k.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

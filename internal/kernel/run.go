@@ -205,16 +205,23 @@ func (k *Kernel) handleEpoch() {
 		}
 	}
 	// Flush runnable-time and tracked-load accounting so the balancer
-	// sees up-to-date utilisation. Iterate the spawn-order slice, not the
-	// task map: allocation-free and deterministic.
-	for _, id := range k.order {
-		t := k.tasks[id]
+	// sees up-to-date utilisation, and compact the tasks that exited
+	// since the last boundary out of the live list in place: spawn
+	// order is kept, and nothing allocates.
+	live := 0
+	for _, t := range k.live {
+		if t.taskState == StateFinished {
+			continue
+		}
 		if t.taskState == StateRunnable || t.taskState == StateRunning {
 			t.accrueRunnable(k.now)
 			t.runnableSince = k.now
 		}
 		t.pelt.Observe(k.now)
+		k.live[live] = t
+		live++
 	}
+	k.live = k.live[:live]
 	threads, cores := k.bank.Snapshot()
 	// Slots of tasks that exited during the epoch are reclaimed now that
 	// their final slices are safely copied into the snapshot arenas.
@@ -228,8 +235,7 @@ func (k *Kernel) handleEpoch() {
 		threads, cores = k.cfg.Faults.FilterEpoch(k.epochs, k.now, threads, cores)
 	}
 	k.balancer.Rebalance(k, k.now, threads, cores)
-	for _, id := range k.order {
-		t := k.tasks[id]
+	for _, t := range k.live {
 		t.epochRunNs = 0
 		t.epochRunnableNs = 0
 	}

@@ -193,8 +193,7 @@ func (k *Kernel) Stats() *RunStats {
 			Switches: cr.switches,
 		})
 	}
-	for _, id := range k.order {
-		t := k.tasks[id]
+	for _, t := range k.tasks {
 		s.Tasks = append(s.Tasks, TaskStats{
 			ID:         t.ID,
 			Name:       t.Spec.Name,

@@ -88,7 +88,7 @@ const errFitness = -1e9
 // other sweep consumer; these versions cover only payload shapes that
 // exist solely for the hunt.
 const (
-	obsSchemaVersion       = "sbhunt-obs-v1"
+	obsSchemaVersion       = "sbhunt-obs-v2"
 	fleetHuntSchemaVersion = "sbhunt-fleet-v1"
 )
 

@@ -33,6 +33,7 @@ func (k *Kernel) accountSleep(cr *coreRun, t Time) {
 	cr.sleepNs += dur
 	cr.energyJ += e
 	_ = k.bank.RecordSleep(int(cr.id), dur, e)
+	k.mach.RecordSleep(cr.id, dur)
 }
 
 // dispatch picks and starts the next task on core c, or puts the core

@@ -16,7 +16,7 @@ import (
 // SchemaVersion participates in every scenario fingerprint. Bump it
 // whenever simulation semantics change (kernel, models, balancers), so
 // results cached by an older build are never served for a newer one.
-const SchemaVersion = "sbsweep-v1"
+const SchemaVersion = "sbsweep-v2"
 
 // Scenario is one cell of a design-space sweep: a platform, a
 // balancing policy, a workload, and the seed driving every source of

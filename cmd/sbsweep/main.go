@@ -48,7 +48,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		threads   = fs.String("threads", "4", "comma-separated worker-thread counts")
 		seeds     = fs.String("seeds", "1", "comma-separated seeds; a-b expands the inclusive range")
 		faults    = fs.String("faults", "", `comma-separated fault plans, e.g. "none,drop=0.3;migfail=0.1" (empty sweeps clean)`)
-		contSpecs = fs.String("contentions", "", `comma-separated contention specs, e.g. "none,on" or "none,on,llc=512" (empty sweeps uncontended)`)
+		contSpecs = fs.String("contentions", "", `comma-separated contention specs, e.g. "none,on", "none,on,llc=512" or "none,on,bus=2" (keys llc, bw, bus, slope; bus=<GB/s> adds the chip-wide memory bus; empty sweeps uncontended)`)
 		durMs     = fs.Int64("dur", 1500, "simulated duration per scenario in milliseconds")
 		workers   = fs.Int("workers", 0, "sweep worker pool size (<= 0 selects GOMAXPROCS)")
 		cacheDir  = fs.String("cache", "", "content-addressed result-cache directory (empty disables caching)")

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"slices"
@@ -105,6 +106,45 @@ func TestRunColdWarmIdentical(t *testing.T) {
 		if strings.HasPrefix(l, "sweep_jobs_executed_total ") && l != "sweep_jobs_executed_total 0" {
 			t.Errorf("warm export reports executed jobs: %s", l)
 		}
+	}
+}
+
+// TestRunContentionBusAxis: a bus spec rides the -contentions axis
+// whole, keys its own cell, and its shared memory bus costs the
+// streaming canneal threads energy efficiency.
+func TestRunContentionBusAxis(t *testing.T) {
+	var out, errw bytes.Buffer
+	code := run([]string{
+		"-platforms", "quad", "-balancers", "vanilla", "-workloads", "canneal",
+		"-contentions", "none,on,bus=2", "-json",
+	}, &out, &errw)
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, errw.String())
+	}
+	type row struct {
+		Key     string
+		Error   string
+		Outcome struct {
+			IPSPerWatt float64 `json:"ips_per_watt"`
+		}
+	}
+	var rows []row
+	dec := json.NewDecoder(&out)
+	for dec.More() {
+		var r row
+		if err := dec.Decode(&r); err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, r)
+	}
+	if len(rows) != 2 || rows[0].Error != "" || rows[1].Error != "" {
+		t.Fatalf("want two ok jobs, got %+v", rows)
+	}
+	if !strings.HasSuffix(rows[1].Key, "/c[on,bus=2]") {
+		t.Fatalf("bus cell keyed %q, want suffix /c[on,bus=2]", rows[1].Key)
+	}
+	if free, bus := rows[0].Outcome.IPSPerWatt, rows[1].Outcome.IPSPerWatt; !(bus < free) {
+		t.Fatalf("bus cell IPS/W %g not below the uncontended %g", bus, free)
 	}
 }
 

@@ -15,6 +15,10 @@ func TestSpecStringRoundTrip(t *testing.T) {
 		{Enabled: true, BWGBps: 4},
 		{Enabled: true, MissSlope: 1.5},
 		{Enabled: true, LLCKB: 2048, BWGBps: 12.5, MissSlope: 0.25},
+		{Enabled: true, BusGBps: 2},
+	}
+	if got := (Spec{Enabled: true, BusGBps: 2}).String(); got != "on,bus=2" {
+		t.Fatalf("bus spec renders %q, want \"on,bus=2\"", got)
 	}
 	for _, s := range specs {
 		got, err := ParseSpec(s.String())
@@ -52,6 +56,8 @@ func TestParseSpecRejects(t *testing.T) {
 		"on,llc=2097152", // capacity above 1 GiB
 		"on,bw=-2",       // negative bandwidth
 		"on,bw=4096",     // bandwidth above 1 TB/s
+		"on,bus=-1",      // negative bus bandwidth
+		"on,bus=2000",    // bus bandwidth above 1 TB/s
 		"on,slope=-0.1",  // negative slope
 		"on,slope=9",     // slope above cap
 		"off,llc=64",     // disabled spec with overrides
@@ -66,7 +72,7 @@ func TestParseSpecRejects(t *testing.T) {
 // TestParseSpecRejectsNonFinite: NaN overrides used to validate and
 // then render as plain "on", breaking ParseSpec(s.String()) == s.
 func TestParseSpecRejectsNonFinite(t *testing.T) {
-	for _, p := range []string{"llc", "bw", "slope"} {
+	for _, p := range []string{"llc", "bw", "bus", "slope"} {
 		for _, v := range []string{"NaN", "Inf", "-Inf"} {
 			in := "on," + p + "=" + v
 			if s, err := ParseSpec(in); err == nil {
@@ -82,6 +88,9 @@ func TestParseSpecRejectsNonFinite(t *testing.T) {
 func TestValidateDisabledWithOverrides(t *testing.T) {
 	if err := (Spec{LLCKB: 64}).Validate(); err == nil {
 		t.Fatal("disabled spec with llc override accepted")
+	}
+	if err := (Spec{BusGBps: 2}).Validate(); err == nil {
+		t.Fatal("disabled spec with a bus accepted")
 	}
 }
 
@@ -254,6 +263,43 @@ func TestLatScaleSaturationClamp(t *testing.T) {
 			t.Fatalf("LatScale %v above clamp %v", ls, lim)
 		}
 		prev = ls
+	}
+}
+
+// busUtil reads the bus utilisation back out of core c's LatScale on
+// the quad, whose singleton LLC domains leave only the bus term.
+func busUtil(m *Model, c arch.CoreID) float64 { return 1 - 1/m.LatScale(c) }
+
+// TestBusLoadIsAggregate: the bus queues on the sum of every core's
+// traffic EWMA, a core's own included, so four cores streaming at the
+// same rate load it four times as much as one core does, and every
+// core sees the same bus.
+func TestBusLoadIsAggregate(t *testing.T) {
+	const rate = 1.0 // GB/s == bytes per ns
+	load := func(cores int) *Model {
+		m, err := NewModel(arch.QuadHMP(), Spec{Enabled: true, BusGBps: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 100; i++ {
+			for c := 0; c < cores; c++ {
+				m.RecordSlice(arch.CoreID(c), 1e6, 0, rate*1e6)
+			}
+		}
+		return m
+	}
+	one, four := load(1), load(4)
+	u1 := busUtil(one, 0)
+	if math.Abs(u1-rate/32) > 1e-6 {
+		t.Fatalf("one core at %g GB/s: bus util %g, want %g", rate, u1, rate/32)
+	}
+	if r := busUtil(four, 0) / u1; math.Abs(r-4) > 1e-6 {
+		t.Fatalf("four cores load the bus %gx one core, want 4x", r)
+	}
+	for c := arch.CoreID(1); c < 4; c++ {
+		if one.LatScale(c) != one.LatScale(0) || four.LatScale(c) != four.LatScale(0) {
+			t.Fatalf("core %d sees a different bus than core 0", c)
+		}
 	}
 }
 

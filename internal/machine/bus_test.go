@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"smartbalance/internal/arch"
+	"smartbalance/internal/contention"
 	"smartbalance/internal/perfmodel"
 	"smartbalance/internal/workload"
 )
@@ -20,16 +21,34 @@ func memBoundSpec() *workload.ThreadSpec {
 	}
 }
 
+// busMachine builds a QuadHMP machine whose contention model carries a
+// chip-wide bus of bwGBps (no model at all when bwGBps is zero). The
+// quad's LLC domains hold one core each, so only the bus acts.
+func busMachine(t *testing.T, bwGBps float64) *Machine {
+	t.Helper()
+	var opts Options
+	if bwGBps > 0 {
+		opts.Contention = contention.Spec{Enabled: true, BusGBps: bwGBps}
+	}
+	m, err := NewWithOptions(arch.QuadHMP(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestNewWithOptionsValidation(t *testing.T) {
-	if _, err := NewWithOptions(arch.QuadHMP(), Options{BusBandwidthGBps: -1}); err == nil {
-		t.Fatal("negative bandwidth accepted")
+	if _, err := NewWithOptions(arch.QuadHMP(), Options{
+		Contention: contention.Spec{Enabled: true, BusGBps: -1},
+	}); err == nil {
+		t.Fatal("negative bus bandwidth accepted")
 	}
 }
 
 func TestBusDisabledByDefault(t *testing.T) {
 	m := newMachine(t)
-	if m.MemLatencyScale() != 1 {
-		t.Fatalf("default latency scale %g", m.MemLatencyScale())
+	if m.Contention() != nil {
+		t.Fatal("default machine carries a contention model")
 	}
 	ts, _ := m.NewThreadState(memBoundSpec())
 	for i := 0; i < 50; i++ {
@@ -37,25 +56,23 @@ func TestBusDisabledByDefault(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if m.MemLatencyScale() != 1 {
-		t.Fatal("disabled bus model accumulated contention")
+	if m.Contention() != nil {
+		t.Fatal("default machine grew a contention model")
 	}
 }
 
 func TestBusContentionInflatesLatency(t *testing.T) {
-	// A tightly constrained bus under heavy miss traffic must raise the
-	// latency scale above 1 (and keep it bounded).
-	m, err := NewWithOptions(arch.QuadHMP(), Options{BusBandwidthGBps: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A tightly constrained bus under one core's heavy miss traffic must
+	// raise the latency scale above 1 (and keep it bounded): the bus
+	// counts a core's own traffic.
+	m := busMachine(t, 0.5)
 	ts, _ := m.NewThreadState(memBoundSpec())
 	for i := 0; i < 200; i++ {
 		if _, err := execOn(m, ts, 0, 2e6); err != nil {
 			t.Fatal(err)
 		}
 	}
-	scale := m.MemLatencyScale()
+	scale := m.Contention().LatScale(0)
 	if scale <= 1.02 {
 		t.Fatalf("no contention built up: scale %g", scale)
 	}
@@ -66,10 +83,7 @@ func TestBusContentionInflatesLatency(t *testing.T) {
 
 func TestBusContentionReducesThroughput(t *testing.T) {
 	run := func(bandwidth float64) uint64 {
-		m, err := NewWithOptions(arch.QuadHMP(), Options{BusBandwidthGBps: bandwidth})
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := busMachine(t, bandwidth)
 		// Four memory-bound threads interleaved across all cores,
 		// sharing one bus.
 		states := make([]*ThreadState, 4)
@@ -88,7 +102,7 @@ func TestBusContentionReducesThroughput(t *testing.T) {
 		}
 		return total
 	}
-	free := run(0)     // disabled
+	free := run(0)     // no model
 	tight := run(0.25) // heavily constrained
 	if tight >= free {
 		t.Fatalf("contention did not reduce throughput: %d >= %d", tight, free)
@@ -99,28 +113,25 @@ func TestBusContentionReducesThroughput(t *testing.T) {
 }
 
 func TestBusContentionDecays(t *testing.T) {
-	m, err := NewWithOptions(arch.QuadHMP(), Options{BusBandwidthGBps: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := busMachine(t, 0.5)
 	ts, _ := m.NewThreadState(memBoundSpec())
 	for i := 0; i < 100; i++ {
 		_, _ = execOn(m, ts, 0, 2e6)
 	}
-	loaded := m.MemLatencyScale()
+	loaded := m.Contention().LatScale(0)
 	// Compute-bound traffic afterwards: contention must decay.
 	cs, _ := m.NewThreadState(simpleSpec(1<<40, 0, 0))
 	for i := 0; i < 100; i++ {
 		_, _ = execOn(m, cs, 0, 2e6)
 	}
-	cooled := m.MemLatencyScale()
+	cooled := m.Contention().LatScale(0)
 	if cooled >= loaded {
 		t.Fatalf("contention did not decay: %g -> %g", loaded, cooled)
 	}
 }
 
 func TestEvaluateContendedMonotone(t *testing.T) {
-	// The memory-latency scale the bus model applies raises memory
+	// The memory-latency scale the contention model applies raises memory
 	// stalls, so IPC must fall monotonically on memory-bound code.
 	spec := memBoundSpec()
 	ct := arch.BigCore()

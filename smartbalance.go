@@ -322,8 +322,10 @@ func NewSystemWithConfig(p *Platform, b Balancer, cfg KernelConfig) (*System, er
 	return NewSystemFull(p, b, cfg, MachineOptions{})
 }
 
-// MachineOptions tunes the execution substrate (e.g. the shared-
-// memory-bus contention model).
+// MachineOptions tunes the execution substrate: its one field,
+// Contention, configures the shared-resource contention model (LLC
+// domains, their memory bandwidth and, with BusGBps, the chip-wide
+// memory bus); the zero value disables it.
 type MachineOptions = machine.Options
 
 // NewSystemFull builds a System with explicit kernel configuration and

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"smartbalance/internal/contention"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -250,7 +252,7 @@ func TestDVFSFacade(t *testing.T) {
 
 func TestSystemFullFacade(t *testing.T) {
 	sys, err := NewSystemFull(QuadHMP(), NewVanillaBalancer(), DefaultKernelConfig(),
-		MachineOptions{BusBandwidthGBps: 4})
+		MachineOptions{Contention: contention.Spec{Enabled: true, BusGBps: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +266,7 @@ func TestSystemFullFacade(t *testing.T) {
 		t.Fatalf("kernel_instructions_total = %d, RunStats say %d", got, want)
 	}
 	if _, err := NewSystemFull(QuadHMP(), NewVanillaBalancer(), DefaultKernelConfig(),
-		MachineOptions{BusBandwidthGBps: -1}); err == nil {
+		MachineOptions{Contention: contention.Spec{Enabled: true, BusGBps: -1}}); err == nil {
 		t.Fatal("negative bandwidth accepted")
 	}
 }

@@ -107,38 +107,17 @@ const (
 	llcLineBytes = 64.0
 )
 
-// Sense converts one thread's epoch counter sample into a Measurement,
-// implementing the estimation step of Section 4.2.1: per-thread
-// averages over the L scheduling periods of the epoch. typeOf maps a
-// core id to its type. ok is false when the thread has no usable
-// counters (it slept throughout), in which case the caller falls back
-// to its last known measurement.
-//
-// Sense performs no plausibility checking; balancers exposed to
-// imperfect sensors use SenseChecked.
-func Sense(sample *hpc.ThreadEpochSample, util float64, typeOf func(arch.CoreID) arch.CoreTypeID) (Measurement, bool) {
-	if sample == nil {
-		return Measurement{}, false
-	}
-	coreInt, counters, ok := sample.DominantCore()
-	if !ok || counters.Instructions == 0 || counters.RunNs <= 0 {
-		return Measurement{}, false
-	}
-	core := arch.CoreID(coreInt)
-	return assemble(core, typeOf(core), counters, util), true
-}
-
-// SenseChecked is the hardened estimation step: it assembles the same
-// Measurement as Sense and then validates it against the platform's
-// physical envelope. A sample that is missing or empty yields
-// SenseNoSample; one that is present but implausible — non-finite
-// values, negative energy, a dominant core off the platform, IPC/IPS
-// beyond the core type's peak, power outside (0, 4x peak] — yields
-// SenseInvalid and must not reach Eq. 8-11.
-//
-// On clean sensing SenseChecked is behaviourally identical to Sense:
-// every plausible sample maps to (m, SenseOK) with the exact same
-// Measurement, and every slept epoch to SenseNoSample.
+// SenseChecked converts one thread's epoch counter sample into a
+// Measurement, implementing the estimation step of Section 4.2.1:
+// per-thread averages over the L scheduling periods of the epoch. A
+// sample that is missing or empty (the thread slept throughout) yields
+// SenseNoSample, and the caller falls back to its last known
+// measurement. The step is hardened: the Measurement is validated
+// against the platform's physical envelope, and one that is present
+// but implausible — non-finite values, negative energy, a dominant core
+// off the platform, IPC/IPS beyond the core type's peak, power outside
+// (0, 4x peak] — yields SenseInvalid and must not reach Eq. 8-11. On
+// clean sensing every sample maps to (m, SenseOK) or SenseNoSample.
 //
 //sbvet:hotpath
 func SenseChecked(sample *hpc.ThreadEpochSample, util float64, plat *arch.Platform) (Measurement, SenseStatus) {

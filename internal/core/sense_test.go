@@ -26,9 +26,8 @@ func (s *senseCapture) Name() string { return "sense-capture" }
 func (s *senseCapture) Rebalance(k *kernel.Kernel, _ kernel.Time,
 	threads []hpc.ThreadSample, _ []hpc.CoreEpochSample) {
 	plat := k.Platform()
-	typeOf := func(c arch.CoreID) arch.CoreTypeID { return plat.TypeID(c) }
 	for _, t := range k.ActiveTasks() {
-		if m, ok := Sense(hpc.FindThread(threads, int(t.ID)), t.Utilization(k.Config().EpochNs), typeOf); ok {
+		if m, st := SenseChecked(hpc.FindThread(threads, int(t.ID)), t.Utilization(k.Config().EpochNs), plat); st == SenseOK {
 			s.last[t.ID] = m
 		}
 	}
@@ -148,14 +147,14 @@ func TestSensedMeasurementUnderTimeSharing(t *testing.T) {
 }
 
 func TestSenseSkipsThreadsThatNeverRan(t *testing.T) {
+	plat := arch.QuadHMP()
 	sample := &hpc.ThreadEpochSample{}
-	if _, ok := Sense(sample, 0.2, nil); ok {
-		t.Fatal("empty sample sensed")
+	if _, st := SenseChecked(sample, 0.2, plat); st != SenseNoSample {
+		t.Fatalf("empty sample: status %v, want no sample", st)
 	}
 	// Zero instructions: also rejected.
 	sample.PerCore = append(sample.PerCore, hpc.CoreCounters{Core: 0, C: hpc.Counters{RunNs: 100}})
-	typeOf := func(arch.CoreID) arch.CoreTypeID { return 0 }
-	if _, ok := Sense(sample, 0.2, typeOf); ok {
-		t.Fatal("zero-instruction sample sensed")
+	if _, st := SenseChecked(sample, 0.2, plat); st != SenseNoSample {
+		t.Fatalf("zero-instruction sample: status %v, want no sample", st)
 	}
 }

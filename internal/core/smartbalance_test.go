@@ -106,9 +106,10 @@ func TestSmartBalanceName(t *testing.T) {
 }
 
 func TestSenseFromSample(t *testing.T) {
-	// Sense is exercised end-to-end below; here check the nil path.
-	if _, ok := Sense(nil, 0.5, nil); ok {
-		t.Fatal("nil sample sensed")
+	// SenseChecked is exercised end-to-end below; here check the nil
+	// path.
+	if _, st := SenseChecked(nil, 0.5, arch.QuadHMP()); st != SenseNoSample {
+		t.Fatalf("nil sample: status %v, want no sample", st)
 	}
 }
 

@@ -26,15 +26,6 @@ func ablationWorkloads(quick bool) []string {
 	return []string{"canneal", "swaptions", "Mix1", "Mix5", "Mix6"}
 }
 
-func mkWorkload(name string, threads int, seed uint64) ([]workload.ThreadSpec, error) {
-	for _, m := range workload.MixNames() {
-		if m == name {
-			return workload.Mix(name, threads, seed)
-		}
-	}
-	return workload.Benchmark(name, threads, seed)
-}
-
 // AblationPredictionVsOracle (A1) compares prediction-driven
 // SmartBalance against the oracle-matrix balancer — what the ~10%
 // prediction error actually costs in achieved energy efficiency.
@@ -58,7 +49,7 @@ func AblationPredictionVsOracle(opts Options) (*Result, error) {
 	for _, name := range ablationWorkloads(opts.Quick) {
 		for _, tc := range opts.ThreadCounts {
 			name, tc := name, tc
-			mk := func() ([]workload.ThreadSpec, error) { return mkWorkload(name, tc, opts.Seed) }
+			mk := func() ([]workload.ThreadSpec, error) { return scenario.Workload(name, tc, opts.Seed) }
 			ratio, oracleEE, smartEE, err := eeGain(plat, oracle, smart, mk, opts.DurationNs, opts.Seed)
 			if err != nil {
 				return nil, fmt.Errorf("A1 %s/%d: %w", name, tc, err)

@@ -11,6 +11,7 @@ import (
 	"smartbalance/internal/powermodel"
 	"smartbalance/internal/regress"
 	"smartbalance/internal/rng"
+	"smartbalance/internal/scenario"
 	"smartbalance/internal/stats"
 	"smartbalance/internal/tablefmt"
 	"smartbalance/internal/workload"
@@ -211,7 +212,7 @@ func AblationDVFSHeterogeneity(opts Options) (*Result, error) {
 	for _, name := range workloads {
 		for _, tc := range opts.ThreadCounts {
 			name, tc := name, tc
-			mk := func() ([]workload.ThreadSpec, error) { return mkWorkload(name, tc, opts.Seed) }
+			mk := func() ([]workload.ThreadSpec, error) { return scenario.Workload(name, tc, opts.Seed) }
 			gain, baseEE, testEE, err := eeGain(plat, vanilla, smart, mk, opts.DurationNs, opts.Seed)
 			if err != nil {
 				return nil, fmt.Errorf("A7 %s/%d: %w", name, tc, err)

@@ -46,7 +46,7 @@ func AblationObjectiveGoals(opts Options) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			specs, err := mkWorkload(name, 4, opts.Seed)
+			specs, err := scenario.Workload(name, 4, opts.Seed)
 			if err != nil {
 				return nil, err
 			}

@@ -6,6 +6,7 @@ import (
 	"smartbalance/internal/arch"
 	"smartbalance/internal/balancer"
 	"smartbalance/internal/kernel"
+	"smartbalance/internal/scenario"
 	"smartbalance/internal/stats"
 	"smartbalance/internal/sweep"
 	"smartbalance/internal/tablefmt"
@@ -122,14 +123,6 @@ func Figure4b(opts Options) (*Result, error) {
 	}
 	vanilla := func(*arch.Platform) (kernel.Balancer, error) { return balancer.Vanilla{}, nil }
 
-	isMix := func(name string) bool {
-		for _, m := range workload.MixNames() {
-			if m == name {
-				return true
-			}
-		}
-		return false
-	}
 	// Same fan-out shape as Figure4a: canonical cell expansion, pooled
 	// simulation, in-order aggregation.
 	type f4bCell struct {
@@ -144,12 +137,7 @@ func Figure4b(opts Options) (*Result, error) {
 	}
 	res, err := sweep.Map(opts.Workers, len(cells), func(i int) (eeCell, error) {
 		c := cells[i]
-		mk := func() ([]workload.ThreadSpec, error) {
-			if isMix(c.name) {
-				return workload.Mix(c.name, c.tc, opts.Seed)
-			}
-			return workload.Benchmark(c.name, c.tc, opts.Seed)
-		}
+		mk := func() ([]workload.ThreadSpec, error) { return scenario.Workload(c.name, c.tc, opts.Seed) }
 		gain, baseEE, testEE, err := eeGain(plat, vanilla, smart, mk, opts.DurationNs, opts.Seed)
 		if err != nil {
 			return eeCell{}, fmt.Errorf("F4b %s/%d: %w", c.name, c.tc, err)

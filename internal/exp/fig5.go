@@ -6,6 +6,7 @@ import (
 	"smartbalance/internal/arch"
 	"smartbalance/internal/balancer"
 	"smartbalance/internal/kernel"
+	"smartbalance/internal/scenario"
 	"smartbalance/internal/stats"
 	"smartbalance/internal/sweep"
 	"smartbalance/internal/tablefmt"
@@ -36,15 +37,6 @@ func Figure5(opts Options) (*Result, error) {
 	if opts.Quick {
 		threads = 2
 	}
-	isMix := func(name string) bool {
-		for _, m := range workload.MixNames() {
-			if m == name {
-				return true
-			}
-		}
-		return false
-	}
-
 	// Each workload's three runs (GTS, IKS, SmartBalance) form one
 	// independent cell; cells fan out on the worker pool and aggregate
 	// in workload order.
@@ -53,12 +45,7 @@ func Figure5(opts Options) (*Result, error) {
 	}
 	res, err := sweep.Map(opts.Workers, len(workloads), func(i int) (f5Cell, error) {
 		name := workloads[i]
-		mk := func() ([]workload.ThreadSpec, error) {
-			if isMix(name) {
-				return workload.Mix(name, threads, opts.Seed)
-			}
-			return workload.Benchmark(name, threads, opts.Seed)
-		}
+		mk := func() ([]workload.ThreadSpec, error) { return scenario.Workload(name, threads, opts.Seed) }
 		// GTS baseline run.
 		specs, err := mk()
 		if err != nil {

@@ -36,9 +36,6 @@ type Config struct {
 	Margin float64
 	// Tiers restricts the search ("node", "fleet"); empty hunts both.
 	Tiers []string
-	// MaxCounterexamples caps the minimized corpus (0 = one per
-	// objective, the natural maximum).
-	MaxCounterexamples int
 	// Log receives the canonical hunt log. The log is part of the
 	// determinism contract: byte-identical across runs with equal
 	// seeds, for any Workers. Nil discards it.
@@ -151,14 +148,7 @@ func Run(cfg Config) (*Result, error) {
 		pop = nextGeneration(r, pop, evals, cfg.Population, cfg.Tiers)
 	}
 
-	max := cfg.MaxCounterexamples
-	if max <= 0 || max > len(Objectives) {
-		max = len(Objectives)
-	}
 	for _, obj := range Objectives {
-		if len(res.Counterexamples) >= max {
-			break
-		}
 		b, ok := best[obj]
 		if !ok {
 			continue

@@ -5,7 +5,6 @@ import (
 
 	"smartbalance/internal/arch"
 	"smartbalance/internal/core"
-	"smartbalance/internal/kernel"
 	"smartbalance/internal/machine"
 	"smartbalance/internal/rng"
 	"smartbalance/internal/scenario"
@@ -34,26 +33,38 @@ func AblationPredictionVsOracle(opts Options) (*Result, error) {
 		return nil, err
 	}
 	plat := arch.QuadHMP()
-	smart, err := trainedSmartBalanceFactory(arch.Table2Types(), opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	oracle := func(*arch.Platform) (kernel.Balancer, error) {
-		cfg := core.DefaultConfig()
-		cfg.Anneal.Seed = opts.Seed
-		return core.NewOracle(cfg)
-	}
+	cfg := seededConfig(opts.Seed)
+	ocfg := core.DefaultConfig()
+	ocfg.Anneal.Seed = opts.Seed
 	tb := tablefmt.New("Ablation A1: prediction-driven vs oracle matrices",
 		"workload", "threads", "oracle IPS/W", "predicted IPS/W", "retained")
 	var retained []float64
 	for _, name := range ablationWorkloads(opts.Quick) {
 		for _, tc := range opts.ThreadCounts {
-			name, tc := name, tc
-			mk := func() ([]workload.ThreadSpec, error) { return scenario.Workload(name, tc, opts.Seed) }
-			ratio, oracleEE, smartEE, err := eeGain(plat, oracle, smart, mk, opts.DurationNs, opts.Seed)
+			oracle, err := core.NewOracle(ocfg)
 			if err != nil {
-				return nil, fmt.Errorf("A1 %s/%d: %w", name, tc, err)
+				return nil, err
 			}
+			specs, err := scenario.Workload(name, tc, opts.Seed)
+			if err != nil {
+				return nil, err
+			}
+			ost, err := scenario.Run(plat, oracle, specs, opts.DurationNs, cfg, machine.Options{}, false, nil)
+			if err != nil {
+				return nil, fmt.Errorf("A1 %s/%d oracle: %w", name, tc, err)
+			}
+			if specs, err = scenario.Workload(name, tc, opts.Seed); err != nil {
+				return nil, err
+			}
+			sst, err := runNamed(plat, "smartbalance", specs, opts.DurationNs, cfg, machine.Options{}, false)
+			if err != nil {
+				return nil, fmt.Errorf("A1 %s/%d smartbalance: %w", name, tc, err)
+			}
+			oracleEE, smartEE := ost.EnergyEfficiency(), sst.EnergyEfficiency()
+			if oracleEE <= 0 {
+				return nil, fmt.Errorf("A1 %s/%d: oracle achieved zero energy efficiency", name, tc)
+			}
+			ratio := smartEE / oracleEE
 			retained = append(retained, ratio)
 			tb.AddRow(name, fmt.Sprintf("%d", tc),
 				tablefmt.FormatFloat(oracleEE), tablefmt.FormatFloat(smartEE),
@@ -199,10 +210,6 @@ func AblationEpochLength(opts Options) (*Result, error) {
 		return nil, err
 	}
 	plat := arch.QuadHMP()
-	smart, err := trainedSmartBalanceFactory(arch.Table2Types(), opts.Seed)
-	if err != nil {
-		return nil, err
-	}
 	epochs := []int64{15e6, 30e6, 60e6, 120e6, 240e6}
 	if opts.Quick {
 		epochs = []int64{30e6, 60e6, 120e6}
@@ -222,14 +229,9 @@ func AblationEpochLength(opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		bal, err := smart(plat)
-		if err != nil {
-			return nil, err
-		}
-		m := kernel.DefaultConfig()
-		m.EpochNs = ep
-		m.Seed = opts.Seed
-		st, err := scenario.Run(plat, bal, specs, opts.DurationNs, m, machine.Options{}, false, nil)
+		cfg := seededConfig(opts.Seed)
+		cfg.EpochNs = ep
+		st, err := runNamed(plat, "smartbalance", specs, opts.DurationNs, cfg, machine.Options{}, false)
 		if err != nil {
 			return nil, fmt.Errorf("A4 epoch %dms: %w", ep/1e6, err)
 		}
@@ -270,10 +272,6 @@ func AblationMigrationPenalty(opts Options) (*Result, error) {
 		return nil, err
 	}
 	plat := arch.QuadHMP()
-	smart, err := trainedSmartBalanceFactory(arch.Table2Types(), opts.Seed)
-	if err != nil {
-		return nil, err
-	}
 	penalties := []int64{0, 50e3, 200e3, 1e6, 5e6}
 	if opts.Quick {
 		penalties = []int64{0, 1e6}
@@ -287,14 +285,9 @@ func AblationMigrationPenalty(opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		bal, err := smart(plat)
-		if err != nil {
-			return nil, err
-		}
-		cfg := kernel.DefaultConfig()
+		cfg := seededConfig(opts.Seed)
 		cfg.MigrationPenaltyNs = pen
-		cfg.Seed = opts.Seed
-		st, err := scenario.Run(plat, bal, specs, opts.DurationNs, cfg, machine.Options{}, false, nil)
+		st, err := runNamed(plat, "smartbalance", specs, opts.DurationNs, cfg, machine.Options{}, false)
 		if err != nil {
 			return nil, fmt.Errorf("A5 penalty %dus: %w", pen/1000, err)
 		}

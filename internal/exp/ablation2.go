@@ -4,14 +4,11 @@ import (
 	"fmt"
 
 	"smartbalance/internal/arch"
-	"smartbalance/internal/balancer"
 	"smartbalance/internal/core"
-	"smartbalance/internal/kernel"
 	"smartbalance/internal/perfmodel"
 	"smartbalance/internal/powermodel"
 	"smartbalance/internal/regress"
 	"smartbalance/internal/rng"
-	"smartbalance/internal/scenario"
 	"smartbalance/internal/stats"
 	"smartbalance/internal/tablefmt"
 	"smartbalance/internal/workload"
@@ -196,32 +193,15 @@ func AblationDVFSHeterogeneity(opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	smart, err := trainedSmartBalanceFactory(plat.Types, opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	vanilla := func(*arch.Platform) (kernel.Balancer, error) { return balancer.Vanilla{}, nil }
-
 	workloads := []string{"canneal", "swaptions", "Mix5"}
 	if opts.Quick {
 		workloads = []string{"Mix5"}
 	}
 	tb := tablefmt.New("Ablation A7: DVFS-only heterogeneity (Big core @ 1500/1000/500 MHz)",
 		"workload", "threads", "vanilla IPS/W", "smartbalance IPS/W", "gain")
-	var gains []float64
-	for _, name := range workloads {
-		for _, tc := range opts.ThreadCounts {
-			name, tc := name, tc
-			mk := func() ([]workload.ThreadSpec, error) { return scenario.Workload(name, tc, opts.Seed) }
-			gain, baseEE, testEE, err := eeGain(plat, vanilla, smart, mk, opts.DurationNs, opts.Seed)
-			if err != nil {
-				return nil, fmt.Errorf("A7 %s/%d: %w", name, tc, err)
-			}
-			gains = append(gains, gain)
-			tb.AddRow(name, fmt.Sprintf("%d", tc),
-				tablefmt.FormatFloat(baseEE), tablefmt.FormatFloat(testEE),
-				fmt.Sprintf("%.2fx", gain))
-		}
+	gains, err := gainGrid("A7", plat, workloads, opts, tb, nil)
+	if err != nil {
+		return nil, err
 	}
 	mean, err := stats.GeoMean(gains)
 	if err != nil {

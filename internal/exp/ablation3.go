@@ -79,7 +79,7 @@ func AblationThermal(opts Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := scenario.Run(plat, bal, specs, opts.DurationNs, kernel.DefaultConfig(), machine.Options{}, false, nil)
+		st, err := scenario.Run(plat, bal, specs, opts.DurationNs, seededConfig(opts.Seed), machine.Options{}, false, nil)
 		if err != nil {
 			return nil, fmt.Errorf("A8 %s: %w", v.label, err)
 		}

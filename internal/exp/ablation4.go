@@ -4,11 +4,9 @@ import (
 	"fmt"
 
 	"smartbalance/internal/arch"
-	"smartbalance/internal/balancer"
 	"smartbalance/internal/contention"
 	"smartbalance/internal/kernel"
 	"smartbalance/internal/machine"
-	"smartbalance/internal/scenario"
 	"smartbalance/internal/tablefmt"
 	"smartbalance/internal/workload"
 )
@@ -24,12 +22,6 @@ func AblationBusContention(opts Options) (*Result, error) {
 		return nil, err
 	}
 	plat := arch.QuadHMP()
-	smart, err := trainedSmartBalanceFactory(arch.Table2Types(), opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	vanilla := func(*arch.Platform) (kernel.Balancer, error) { return balancer.Vanilla{}, nil }
-
 	bandwidths := []float64{0, 8, 2, 0.5} // GB/s; 0 = contention disabled
 	if opts.Quick {
 		bandwidths = []float64{0, 1}
@@ -39,30 +31,24 @@ func AblationBusContention(opts Options) (*Result, error) {
 	var minGain float64 = 1e9
 	var freeVanilla float64
 	for _, bw := range bandwidths {
-		run := func(bf balancerFactory) (*kernel.RunStats, error) {
+		// QuadHMP's four LLC domains hold one core each, so the domain
+		// terms never act and only the bus does.
+		var mopts machine.Options
+		if bw > 0 {
+			mopts.Contention = contention.Spec{Enabled: true, BusGBps: bw}
+		}
+		run := func(name string) (*kernel.RunStats, error) {
 			specs, err := workload.Benchmark("canneal", 4, opts.Seed)
 			if err != nil {
 				return nil, err
 			}
-			bal, err := bf(plat)
-			if err != nil {
-				return nil, err
-			}
-			cfg := kernel.DefaultConfig()
-			cfg.Seed = opts.Seed
-			// QuadHMP's four LLC domains hold one core each, so the
-			// domain terms never act and only the bus does.
-			var mopts machine.Options
-			if bw > 0 {
-				mopts.Contention = contention.Spec{Enabled: true, BusGBps: bw}
-			}
-			return scenario.Run(plat, bal, specs, opts.DurationNs, cfg, mopts, false, nil)
+			return runNamed(plat, name, specs, opts.DurationNs, seededConfig(opts.Seed), mopts, false)
 		}
-		van, err := run(vanilla)
+		van, err := run("vanilla")
 		if err != nil {
 			return nil, fmt.Errorf("A9 bw=%g vanilla: %w", bw, err)
 		}
-		sm, err := run(smart)
+		sm, err := run("smartbalance")
 		if err != nil {
 			return nil, fmt.Errorf("A9 bw=%g smart: %w", bw, err)
 		}

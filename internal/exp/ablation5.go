@@ -5,7 +5,6 @@ import (
 
 	"smartbalance/internal/arch"
 	"smartbalance/internal/core"
-	"smartbalance/internal/kernel"
 	"smartbalance/internal/machine"
 	"smartbalance/internal/scenario"
 	"smartbalance/internal/tablefmt"
@@ -50,7 +49,7 @@ func AblationObjectiveGoals(opts Options) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			st, err := scenario.Run(plat, sb, specs, opts.DurationNs, kernel.DefaultConfig(), machine.Options{}, false, nil)
+			st, err := scenario.Run(plat, sb, specs, opts.DurationNs, seededConfig(opts.Seed), machine.Options{}, false, nil)
 			if err != nil {
 				return nil, fmt.Errorf("A10 %s/%s: %w", name, mode, err)
 			}

@@ -4,8 +4,7 @@ import (
 	"fmt"
 
 	"smartbalance/internal/arch"
-	"smartbalance/internal/balancer"
-	"smartbalance/internal/kernel"
+	"smartbalance/internal/machine"
 	"smartbalance/internal/stats"
 	"smartbalance/internal/tablefmt"
 	"smartbalance/internal/workload"
@@ -23,12 +22,6 @@ func AblationFairness(opts Options) (*Result, error) {
 		return nil, err
 	}
 	plat := arch.QuadHMP()
-	smart, err := trainedSmartBalanceFactory(arch.Table2Types(), opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	vanilla := func(*arch.Platform) (kernel.Balancer, error) { return balancer.Vanilla{}, nil }
-
 	mixes := []string{"Mix1", "Mix5", "Mix6"}
 	if opts.Quick {
 		mixes = []string{"Mix5"}
@@ -39,12 +32,12 @@ func AblationFairness(opts Options) (*Result, error) {
 		"mix", "benchmark", "vanilla fairness", "smartbalance fairness")
 	var worstSmart float64 = 1
 	for _, mix := range mixes {
-		fairnessOf := func(bf balancerFactory) (map[string]float64, error) {
+		fairnessOf := func(name string) (map[string]float64, error) {
 			specs, err := workload.Mix(mix, threads, opts.Seed)
 			if err != nil {
 				return nil, err
 			}
-			st, err := runScenario(plat, bf, specs, opts.DurationNs, opts.Seed)
+			st, err := runNamed(plat, name, specs, opts.DurationNs, seededConfig(opts.Seed), machine.Options{}, false)
 			if err != nil {
 				return nil, err
 			}
@@ -62,11 +55,11 @@ func AblationFairness(opts Options) (*Result, error) {
 			}
 			return out, nil
 		}
-		van, err := fairnessOf(vanilla)
+		van, err := fairnessOf("vanilla")
 		if err != nil {
 			return nil, fmt.Errorf("A11 %s vanilla: %w", mix, err)
 		}
-		sm, err := fairnessOf(smart)
+		sm, err := fairnessOf("smartbalance")
 		if err != nil {
 			return nil, fmt.Errorf("A11 %s smart: %w", mix, err)
 		}

@@ -4,11 +4,9 @@ import (
 	"fmt"
 
 	"smartbalance/internal/arch"
-	"smartbalance/internal/balancer"
 	"smartbalance/internal/hpc"
 	"smartbalance/internal/kernel"
 	"smartbalance/internal/machine"
-	"smartbalance/internal/scenario"
 	"smartbalance/internal/tablefmt"
 	"smartbalance/internal/workload"
 )
@@ -24,12 +22,6 @@ func AblationSensorNoise(opts Options) (*Result, error) {
 		return nil, err
 	}
 	plat := arch.QuadHMP()
-	smart, err := trainedSmartBalanceFactory(arch.Table2Types(), opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	vanilla := func(*arch.Platform) (kernel.Balancer, error) { return balancer.Vanilla{}, nil }
-
 	sigmas := []float64{0, 0.02, 0.05, 0.10, 0.20}
 	if opts.Quick {
 		sigmas = []float64{0, 0.10}
@@ -38,25 +30,20 @@ func AblationSensorNoise(opts Options) (*Result, error) {
 		"sensor sigma", "vanilla IPS/W", "smartbalance IPS/W", "gain")
 	var minGain float64 = 1e9
 	for _, sigma := range sigmas {
-		cfg := kernel.DefaultConfig()
-		cfg.Seed = opts.Seed
+		cfg := seededConfig(opts.Seed)
 		cfg.Noise = hpc.Noise{PowerSigma: sigma}
-		run := func(bf balancerFactory) (*kernel.RunStats, error) {
+		run := func(name string) (*kernel.RunStats, error) {
 			specs, err := workload.Mix("Mix5", 4, opts.Seed)
 			if err != nil {
 				return nil, err
 			}
-			bal, err := bf(plat)
-			if err != nil {
-				return nil, err
-			}
-			return scenario.Run(plat, bal, specs, opts.DurationNs, cfg, machine.Options{}, false, nil)
+			return runNamed(plat, name, specs, opts.DurationNs, cfg, machine.Options{}, false)
 		}
-		van, err := run(vanilla)
+		van, err := run("vanilla")
 		if err != nil {
 			return nil, fmt.Errorf("A12 sigma=%g vanilla: %w", sigma, err)
 		}
-		sm, err := run(smart)
+		sm, err := run("smartbalance")
 		if err != nil {
 			return nil, fmt.Errorf("A12 sigma=%g smart: %w", sigma, err)
 		}

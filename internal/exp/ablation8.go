@@ -4,11 +4,9 @@ import (
 	"fmt"
 
 	"smartbalance/internal/arch"
-	"smartbalance/internal/balancer"
 	"smartbalance/internal/fault"
 	"smartbalance/internal/kernel"
 	"smartbalance/internal/machine"
-	"smartbalance/internal/scenario"
 	"smartbalance/internal/tablefmt"
 	"smartbalance/internal/workload"
 )
@@ -44,13 +42,6 @@ func AblationFaultRobustness(opts Options) (*Result, error) {
 		return nil, err
 	}
 	plat := arch.OctaBigLittle()
-	smart, err := trainedSmartBalanceFactory(arch.BigLittleTypes(), opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	vanilla := func(*arch.Platform) (kernel.Balancer, error) { return balancer.Vanilla{}, nil }
-	gts := func(p *arch.Platform) (kernel.Balancer, error) { return balancer.NewGTS(p) }
-
 	rows := []struct {
 		label string
 		plan  fault.Plan
@@ -68,13 +59,12 @@ func AblationFaultRobustness(opts Options) (*Result, error) {
 		}{rows[0], rows[2], rows[4]}
 	}
 
-	run := func(bf balancerFactory, plan fault.Plan) (*kernel.RunStats, error) {
+	run := func(name string, plan fault.Plan) (*kernel.RunStats, error) {
 		specs, err := workload.Mix("Mix5", 4, opts.Seed)
 		if err != nil {
 			return nil, err
 		}
-		cfg := kernel.DefaultConfig()
-		cfg.Seed = opts.Seed
+		cfg := seededConfig(opts.Seed)
 		if !plan.IsZero() {
 			// A fresh injector per run: injectors are stateful (stale
 			// replay history, fault counters) and serve one kernel.
@@ -84,11 +74,7 @@ func AblationFaultRobustness(opts Options) (*Result, error) {
 			}
 			cfg.Faults = inj
 		}
-		bal, err := bf(plat)
-		if err != nil {
-			return nil, err
-		}
-		return scenario.Run(plat, bal, specs, opts.DurationNs, cfg, machine.Options{}, false, nil)
+		return runNamed(plat, name, specs, opts.DurationNs, cfg, machine.Options{}, false)
 	}
 
 	tb := tablefmt.New("Ablation A13: fault-injection robustness (big.LITTLE, Mix5, 4 threads)",
@@ -96,15 +82,15 @@ func AblationFaultRobustness(opts Options) (*Result, error) {
 	headline := map[string]float64{}
 	minGain := 1e9
 	for _, row := range rows {
-		van, err := run(vanilla, row.plan)
+		van, err := run("vanilla", row.plan)
 		if err != nil {
 			return nil, fmt.Errorf("A13 %s vanilla: %w", row.label, err)
 		}
-		gt, err := run(gts, row.plan)
+		gt, err := run("gts", row.plan)
 		if err != nil {
 			return nil, fmt.Errorf("A13 %s gts: %w", row.label, err)
 		}
-		sm, err := run(smart, row.plan)
+		sm, err := run("smartbalance", row.plan)
 		if err != nil {
 			return nil, fmt.Errorf("A13 %s smart: %w", row.label, err)
 		}

@@ -4,11 +4,9 @@ import (
 	"fmt"
 
 	"smartbalance/internal/arch"
-	"smartbalance/internal/balancer"
 	"smartbalance/internal/contention"
 	"smartbalance/internal/kernel"
 	"smartbalance/internal/machine"
-	"smartbalance/internal/scenario"
 	"smartbalance/internal/tablefmt"
 	"smartbalance/internal/workload"
 )
@@ -71,13 +69,6 @@ func AblationContention(opts Options) (*Result, error) {
 		return nil, err
 	}
 	plat := arch.HexaDualCluster()
-	smart, err := trainedSmartBalanceFactory(arch.BigLittleTypes(), opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	vanilla := func(*arch.Platform) (kernel.Balancer, error) { return balancer.Vanilla{}, nil }
-	gts := func(p *arch.Platform) (kernel.Balancer, error) { return balancer.NewGTS(p) }
-
 	rows := []struct {
 		label       string
 		spec        contention.Spec
@@ -95,38 +86,32 @@ func AblationContention(opts Options) (*Result, error) {
 		}{rows[0], rows[2]}
 	}
 
-	run := func(bf balancerFactory, row int, aware bool) (*kernel.RunStats, error) {
+	run := func(name string, row int, aware bool) (*kernel.RunStats, error) {
 		specs, err := a14Workload(rows[row].antagonists, opts.Seed)
 		if err != nil {
 			return nil, err
 		}
-		bal, err := bf(plat)
-		if err != nil {
-			return nil, err
-		}
-		cfg := kernel.DefaultConfig()
-		cfg.Seed = opts.Seed
-		return scenario.Run(plat, bal, specs, a14DurMult*opts.DurationNs, cfg,
-			machine.Options{Contention: rows[row].spec}, aware, nil)
+		return runNamed(plat, name, specs, a14DurMult*opts.DurationNs, seededConfig(opts.Seed),
+			machine.Options{Contention: rows[row].spec}, aware)
 	}
 
 	tb := tablefmt.New("Ablation A14: contention-aware placement (big.LITTLE, victims + antagonists)",
 		"regime", "vanilla IPS/W", "gts IPS/W", "blind IPS/W", "aware IPS/W", "aware/blind")
 	headline := map[string]float64{}
 	for i, row := range rows {
-		van, err := run(vanilla, i, false)
+		van, err := run("vanilla", i, false)
 		if err != nil {
 			return nil, fmt.Errorf("A14 %s vanilla: %w", row.label, err)
 		}
-		gt, err := run(gts, i, false)
+		gt, err := run("gts", i, false)
 		if err != nil {
 			return nil, fmt.Errorf("A14 %s gts: %w", row.label, err)
 		}
-		blind, err := run(smart, i, false)
+		blind, err := run("smartbalance", i, false)
 		if err != nil {
 			return nil, fmt.Errorf("A14 %s blind: %w", row.label, err)
 		}
-		aware, err := run(smart, i, true)
+		aware, err := run("smartbalance", i, true)
 		if err != nil {
 			return nil, fmt.Errorf("A14 %s aware: %w", row.label, err)
 		}

@@ -8,12 +8,13 @@ package exp
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"smartbalance/internal/arch"
-	"smartbalance/internal/core"
 	"smartbalance/internal/kernel"
 	"smartbalance/internal/machine"
 	"smartbalance/internal/scenario"
+	"smartbalance/internal/sweep"
 	"smartbalance/internal/tablefmt"
 	"smartbalance/internal/workload"
 )
@@ -130,61 +131,87 @@ func RunnerFor(id string) Runner {
 	return nil
 }
 
-// balancerFactory builds a fresh balancer per run (balancers carry
-// per-run state).
-type balancerFactory func(plat *arch.Platform) (kernel.Balancer, error)
-
-// runScenario simulates specs on plat under a fresh balancer from the
-// factory for the given duration, with the default kernel config
-// seeded by seed, and returns the run statistics.
-func runScenario(plat *arch.Platform, bf balancerFactory, specs []workload.ThreadSpec, durNs int64, seed uint64) (*kernel.RunStats, error) {
-	b, err := bf(plat)
-	if err != nil {
-		return nil, err
-	}
+// seededConfig is the kernel config every run starts from: the default,
+// seeded with the experiment seed.
+func seededConfig(seed uint64) kernel.Config {
 	cfg := kernel.DefaultConfig()
 	cfg.Seed = seed
-	return scenario.Run(plat, b, specs, durNs, cfg, machine.Options{}, false, nil)
+	return cfg
 }
 
-// trainedSmartBalanceFactory trains (or reuses, through the shared
-// scenario.Predictor memo) the predictor for the type set and returns
-// a factory producing fresh controllers.
-func trainedSmartBalanceFactory(types []arch.CoreType, seed uint64) (balancerFactory, error) {
-	pred, err := scenario.Predictor(types, seed)
+// runNamed simulates specs on plat for durNs under a fresh balancer
+// resolved by name through scenario.Balancer (SmartBalance trained and
+// annealed with cfg.Seed) and returns the run statistics.
+func runNamed(plat *arch.Platform, name string, specs []workload.ThreadSpec, durNs int64,
+	cfg kernel.Config, mopts machine.Options, aware bool) (*kernel.RunStats, error) {
+	bal, err := scenario.Balancer(name, plat, cfg.Seed, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	return func(*arch.Platform) (kernel.Balancer, error) {
-		cfg := core.DefaultConfig()
-		cfg.Anneal.Seed = seed
-		return core.New(pred, cfg)
-	}, nil
+	return scenario.Run(plat, bal, specs, durNs, cfg, mopts, aware, nil)
 }
 
-// eeGain runs the same workload under two balancers and returns
-// EE(test)/EE(base).
-func eeGain(plat *arch.Platform, base, test balancerFactory, mkSpecs func() ([]workload.ThreadSpec, error), durNs int64, seed uint64) (gain, baseEE, testEE float64, err error) {
-	specsA, err := mkSpecs()
-	if err != nil {
-		return 0, 0, 0, err
+// eeGain runs workload wl at threads under the base and test balancers
+// and returns EE(test)/EE(base).
+func eeGain(plat *arch.Platform, base, test, wl string, threads int, opts Options) (gain, baseEE, testEE float64, err error) {
+	var ee [2]float64
+	for i, name := range []string{base, test} {
+		specs, err := scenario.Workload(wl, threads, opts.Seed)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		st, err := runNamed(plat, name, specs, opts.DurationNs, seededConfig(opts.Seed), machine.Options{}, false)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		ee[i] = st.EnergyEfficiency()
 	}
-	sa, err := runScenario(plat, base, specsA, durNs, seed)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	specsB, err := mkSpecs()
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	sb, err := runScenario(plat, test, specsB, durNs, seed)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	baseEE = sa.EnergyEfficiency()
-	testEE = sb.EnergyEfficiency()
+	baseEE, testEE = ee[0], ee[1]
 	if baseEE <= 0 {
 		return 0, baseEE, testEE, errors.New("exp: baseline achieved zero energy efficiency")
 	}
 	return testEE / baseEE, baseEE, testEE, nil
+}
+
+// gainGrid runs every workload at every thread count of opts under
+// vanilla and under SmartBalance on plat, fanned out on the sweep
+// engine's worker pool. It adds one row per cell to tb, and one bar to
+// bars when bars is non-nil, in cell order — byte-identical for any
+// worker count — and returns the gains in the same order. An
+// imb:<code> workload is labelled <code>.
+func gainGrid(id string, plat *arch.Platform, workloads []string, opts Options, tb *tablefmt.Table, bars *tablefmt.Bars) ([]float64, error) {
+	type cell struct {
+		wl, label string
+		tc        int
+	}
+	var cells []cell
+	for _, wl := range workloads {
+		for _, tc := range opts.ThreadCounts {
+			cells = append(cells, cell{wl, strings.TrimPrefix(wl, "imb:"), tc})
+		}
+	}
+	type gainCell struct{ gain, baseEE, testEE float64 }
+	res, err := sweep.Map(opts.Workers, len(cells), func(i int) (gainCell, error) {
+		c := cells[i]
+		gain, baseEE, testEE, err := eeGain(plat, "vanilla", "smartbalance", c.wl, c.tc, opts)
+		if err != nil {
+			return gainCell{}, fmt.Errorf("%s %s/%d: %w", id, c.label, c.tc, err)
+		}
+		return gainCell{gain, baseEE, testEE}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	gains := make([]float64, len(cells))
+	for i, c := range cells {
+		gains[i] = res[i].gain
+		tb.AddRow(c.label, fmt.Sprintf("%d", c.tc),
+			tablefmt.FormatFloat(res[i].baseEE), tablefmt.FormatFloat(res[i].testEE),
+			fmt.Sprintf("%.2fx", res[i].gain))
+		if bars != nil {
+			bars.Labels = append(bars.Labels, fmt.Sprintf("%s/%d", c.label, c.tc))
+			bars.Values = append(bars.Values, res[i].gain)
+		}
+	}
+	return gains, nil
 }

@@ -411,10 +411,10 @@ func TestReplicateParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestFiguresParallelMatchSerial asserts the rewired figure runners
-// themselves are worker-count invariant.
+// TestFiguresParallelMatchSerial asserts every runner that fans its
+// cells out on the worker pool is worker-count invariant.
 func TestFiguresParallelMatchSerial(t *testing.T) {
-	for _, id := range []string{"F4b", "F5", "F6", "F8"} {
+	for _, id := range []string{"F4a", "F4b", "F5", "F6", "F8", "A7"} {
 		run := RunnerFor(id)
 		serialOpts := quickOpts()
 		serialOpts.Workers = 1

@@ -4,13 +4,11 @@ import (
 	"fmt"
 
 	"smartbalance/internal/arch"
-	"smartbalance/internal/balancer"
-	"smartbalance/internal/kernel"
+	"smartbalance/internal/machine"
 	"smartbalance/internal/scenario"
 	"smartbalance/internal/stats"
 	"smartbalance/internal/sweep"
 	"smartbalance/internal/tablefmt"
-	"smartbalance/internal/workload"
 )
 
 // Figure5 regenerates Fig. 5: normalized energy efficiency of
@@ -22,13 +20,6 @@ func Figure5(opts Options) (*Result, error) {
 		return nil, err
 	}
 	plat := arch.OctaBigLittle()
-	smart, err := trainedSmartBalanceFactory(arch.BigLittleTypes(), opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	gts := func(p *arch.Platform) (kernel.Balancer, error) { return balancer.NewGTS(p) }
-	iks := func(p *arch.Platform) (kernel.Balancer, error) { return balancer.NewIKS(p) }
-
 	workloads := []string{"blackscholes", "bodytrack", "canneal", "swaptions", "x264H-crew", "Mix1", "Mix5", "Mix6"}
 	if opts.Quick {
 		workloads = []string{"swaptions", "Mix5"}
@@ -44,43 +35,23 @@ func Figure5(opts Options) (*Result, error) {
 		iksNorm, gain float64
 	}
 	res, err := sweep.Map(opts.Workers, len(workloads), func(i int) (f5Cell, error) {
-		name := workloads[i]
-		mk := func() ([]workload.ThreadSpec, error) { return scenario.Workload(name, threads, opts.Seed) }
-		// GTS baseline run.
-		specs, err := mk()
-		if err != nil {
-			return f5Cell{}, err
+		wl := workloads[i]
+		var ee [3]float64
+		for j, name := range []string{"gts", "iks", "smartbalance"} {
+			specs, err := scenario.Workload(wl, threads, opts.Seed)
+			if err != nil {
+				return f5Cell{}, err
+			}
+			st, err := runNamed(plat, name, specs, opts.DurationNs, seededConfig(opts.Seed), machine.Options{}, false)
+			if err != nil {
+				return f5Cell{}, fmt.Errorf("F5 %s %s: %w", name, wl, err)
+			}
+			ee[j] = st.EnergyEfficiency()
 		}
-		gtsStats, err := runScenario(plat, gts, specs, opts.DurationNs, opts.Seed)
-		if err != nil {
-			return f5Cell{}, fmt.Errorf("F5 gts %s: %w", name, err)
+		if ee[0] <= 0 {
+			return f5Cell{}, fmt.Errorf("F5 %s: GTS achieved zero efficiency", wl)
 		}
-		// IKS run.
-		specs, err = mk()
-		if err != nil {
-			return f5Cell{}, err
-		}
-		iksStats, err := runScenario(plat, iks, specs, opts.DurationNs, opts.Seed)
-		if err != nil {
-			return f5Cell{}, fmt.Errorf("F5 iks %s: %w", name, err)
-		}
-		// SmartBalance run.
-		specs, err = mk()
-		if err != nil {
-			return f5Cell{}, err
-		}
-		smartStats, err := runScenario(plat, smart, specs, opts.DurationNs, opts.Seed)
-		if err != nil {
-			return f5Cell{}, fmt.Errorf("F5 smart %s: %w", name, err)
-		}
-		g := gtsStats.EnergyEfficiency()
-		if g <= 0 {
-			return f5Cell{}, fmt.Errorf("F5 %s: GTS achieved zero efficiency", name)
-		}
-		return f5Cell{
-			iksNorm: iksStats.EnergyEfficiency() / g,
-			gain:    smartStats.EnergyEfficiency() / g,
-		}, nil
+		return f5Cell{iksNorm: ee[1] / ee[0], gain: ee[2] / ee[0]}, nil
 	})
 	if err != nil {
 		return nil, err

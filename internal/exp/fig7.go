@@ -9,6 +9,7 @@ import (
 	"smartbalance/internal/core"
 	"smartbalance/internal/hpc"
 	"smartbalance/internal/kernel"
+	"smartbalance/internal/machine"
 	"smartbalance/internal/scenario"
 	"smartbalance/internal/tablefmt"
 	"smartbalance/internal/workload"
@@ -121,8 +122,8 @@ func phaseCost(pred *core.Predictor, sp core.ScalePoint, seed uint64, clk core.C
 	}
 	const unset = time.Duration(math.MaxInt64)
 	f := &fastestPhases{sb: sb, best: core.PhaseOverhead{Sense: unset, Predict: unset, Optimize: unset}}
-	bf := func(*arch.Platform) (kernel.Balancer, error) { return f, nil }
-	if _, err := runScenario(plat, bf, append(specs, inter...), f7Epochs*kernel.DefaultConfig().EpochNs, seed); err != nil {
+	if _, err := scenario.Run(plat, f, append(specs, inter...), f7Epochs*kernel.DefaultConfig().EpochNs,
+		seededConfig(seed), machine.Options{}, false, nil); err != nil {
 		return core.PhaseOverhead{}, err
 	}
 	if f.best.Epochs < f7MinTimed {

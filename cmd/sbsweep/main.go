@@ -69,47 +69,33 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
+	// The two tiers differ only in their tasks and table renderer;
+	// execution, reporting and the exit status are shared.
+	var (
+		tasks  []sweep.Task
+		err    error
+		tier   string // labels the summary line
+		render = sweep.RenderTable
+	)
 	if *fleetMode {
-		return runFleet(fleetArgs{
-			nodes:     *fleetNodes,
-			policies:  *fleetPolicies,
-			arrivals:  *fleetArrivals,
-			profiles:  *fleetProfiles,
-			balancers: *balancers,
-			seeds:     *seeds,
-			durMs:     *durMs,
-			workers:   *workers,
-			cacheDir:  *cacheDir,
-			salt:      *salt,
-			jsonOut:   *jsonOut,
-			progress:  *progress,
-			expectHit: *expectHit,
-		}, stdout, stderr)
+		tier, render = "fleet ", sweep.RenderFleetTable
+		tasks, err = fleetTasks(sweep.FleetGrid{
+			Profiles:   splitList(*fleetProfiles),
+			Balancers:  splitList(*balancers),
+			Policies:   splitList(*fleetPolicies),
+			Arrivals:   splitSpecs(*fleetArrivals),
+			DurationNs: *durMs * 1e6,
+		}, *fleetNodes, *seeds, *salt)
+	} else {
+		tasks, err = nodeTasks(sweep.Grid{
+			Platforms:   splitList(*platforms),
+			Balancers:   splitList(*balancers),
+			Workloads:   splitSpecs(*workloads),
+			Faults:      splitList(*faults),
+			Contentions: splitSpecs(*contSpecs),
+			DurationNs:  *durMs * 1e6,
+		}, *threads, *seeds, *salt)
 	}
-
-	grid := sweep.Grid{
-		Platforms:   splitList(*platforms),
-		Balancers:   splitList(*balancers),
-		Workloads:   splitSpecs(*workloads),
-		Faults:      splitList(*faults),
-		Contentions: splitSpecs(*contSpecs),
-		DurationNs:  *durMs * 1e6,
-	}
-	var err error
-	if grid.Threads, err = parseInts(*threads); err != nil {
-		fmt.Fprintf(stderr, "sbsweep: -threads: %v\n", err)
-		return 1
-	}
-	if grid.Seeds, err = parseSeeds(*seeds); err != nil {
-		fmt.Fprintf(stderr, "sbsweep: -seeds: %v\n", err)
-		return 1
-	}
-	scs, err := grid.Expand()
-	if err != nil {
-		fmt.Fprintf(stderr, "sbsweep: %v\n", err)
-		return 1
-	}
-	tasks, err := sweep.Tasks(scs, *salt)
 	if err != nil {
 		fmt.Fprintf(stderr, "sbsweep: %v\n", err)
 		return 1
@@ -158,7 +144,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if *jsonOut {
 		err = sweep.WriteJSONL(stdout, results)
 	} else {
-		err = sweep.RenderTable(stdout, results)
+		err = render(stdout, results)
 	}
 	if err != nil {
 		fmt.Fprintf(stderr, "sbsweep: %v\n", err)
@@ -176,8 +162,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 	s := sweep.Summarize(results)
-	fmt.Fprintf(stderr, "sbsweep: jobs=%d ok=%d failed=%d cached=%d workers=%d wall=%v\n",
-		s.Jobs, s.OK, s.Failed, s.Cached, sweep.Workers(*workers), wall.Round(time.Millisecond))
+	fmt.Fprintf(stderr, "sbsweep: %sjobs=%d ok=%d failed=%d cached=%d workers=%d wall=%v\n",
+		tier, s.Jobs, s.OK, s.Failed, s.Cached, sweep.Workers(*workers), wall.Round(time.Millisecond))
 	if cache != nil {
 		cs := cache.Stats()
 		fmt.Fprintf(stderr, "sbsweep: cache %s: hits=%d misses=%d writes=%d write-errors=%d corrupt-evicted=%d\n",
@@ -187,7 +173,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "sbsweep: recovered panic in %s\n", st)
 	}
 	if tel != nil {
-		sweep.RecordTelemetry(tel, results, cache)
+		scenarios := results
+		if *fleetMode {
+			scenarios = nil // fleet cells have no IPS/W to observe
+		}
+		sweep.RecordTelemetry(tel, scenarios, cache)
 		if err := writeTelemetry(*telPath, tel); err != nil {
 			fmt.Fprintf(stderr, "sbsweep: telemetry: %v\n", err)
 			return 1
@@ -204,105 +194,43 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// fleetArgs carries the flag values runFleet consumes.
-type fleetArgs struct {
-	nodes, policies, arrivals, profiles string
-	balancers, seeds                    string
-	durMs                               int64
-	workers                             int
-	cacheDir, salt                      string
-	jsonOut, progress, expectHit        bool
+// nodeTasks completes grid's thread and seed axes from their flags and
+// expands it into single-node scenario tasks.
+func nodeTasks(grid sweep.Grid, threads, seeds, salt string) ([]sweep.Task, error) {
+	var err error
+	if grid.Threads, err = parseInts(threads); err != nil {
+		return nil, fmt.Errorf("-threads: %v", err)
+	}
+	if grid.Seeds, err = parseSeeds(seeds); err != nil {
+		return nil, fmt.Errorf("-seeds: %v", err)
+	}
+	scs, err := grid.Expand()
+	if err != nil {
+		return nil, err
+	}
+	return sweep.Tasks(scs, salt)
 }
 
-// runFleet expands and executes a fleet-tier sweep on the same engine,
-// cache, and exit-status contract as scenario sweeps.
-func runFleet(a fleetArgs, stdout, stderr io.Writer) int {
-	grid := sweep.FleetGrid{
-		Profiles:   splitList(a.profiles),
-		Balancers:  splitList(a.balancers),
-		Policies:   splitList(a.policies),
-		Arrivals:   splitSpecs(a.arrivals),
-		DurationNs: a.durMs * 1e6,
-	}
+// fleetTasks completes grid's node-count and seed axes from their flags
+// and expands it into fleet-tier tasks.
+func fleetTasks(grid sweep.FleetGrid, nodes, seeds, salt string) ([]sweep.Task, error) {
 	// Profile cycles are "+"-separated in the flag (a profile is itself
 	// a comma list, which would collide with the axis separator).
 	for i, p := range grid.Profiles {
 		grid.Profiles[i] = strings.ReplaceAll(p, "+", ",")
 	}
 	var err error
-	if grid.Nodes, err = parseInts(a.nodes); err != nil {
-		fmt.Fprintf(stderr, "sbsweep: -fleet-nodes: %v\n", err)
-		return 1
+	if grid.Nodes, err = parseInts(nodes); err != nil {
+		return nil, fmt.Errorf("-fleet-nodes: %v", err)
 	}
-	if grid.Seeds, err = parseSeeds(a.seeds); err != nil {
-		fmt.Fprintf(stderr, "sbsweep: -seeds: %v\n", err)
-		return 1
+	if grid.Seeds, err = parseSeeds(seeds); err != nil {
+		return nil, fmt.Errorf("-seeds: %v", err)
 	}
 	scs, err := grid.Expand()
 	if err != nil {
-		fmt.Fprintf(stderr, "sbsweep: %v\n", err)
-		return 1
+		return nil, err
 	}
-	tasks, err := sweep.FleetTasks(scs, a.salt)
-	if err != nil {
-		fmt.Fprintf(stderr, "sbsweep: %v\n", err)
-		return 1
-	}
-	opts := sweep.Options{Workers: a.workers, NewClock: core.RealClock}
-	var cache *sweep.Cache
-	if a.cacheDir != "" {
-		if cache, err = sweep.OpenCache(a.cacheDir); err != nil {
-			fmt.Fprintf(stderr, "sbsweep: %v\n", err)
-			return 1
-		}
-		opts.Cache = cache
-	}
-	if a.progress {
-		opts.OnProgress = func(p sweep.Progress) {
-			switch p.Status {
-			case sweep.StatusFailed:
-				fmt.Fprintf(stderr, "[%d/%d] %-8s %s: %v\n", p.Index+1, p.Total, p.Status, p.Key, p.Err)
-			default:
-				fmt.Fprintf(stderr, "[%d/%d] %-8s %s\n", p.Index+1, p.Total, p.Status, p.Key)
-			}
-		}
-	}
-
-	t0 := time.Now() //sbvet:allow wallclock(binary boundary: operator-facing sweep timing on stderr only)
-	results, err := sweep.Execute(tasks, opts)
-	wall := time.Since(t0)
-	if err != nil {
-		fmt.Fprintf(stderr, "sbsweep: %v\n", err)
-		return 1
-	}
-	if a.jsonOut {
-		err = sweep.WriteJSONL(stdout, results)
-	} else {
-		err = sweep.RenderFleetTable(stdout, results)
-	}
-	if err != nil {
-		fmt.Fprintf(stderr, "sbsweep: %v\n", err)
-		return 1
-	}
-	s := sweep.Summarize(results)
-	fmt.Fprintf(stderr, "sbsweep: fleet jobs=%d ok=%d failed=%d cached=%d workers=%d wall=%v\n",
-		s.Jobs, s.OK, s.Failed, s.Cached, sweep.Workers(a.workers), wall.Round(time.Millisecond))
-	if cache != nil {
-		cs := cache.Stats()
-		fmt.Fprintf(stderr, "sbsweep: cache %s: hits=%d misses=%d writes=%d write-errors=%d corrupt-evicted=%d\n",
-			cache.Dir(), cs.Hits, cs.Misses, cs.Writes, cs.WriteErrs, cs.Corrupt)
-	}
-	for _, st := range s.Stacks {
-		fmt.Fprintf(stderr, "sbsweep: recovered panic in %s\n", st)
-	}
-	if s.Failed > 0 {
-		return 1
-	}
-	if a.expectHit && s.Cached < s.Jobs {
-		fmt.Fprintf(stderr, "sbsweep: -expect-cached: %d of %d jobs executed\n", s.Jobs-s.Cached, s.Jobs)
-		return 2
-	}
-	return 0
+	return sweep.FleetTasks(scs, salt)
 }
 
 // writeTelemetry exports the merged sweep telemetry: Prometheus text

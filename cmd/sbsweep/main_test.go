@@ -193,3 +193,55 @@ func TestRunBadFlagsExitOne(t *testing.T) {
 		}
 	}
 }
+
+// TestRunFleetColdWarm drives the fleet tier through run() on the same
+// tail as the node tier: a warm rerun against one cache prints
+// byte-identical stdout, -expect-cached exits 2 cold and 0 warm,
+// -times prints one line per cell, and -telemetry writes the export.
+// Fleet cells carry no IPS/W, so the export observes no scenario
+// efficiency.
+func TestRunFleetColdWarm(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{
+		"-fleet", "-fleet-nodes", "2", "-fleet-policies", "rr", "-balancers", "vanilla",
+		"-dur", "100", "-cache", filepath.Join(dir, "cache"), "-expect-cached", "-times",
+	}
+	var out1, err1, out2, err2 bytes.Buffer
+	if code := run(args, &out1, &err1); code != 2 {
+		t.Fatalf("cold run exited %d, want 2\n%s", code, err1.String())
+	}
+	prom := filepath.Join(dir, "warm.prom")
+	if code := run(append(args, "-telemetry", prom), &out2, &err2); code != 0 {
+		t.Fatalf("warm run exited %d, want 0\n%s", code, err2.String())
+	}
+	if !bytes.Equal(out1.Bytes(), out2.Bytes()) {
+		t.Fatalf("warm stdout differs from cold:\n--- cold\n%s\n--- warm\n%s", out1.String(), out2.String())
+	}
+	for _, tc := range []struct {
+		run, src string
+		stderr   *bytes.Buffer
+	}{{"cold", "ran ", &err1}, {"warm", "cache ", &err2}} {
+		n := 0
+		for _, l := range strings.Split(tc.stderr.String(), "\n") {
+			if strings.HasPrefix(l, tc.src) && strings.Contains(l, "fleet/n2/") {
+				n++
+			}
+		}
+		if n != 2 {
+			t.Errorf("%s run: %d -times lines starting %q, want one per cell (2):\n%s", tc.run, n, tc.src, tc.stderr.String())
+		}
+	}
+	text, err := os.ReadFile(prom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(text), "\n")
+	if !slices.Contains(lines, "sweep_jobs_total 2") {
+		t.Errorf("export lacks sweep_jobs_total 2:\n%s", text)
+	}
+	for _, l := range lines {
+		if strings.HasPrefix(l, "sweep_scenario_ee_count ") && l != "sweep_scenario_ee_count 0" {
+			t.Errorf("fleet cells observed as scenario efficiency: %s", l)
+		}
+	}
+}

@@ -38,7 +38,6 @@ import (
 	"smartbalance/internal/hpc"
 	"smartbalance/internal/machine"
 	"smartbalance/internal/pelt"
-	"smartbalance/internal/rng"
 	"smartbalance/internal/workload"
 )
 
@@ -158,12 +157,6 @@ func (t *Task) Migrations() int { return t.migrations }
 // EpochRunNs returns the execution time accumulated since the last
 // epoch tick.
 func (t *Task) EpochRunNs() int64 { return t.epochRunNs }
-
-// EpochRunnableNs returns the time the task has been runnable (running
-// or queued) since the last epoch tick — the utilisation signal
-// GTS-style balancers consume. It is flushed by the kernel just before
-// each balancer invocation.
-func (t *Task) EpochRunnableNs() int64 { return t.epochRunnableNs }
 
 // TrackedLoad returns the PELT-style decayed *runnable* fraction in
 // [0, 1] — Linux's load_avg_ratio, the quantity ARM GTS thresholds act
@@ -325,7 +318,8 @@ type Config struct {
 	MigrationPenaltyNs int64
 	// Noise configures the power sensors.
 	Noise hpc.Noise
-	// Seed drives all kernel-internal randomness (initial placement).
+	// Seed drives the power-sensor noise stream (Noise); placement is
+	// deterministic and draws nothing from it.
 	Seed uint64
 	// Faults, when non-nil, injects sensing and migration faults (see
 	// FaultInjector). Nil runs with perfect sensing.
@@ -432,7 +426,6 @@ type Kernel struct {
 	nextID ThreadID
 
 	bank *hpc.Bank
-	r    *rng.Rand
 
 	epochs     int
 	migrations int
@@ -472,7 +465,6 @@ func New(m *machine.Machine, b Balancer, cfg Config) (*Kernel, error) {
 		events:   newEventQueue(plat.NumCores()),
 		cores:    make([]coreRun, plat.NumCores()),
 		bank:     bank,
-		r:        rng.New(cfg.Seed),
 	}
 	for i := range k.cores {
 		k.cores[i] = coreRun{id: arch.CoreID(i), sleeping: true}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"smartbalance/internal/arch"
-	"smartbalance/internal/hpc"
 )
 
 // kick wakes a sleeping core so it can dispatch newly enqueued work.
@@ -87,9 +86,9 @@ func (k *Kernel) dispatch(c arch.CoreID) {
 		tid := k.plat.TypeID(c)
 		r.EnergyJ += k.mach.PowerModels().ForType(tid).BusyPower(0, ph) * float64(debt) * 1e-9
 		r.CyclesIdle += uint64(float64(debt) * k.plat.Type(c).FreqMHz / 1000)
-		r.DurNs += debt
+		r.RunNs += debt
 	}
-	endAt := k.now + r.DurNs
+	endAt := k.now + r.RunNs
 	if endAt <= k.now {
 		endAt = k.now + 1
 	}
@@ -106,25 +105,10 @@ func (k *Kernel) handleSliceEnd(c arch.CoreID) {
 	cr.current = nil
 	cr.switches++
 	res := &cr.pending
-	dur := res.DurNs
+	dur := res.RunNs
 
 	// Counter sampling at schedule() granularity (Section 5.1).
-	_ = k.bank.RecordSlice(int(t.ID), int(c), hpc.Counters{
-		RunNs:              dur,
-		Instructions:       res.Instructions,
-		MemInstructions:    res.MemInstructions,
-		BranchInstructions: res.BranchInstructions,
-		CyclesBusy:         res.CyclesBusy,
-		CyclesIdle:         res.CyclesIdle,
-		L1IMisses:          res.L1IMisses,
-		L1DMisses:          res.L1DMisses,
-		BranchMispredicts:  res.BranchMispredicts,
-		ITLBMisses:         res.ITLBMisses,
-		DTLBMisses:         res.DTLBMisses,
-		LLCMisses:          res.LLCMisses,
-		MemBytes:           res.MemBytes,
-		EnergyJ:            res.EnergyJ,
-	})
+	_ = k.bank.RecordSlice(int(t.ID), int(c), res.Counters)
 
 	k.emit(TraceEvent{At: k.now, Kind: TraceSlice, Core: c, Thread: t.ID, DurNs: dur, Instr: res.Instructions})
 

@@ -149,8 +149,8 @@ func TestContentionSaturationStaysFinite(t *testing.T) {
 		if err := m.ExecSliceOnCore(&r, vic, 0, 2e6); err != nil {
 			t.Fatal(err)
 		}
-		if r.DurNs <= 0 || r.DurNs > 2e6 {
-			t.Fatalf("slice %d DurNs %d outside (0, 2ms]", i, r.DurNs)
+		if r.RunNs <= 0 || r.RunNs > 2e6 {
+			t.Fatalf("slice %d RunNs %d outside (0, 2ms]", i, r.RunNs)
 		}
 		if r.Instructions == 0 {
 			t.Fatalf("slice %d made no progress under saturation", i)

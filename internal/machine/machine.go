@@ -16,6 +16,7 @@ import (
 
 	"smartbalance/internal/arch"
 	"smartbalance/internal/contention"
+	"smartbalance/internal/hpc"
 	"smartbalance/internal/perfmodel"
 	"smartbalance/internal/powermodel"
 	"smartbalance/internal/workload"
@@ -164,31 +165,11 @@ func (t *ThreadState) phaseMetrics(tid arch.CoreTypeID) *perfmodel.Metrics {
 
 // SliceResult reports what happened during one execution slice.
 type SliceResult struct {
-	// DurNs is the execution time actually consumed (<= the requested
-	// maximum; shorter when the thread hits a sleep point or finishes).
-	DurNs int64
-	// Instruction counters (the paper's I_total, I_mem, I_branch).
-	Instructions       uint64
-	MemInstructions    uint64
-	BranchInstructions uint64
-	// Cycle counters (cyBusy and cyIdle; cySleep is accounted by the
-	// kernel, which owns wall time).
-	CyclesBusy uint64
-	CyclesIdle uint64
-	// Performance-degradation event counters.
-	L1IMisses         uint64
-	L1DMisses         uint64
-	BranchMispredicts uint64
-	ITLBMisses        uint64
-	DTLBMisses        uint64
-	// LLCMisses counts L1D misses that also missed the private L2 and
-	// went to memory; MemBytes is the corresponding line traffic. These
-	// are the counters the contention model and its sensing envelope
-	// consume.
-	LLCMisses uint64
-	MemBytes  uint64
-	// EnergyJ is the energy consumed by the core during the slice.
-	EnergyJ float64
+	// Counters are the slice's counter deltas in the bank's format.
+	// RunNs is the execution time actually consumed (<= the requested
+	// maximum; shorter when the thread hits a sleep point or finishes);
+	// cySleep is accounted by the kernel, which owns wall time.
+	hpc.Counters
 	// SleepNs > 0 indicates the thread entered a sleep/wait period at
 	// the end of the slice.
 	SleepNs int64
@@ -264,13 +245,13 @@ func (m *Machine) ExecSliceOnCore(res *SliceResult, t *ThreadState, core arch.Co
 			// instruction; consume it as stall time and stop.
 			res.CyclesIdle += uint64(remaining * freqGHz)
 			res.EnergyJ += pmod.BusyPower(0, ph) * remaining * 1e-9
-			res.DurNs += int64(remaining)
+			res.RunNs += int64(remaining)
 			break
 		}
 
 		cycles := segNs * freqGHz
 		busy := cycles * met.BusyFrac
-		res.DurNs += int64(segNs + 0.5)
+		res.RunNs += int64(segNs + 0.5)
 		res.Instructions += segInstr
 		res.MemInstructions += uint64(float64(segInstr) * ph.MemShare)
 		res.BranchInstructions += uint64(float64(segInstr) * ph.BranchShare)
@@ -305,16 +286,16 @@ func (m *Machine) ExecSliceOnCore(res *SliceResult, t *ThreadState, core arch.Co
 			}
 		}
 	}
-	if res.DurNs > maxDurNs {
-		res.DurNs = maxDurNs
+	if res.RunNs > maxDurNs {
+		res.RunNs = maxDurNs
 	}
-	if res.DurNs <= 0 {
+	if res.RunNs <= 0 {
 		// Guarantee forward progress for the event loop even when the
 		// slice rounds down to zero.
-		res.DurNs = 1
+		res.RunNs = 1
 	}
 	if m.cont != nil {
-		m.cont.RecordSlice(core, res.DurNs, wsKB, memTrafficBytes)
+		m.cont.RecordSlice(core, res.RunNs, wsKB, memTrafficBytes)
 	}
 	return nil
 }

@@ -64,8 +64,8 @@ func TestExecSliceBasicCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.DurNs <= 0 || res.DurNs > 1e6 {
-		t.Fatalf("DurNs = %d", res.DurNs)
+	if res.RunNs <= 0 || res.RunNs > 1e6 {
+		t.Fatalf("RunNs = %d", res.RunNs)
 	}
 	if res.Instructions == 0 {
 		t.Fatal("no instructions retired")
@@ -84,7 +84,7 @@ func TestExecSliceBasicCounters(t *testing.T) {
 	}
 	// Cycle count consistent with frequency (1.5 GHz Big core).
 	total := res.CyclesBusy + res.CyclesIdle
-	wantCycles := uint64(float64(res.DurNs) * 1.5)
+	wantCycles := uint64(float64(res.RunNs) * 1.5)
 	if total < wantCycles*99/100 || total > wantCycles*101/100 {
 		t.Fatalf("cycles %d, want ~%d", total, wantCycles)
 	}
@@ -105,7 +105,7 @@ func TestExecSliceIPSConsistentWithModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotIPS := float64(res.Instructions) / (float64(res.DurNs) * 1e-9)
+	gotIPS := float64(res.Instructions) / (float64(res.RunNs) * 1e-9)
 	wantIPS := met.IPS(huge)
 	if gotIPS < wantIPS*0.99 || gotIPS > wantIPS*1.01 {
 		t.Fatalf("slice IPS %.4g, model IPS %.4g", gotIPS, wantIPS)
@@ -126,7 +126,7 @@ func TestExecSliceFinishes(t *testing.T) {
 	if res.Instructions != 1e6 {
 		t.Fatalf("retired %d instructions, want 1e6", res.Instructions)
 	}
-	if res.DurNs >= 100e6 {
+	if res.RunNs >= 100e6 {
 		t.Fatal("slice should end early at completion")
 	}
 	if _, err := execOn(m, ts, 3, 1e6); err != ErrFinished {

@@ -97,7 +97,7 @@ func runSummary(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "epochs    %d\n", len(tr.Epochs))
 	fmt.Fprintf(stdout, "spans     %d\n", spans)
-	for _, p := range sortedKeySetOf(byPhase) {
+	for _, p := range sortedKeys(byPhase) {
 		fmt.Fprintf(stdout, "  %-12s %d\n", p, byPhase[p])
 	}
 	fmt.Fprintf(stdout, "metrics   %d\n", len(tr.Metrics))
@@ -256,18 +256,8 @@ func runConvert(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// sortedKeys returns a string map's keys in sorted order.
-func sortedKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// sortedKeySetOf returns an int-valued map's keys in sorted order.
-func sortedKeySetOf(m map[string]int) []string {
+// sortedKeys returns a string-keyed map's keys in sorted order.
+func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)

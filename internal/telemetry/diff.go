@@ -144,7 +144,7 @@ func diffMeta(a, b map[string]string) *Divergence {
 	for k := range b {
 		keys[k] = true
 	}
-	for _, k := range sortedKeySet(keys) {
+	for _, k := range sortedKeys(keys) {
 		va, oka := a[k]
 		vb, okb := b[k]
 		if oka != okb || va != vb {
@@ -153,15 +153,6 @@ func diffMeta(a, b map[string]string) *Divergence {
 		}
 	}
 	return nil
-}
-
-// sortedKeySet returns the set's members sorted.
-func sortedKeySet(set map[string]bool) []string {
-	m := make(map[string]string, len(set))
-	for k := range set {
-		m[k] = ""
-	}
-	return sortedKeys(m)
 }
 
 func minEpoch(a, b int) int {

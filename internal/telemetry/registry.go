@@ -192,13 +192,13 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 // kinds is a caller bug and simply yields adjacent entries).
 func (r *Registry) Snapshot() []Metric {
 	out := make([]Metric, 0, len(r.counters)+len(r.gauges)+len(r.hists)) //sbvet:allow hotpath(metric-export path; runs on anomaly dumps and end-of-run snapshots, not steady-state epochs)
-	for _, name := range counterKeys(r.counters) {
+	for _, name := range sortedKeys(r.counters) {
 		out = append(out, Metric{Key: name, Kind: KindCounter, Value: float64(r.counters[name].v)}) //sbvet:allow hotpath(metric-export path; runs on anomaly dumps and end-of-run snapshots, not steady-state epochs)
 	}
-	for _, name := range gaugeKeys(r.gauges) {
+	for _, name := range sortedKeys(r.gauges) {
 		out = append(out, Metric{Key: name, Kind: KindGauge, Value: r.gauges[name].v}) //sbvet:allow hotpath(metric-export path; runs on anomaly dumps and end-of-run snapshots, not steady-state epochs)
 	}
-	for _, name := range histKeys(r.hists) {
+	for _, name := range sortedKeys(r.hists) {
 		h := r.hists[name]
 		m := Metric{Key: name, Kind: KindHistogram, Count: h.count, Sum: h.sum}
 		for i, b := range h.bounds {
@@ -219,17 +219,17 @@ func (r *Registry) Snapshot() []Metric {
 // merge folds src's metrics into r: counters and histograms sum,
 // gauges take src's value when src set one.
 func (r *Registry) merge(src *Registry) {
-	for _, name := range counterKeys(src.counters) {
+	for _, name := range sortedKeys(src.counters) {
 		r.Counter(name).Add(src.counters[name].v)
 	}
-	for _, name := range gaugeKeys(src.gauges) {
+	for _, name := range sortedKeys(src.gauges) {
 		if sg := src.gauges[name]; sg.set {
 			r.Gauge(name).Set(sg.v)
 		} else {
 			r.Gauge(name) // register so zero-valued gauges survive merges
 		}
 	}
-	for _, name := range histKeys(src.hists) {
+	for _, name := range sortedKeys(src.hists) {
 		sh := src.hists[name]
 		dh := r.Histogram(name, sh.bounds)
 		if len(dh.counts) != len(sh.counts) {
@@ -252,36 +252,6 @@ func (r *Registry) merge(src *Registry) {
 		dh.count += sh.count
 		dh.sum += sh.sum
 	}
-}
-
-// counterKeys, gaugeKeys, and histKeys return sorted key sets; merges
-// walk them in order so handle creation order (and with it nothing
-// observable) stays deterministic.
-func counterKeys(m map[string]*Counter) []string {
-	keys := make([]string, 0, len(m)) //sbvet:allow hotpath(metric-export path; runs on anomaly dumps and end-of-run snapshots, not steady-state epochs)
-	for k := range m {                //sbvet:allow hotpath(metric-export path; runs on anomaly dumps and end-of-run snapshots, not steady-state epochs)
-		keys = append(keys, k) //sbvet:allow hotpath(metric-export path; runs on anomaly dumps and end-of-run snapshots, not steady-state epochs)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func gaugeKeys(m map[string]*Gauge) []string {
-	keys := make([]string, 0, len(m)) //sbvet:allow hotpath(metric-export path; runs on anomaly dumps and end-of-run snapshots, not steady-state epochs)
-	for k := range m {                //sbvet:allow hotpath(metric-export path; runs on anomaly dumps and end-of-run snapshots, not steady-state epochs)
-		keys = append(keys, k) //sbvet:allow hotpath(metric-export path; runs on anomaly dumps and end-of-run snapshots, not steady-state epochs)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func histKeys(m map[string]*Histogram) []string {
-	keys := make([]string, 0, len(m)) //sbvet:allow hotpath(metric-export path; runs on anomaly dumps and end-of-run snapshots, not steady-state epochs)
-	for k := range m {                //sbvet:allow hotpath(metric-export path; runs on anomaly dumps and end-of-run snapshots, not steady-state epochs)
-		keys = append(keys, k) //sbvet:allow hotpath(metric-export path; runs on anomaly dumps and end-of-run snapshots, not steady-state epochs)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 func max64(a, b int64) int64 {

@@ -123,17 +123,12 @@ type FleetOutcome struct {
 	MaxMs            float64       `json:"max_ms"`
 }
 
-// RunFleetScenario executes one fleet cell end to end.
-func RunFleetScenario(sc FleetScenario) (*FleetOutcome, error) {
-	return RunFleetScenarioWorkers(sc, 1)
-}
-
-// RunFleetScenarioWorkers is RunFleetScenario with an explicit
-// node-stepping worker count. The fleet's determinism contract says
+// RunFleetScenario executes one fleet cell end to end, stepping its
+// nodes on workers goroutines. The fleet's determinism contract says
 // the count never changes any output — the adversarial hunt runs the
 // same cell under different counts precisely to check that claim, so
 // the knob must be reachable from the sweep layer.
-func RunFleetScenarioWorkers(sc FleetScenario, workers int) (*FleetOutcome, error) {
+func RunFleetScenario(sc FleetScenario, workers int) (*FleetOutcome, error) {
 	if err := sc.validate(); err != nil {
 		return nil, err
 	}
@@ -186,7 +181,7 @@ func FleetTasks(scs []FleetScenario, salt string) ([]Task, error) {
 			Key:         sc.Key(),
 			Fingerprint: fp,
 			Run: func() ([]byte, error) {
-				out, err := RunFleetScenario(sc)
+				out, err := RunFleetScenario(sc, 1)
 				if err != nil {
 					return nil, err
 				}

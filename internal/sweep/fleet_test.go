@@ -96,7 +96,7 @@ func TestFleetOutcomeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := RunFleetScenario(scs[0])
+	out, err := RunFleetScenario(scs[0], 1)
 	if err != nil {
 		t.Fatal(err)
 	}

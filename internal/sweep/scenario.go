@@ -170,25 +170,14 @@ type Outcome struct {
 }
 
 // RunScenario executes one scenario end to end: resolve the platform,
-// workload, and balancer, simulate for the scenario's duration, check
-// kernel invariants, and distill the run statistics.
-func RunScenario(sc Scenario) (*Outcome, error) {
-	return runScenario(sc, nil)
-}
-
-// RunScenarioObserved runs the scenario with a telemetry collector
-// attached to the kernel and the balancer (when it accepts one), so
-// callers can inspect flight-recorder anomalies alongside the outcome.
-// Telemetry observation never changes the simulation itself — the
-// outcome is byte-identical to RunScenario's — so observed runs share
-// the unobserved runs' cache entries safely.
-func RunScenarioObserved(sc Scenario, tel *telemetry.Collector) (*Outcome, error) {
-	return runScenario(sc, tel)
-}
-
-// runScenario resolves the scenario's names, runs it through
-// scenario.Run and distills the outcome.
-func runScenario(sc Scenario, tel *telemetry.Collector) (*Outcome, error) {
+// workload, and balancer, simulate for the scenario's duration through
+// scenario.Run, check kernel invariants, and distill the run
+// statistics. A non-nil tel is attached to the kernel and the balancer
+// (when it accepts one), so callers can inspect flight-recorder
+// anomalies alongside the outcome. Observation never changes the
+// simulation — the outcome is byte-identical with tel nil — so
+// observed runs share the unobserved runs' cache entries safely.
+func RunScenario(sc Scenario, tel *telemetry.Collector) (*Outcome, error) {
 	if err := sc.validate(); err != nil {
 		return nil, err
 	}
@@ -266,7 +255,7 @@ func Tasks(scs []Scenario, salt string) ([]Task, error) {
 			Key:         sc.Key(),
 			Fingerprint: fp,
 			Run: func() ([]byte, error) {
-				out, err := RunScenario(sc)
+				out, err := RunScenario(sc, nil)
 				if err != nil {
 					return nil, err
 				}

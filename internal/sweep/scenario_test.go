@@ -60,7 +60,7 @@ func TestRunScenarioVanilla(t *testing.T) {
 	out, err := RunScenario(Scenario{
 		Platform: "quad", Balancer: "vanilla", Workload: "Mix1",
 		Threads: 2, Seed: 1, DurationNs: 60e6,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestRunScenarioBadNames(t *testing.T) {
 	s.Balancer = "gts" // GTS needs a two-type platform; quad has four
 	bad = append(bad, s)
 	for i, sc := range bad {
-		if _, err := RunScenario(sc); err == nil {
+		if _, err := RunScenario(sc, nil); err == nil {
 			t.Errorf("case %d: bad scenario accepted: %+v", i, sc)
 		}
 	}
@@ -205,7 +205,7 @@ func TestFaultAxisFingerprintAndKey(t *testing.T) {
 
 	bad := clean
 	bad.Fault = "drop=2"
-	if _, err := RunScenario(bad); err == nil {
+	if _, err := RunScenario(bad, nil); err == nil {
 		t.Fatal("invalid fault plan accepted")
 	}
 }
@@ -234,11 +234,11 @@ func TestGridFaultAxisExpansion(t *testing.T) {
 func TestRunScenarioWithFaultsDeterministic(t *testing.T) {
 	sc := Scenario{Platform: "quad", Balancer: "smartbalance", Workload: "Mix1",
 		Threads: 4, Seed: 3, DurationNs: 400e6, Fault: "drop=0.4;migfail=0.3"}
-	a, err := RunScenario(sc)
+	a, err := RunScenario(sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunScenario(sc)
+	b, err := RunScenario(sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestRunScenarioWithFaultsDeterministic(t *testing.T) {
 	}
 	clean := sc
 	clean.Fault = ""
-	c, err := RunScenario(clean)
+	c, err := RunScenario(clean, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,6 @@ package sweep
 import (
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 
 	"smartbalance/internal/core"
@@ -107,21 +106,21 @@ type Options struct {
 	// Cache, when non-nil, serves and stores fingerprinted task
 	// results.
 	Cache *Cache
-	// NewClock supplies one Clock per worker for per-task wall timing
-	// (clocks need not be safe for concurrent use). Nil freezes timing
-	// at zero, keeping library runs a pure function of their inputs;
-	// binaries pass core.RealClock here.
+	// NewClock supplies one Clock per job for its wall timing (clocks
+	// need not be safe for concurrent use). Nil freezes timing at zero,
+	// keeping library runs a pure function of their inputs; binaries
+	// pass core.RealClock here.
 	NewClock func() core.Clock
 	// OnProgress, when non-nil, receives live status updates.
 	OnProgress func(Progress)
 	// Telemetry, when non-nil, receives the sweep's engine telemetry:
 	// per-job records (one epoch per canonical job index, holding a
 	// "job" span with the job's key and status) and job/cache counters.
-	// Each worker records into a private collector — collectors are not
-	// safe for concurrent use — and Execute merges them; because every
-	// job occupies its own epoch number, the merged trace is identical
-	// for any worker count and schedule. Job wall time is deliberately
-	// excluded: it would break that equivalence.
+	// Each job records into a private collector — collectors are not
+	// safe for concurrent use — and Execute merges them in job order;
+	// because every job occupies its own epoch number, the merged trace
+	// is identical for any worker count and schedule. Job wall time is
+	// deliberately excluded: it would break that equivalence.
 	Telemetry *telemetry.Collector
 }
 
@@ -139,7 +138,7 @@ type Result struct {
 	Err error
 	// Cached reports whether Data came from the cache instead of a run.
 	Cached bool
-	// WallNs is the task's wall time on the worker's injected clock
+	// WallNs is the task's wall time on the job's injected clock
 	// (zero for cached results and under the default frozen clock).
 	WallNs int64
 }
@@ -165,12 +164,12 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Execute runs every task on a bounded worker pool and returns their
-// results in canonical job order. The returned error reports only
-// malformed input (empty/duplicate keys, nil Run); per-task failures —
-// including recovered panics — live in the results, so one bad
-// scenario never kills the sweep. FirstError collapses them when the
-// caller wants fail-fast semantics.
+// Execute runs every task on Map's bounded worker pool and returns
+// their results in canonical job order. The returned error reports
+// malformed input (empty/duplicate keys, nil Run) or a panic in the
+// OnProgress hook; per-task failures — including recovered panics —
+// live in the results, so one bad scenario never kills the sweep.
+// FirstError collapses them when the caller wants fail-fast semantics.
 func Execute(tasks []Task, opts Options) ([]Result, error) {
 	seen := make(map[string]int, len(tasks))
 	for i := range tasks {
@@ -187,11 +186,6 @@ func Execute(tasks []Task, opts Options) ([]Result, error) {
 		}
 	}
 
-	results := make([]Result, len(tasks))
-	if len(tasks) == 0 {
-		return results, nil
-	}
-
 	var progressMu sync.Mutex
 	emit := func(p Progress) {
 		if opts.OnProgress == nil {
@@ -202,47 +196,33 @@ func Execute(tasks []Task, opts Options) ([]Result, error) {
 		opts.OnProgress(p)
 	}
 
-	workers := Workers(opts.Workers)
-	if workers > len(tasks) {
-		workers = len(tasks)
+	var tels []*telemetry.Collector
+	if opts.Telemetry.Enabled() {
+		tels = make([]*telemetry.Collector, len(tasks))
 	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	workerTel := make([]*telemetry.Collector, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		if opts.Telemetry.Enabled() {
-			workerTel[w] = telemetry.New(telemetry.Config{})
+	results, err := Map(opts.Workers, len(tasks), func(i int) (Result, error) {
+		var clk core.Clock = core.NewFakeClock(0)
+		if opts.NewClock != nil {
+			clk = opts.NewClock()
 		}
-		go func(w int) {
-			defer wg.Done()
-			var clk core.Clock
-			if opts.NewClock != nil {
-				clk = opts.NewClock()
-			} else {
-				clk = core.NewFakeClock(0)
-			}
-			for i := range idx {
-				results[i] = runOne(i, len(tasks), &tasks[i], opts.Cache, clk, workerTel[w], emit)
-			}
-		}(w)
+		var tel *telemetry.Collector
+		if tels != nil {
+			tel = telemetry.New(telemetry.Config{})
+			tels[i] = tel
+		}
+		return runOne(i, len(tasks), &tasks[i], opts.Cache, clk, tel, emit), nil
+	})
+	for _, tel := range tels {
+		opts.Telemetry.Merge(tel)
 	}
-	for i := range tasks {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, wt := range workerTel {
-		opts.Telemetry.Merge(wt)
-	}
-	return results, nil
+	return results, err
 }
 
-// runOne executes (or cache-serves) a single task on a worker,
-// recording its outcome into the worker's telemetry collector under
-// epoch i+1 (timestamps are the canonical job index — the sweep has no
-// simulated clock of its own, and wall time would make parallel and
-// serial traces diverge).
+// runOne executes (or cache-serves) a single task, recording its
+// outcome into the job's telemetry collector under epoch i+1
+// (timestamps are the canonical job index — the sweep has no simulated
+// clock of its own, and wall time would make parallel and serial
+// traces diverge).
 func runOne(i, total int, t *Task, cache *Cache, clk core.Clock, tel *telemetry.Collector, emit func(Progress)) Result {
 	emit(Progress{Index: i, Total: total, Key: t.Key, Status: StatusRunning})
 	record := func(status Status) {
@@ -275,7 +255,7 @@ func runOne(i, total int, t *Task, cache *Cache, clk core.Clock, tel *telemetry.
 		}
 	}
 	t0 := clk.Now()
-	data, err := runRecovered(t)
+	data, err := callRecovered(func(int) ([]byte, error) { return t.Run() }, i)
 	res.WallNs = clk.Now().Sub(t0).Nanoseconds()
 	res.Data, res.Err = data, err
 	if err != nil {
@@ -291,16 +271,6 @@ func runOne(i, total int, t *Task, cache *Cache, clk core.Clock, tel *telemetry.
 	record(StatusDone)
 	emit(Progress{Index: i, Total: total, Key: t.Key, Status: StatusDone, WallNs: res.WallNs})
 	return res
-}
-
-// runRecovered invokes the task, converting a panic into *PanicError.
-func runRecovered(t *Task) (data []byte, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &PanicError{Value: fmt.Sprint(r), Stack: string(debug.Stack())}
-		}
-	}()
-	return t.Run()
 }
 
 // FirstError returns the error of the lowest-indexed failed result —

@@ -24,6 +24,7 @@ import (
 	"sort"
 	"strconv"
 
+	"smartbalance/internal/param"
 	"smartbalance/internal/telemetry"
 )
 
@@ -138,7 +139,7 @@ func fleetSummary(w io.Writer, tr *telemetry.Trace) {
 			totals[m.Key] = m.Value
 		}
 	}
-	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	g := param.Float
 	fmt.Fprintf(w, "fleet     nodes=%s policy=%s arrival=%s\n",
 		tr.Meta["nodes"], tr.Meta["policy"], tr.Meta["arrival"])
 	fmt.Fprintf(w, "  requests=%.0f completed=%.0f inflight=%.0f\n",

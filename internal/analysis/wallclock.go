@@ -28,6 +28,7 @@ var DefaultSimPackages = []string{
 	"smartbalance/internal/hunt",
 	"smartbalance/internal/contention",
 	"smartbalance/internal/scenario",
+	"smartbalance/internal/param",
 }
 
 // Wallclock returns the analyzer forbidding time.Now and time.Since in

@@ -34,10 +34,10 @@ package contention
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"smartbalance/internal/arch"
+	"smartbalance/internal/param"
 )
 
 // Model constants.
@@ -88,7 +88,7 @@ func (s Spec) String() string {
 	if !s.Enabled {
 		return ""
 	}
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	f := param.Float
 	out := specOn
 	if s.LLCKB > 0 {
 		out += ",llc=" + f(s.LLCKB)
@@ -130,40 +130,23 @@ func (s Spec) Validate() error {
 
 // ParseSpec parses the canonical contention spec grammar. "", "none",
 // and "off" mean disabled; "on" enables the defaults; overrides follow
-// as comma-separated key=value pairs (llc, bw, bus, slope). Unknown
-// keys are errors.
+// as comma-separated key=value pairs (llc, bw, bus, slope), read by
+// param.Parse. Unknown keys are errors.
 func ParseSpec(spec string) (Spec, error) {
 	var s Spec
 	switch spec {
 	case "", "none", "off":
 		return s, nil
 	}
-	parts := strings.Split(spec, ",")
-	if parts[0] != specOn {
+	mode, params, _ := strings.Cut(spec, ",")
+	if mode != specOn {
 		return s, fmt.Errorf("contention: spec %q must start with %q (or be empty/none/off)", spec, specOn)
 	}
 	s.Enabled = true
-	for _, part := range parts[1:] {
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			return s, fmt.Errorf("contention: parameter %q malformed (want key=value)", part)
-		}
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return s, fmt.Errorf("contention: parameter %q: %v", part, err)
-		}
-		switch strings.TrimSpace(k) {
-		case "llc":
-			s.LLCKB = f
-		case "bw":
-			s.BWGBps = f
-		case "bus":
-			s.BusGBps = f
-		case "slope":
-			s.MissSlope = f
-		default:
-			return s, fmt.Errorf("contention: unknown parameter %q", k)
-		}
+	if err := param.Parse(params, ",", map[string]any{
+		"llc": &s.LLCKB, "bw": &s.BWGBps, "bus": &s.BusGBps, "slope": &s.MissSlope,
+	}); err != nil {
+		return s, fmt.Errorf("contention: %w", err)
 	}
 	return s, s.Validate()
 }

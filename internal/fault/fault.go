@@ -25,6 +25,7 @@ import (
 	"smartbalance/internal/arch"
 	"smartbalance/internal/hpc"
 	"smartbalance/internal/kernel"
+	"smartbalance/internal/param"
 	"smartbalance/internal/rng"
 )
 
@@ -163,7 +164,7 @@ func (p Plan) String() string {
 	var parts []string
 	add := func(k string, v float64) {
 		if v != 0 { //sbvet:allow floateq(zero fields are elided from the canonical spec, never computed)
-			parts = append(parts, k+"="+strconv.FormatFloat(v, 'g', -1, 64))
+			parts = append(parts, k+"="+param.Float(v))
 		}
 	}
 	add("drop", p.DropRate)
@@ -183,56 +184,22 @@ func (p Plan) String() string {
 }
 
 // ParsePlan parses the spec grammar produced by String:
-// "drop=0.5;stale=0.1;migfail=0.2;seed=7". "", "none", and "off" all
-// mean the zero plan. Keys match the Plan fields: drop, stale, corrupt,
-// powerdrop, powerspike, migfail, spikex, seed.
+// "drop=0.5;stale=0.1;migfail=0.2;seed=7", read by param.Parse with ';'
+// between items. "", "none", and "off" all mean the zero plan. Keys
+// match the Plan fields: drop, stale, corrupt, powerdrop, powerspike,
+// migfail, spikex, seed.
 func ParsePlan(spec string) (Plan, error) {
 	var p Plan
 	spec = strings.TrimSpace(spec)
 	if spec == "" || spec == "none" || spec == "off" {
 		return p, nil
 	}
-	for _, item := range strings.Split(spec, ";") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
-		key, val, ok := strings.Cut(item, "=")
-		if !ok {
-			return Plan{}, fmt.Errorf("fault: bad spec item %q (want key=value)", item)
-		}
-		key = strings.TrimSpace(key)
-		val = strings.TrimSpace(val)
-		if key == "seed" {
-			seed, err := strconv.ParseUint(val, 10, 64)
-			if err != nil {
-				return Plan{}, fmt.Errorf("fault: bad seed %q", val)
-			}
-			p.Seed = seed
-			continue
-		}
-		f, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return Plan{}, fmt.Errorf("fault: bad value %q for %q", val, key)
-		}
-		switch key {
-		case "drop":
-			p.DropRate = f
-		case "stale":
-			p.StaleRate = f
-		case "corrupt":
-			p.CorruptRate = f
-		case "powerdrop":
-			p.PowerDropRate = f
-		case "powerspike":
-			p.PowerSpikeRate = f
-		case "migfail":
-			p.MigrateFailRate = f
-		case "spikex":
-			p.SpikeFactor = f
-		default:
-			return Plan{}, fmt.Errorf("fault: unknown spec key %q", key)
-		}
+	if err := param.Parse(spec, ";", map[string]any{
+		"drop": &p.DropRate, "stale": &p.StaleRate, "corrupt": &p.CorruptRate,
+		"powerdrop": &p.PowerDropRate, "powerspike": &p.PowerSpikeRate,
+		"migfail": &p.MigrateFailRate, "spikex": &p.SpikeFactor, "seed": &p.Seed,
+	}); err != nil {
+		return Plan{}, fmt.Errorf("fault: %w", err)
 	}
 	if err := p.Validate(); err != nil {
 		return Plan{}, err

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 
+	"smartbalance/internal/param"
 	"smartbalance/internal/rng"
 )
 
@@ -30,186 +30,170 @@ import (
 // and a burst state at burst x the base rate, switching per tick with
 // the given probabilities.
 
-// Arrival is one open-loop arrival process. Implementations are
-// stateful (the MMPP remembers its phase) and not safe for concurrent
-// use; the fleet drives them from its serial dispatch section only.
-type Arrival interface {
-	// Spec returns the canonical spec string the process was built
-	// from, with every parameter made explicit.
-	Spec() string
-	// Rate returns the instantaneous arrival rate in requests per
-	// simulated second at time atNs, advancing any internal state the
-	// process keeps per observation window. Callers sample it once per
-	// tick, at the tick's start.
-	Rate(atNs int64) float64
+// ArrivalSpec is the one description of an arrival process, in the
+// grammar's units: Rate in requests per simulated second (bursty's
+// calm-state rate) and PeriodMs in simulated milliseconds, fractions
+// kept as parsed so String round-trips. Parameters the kind does not
+// use are zero. The adversarial hunt mutates it directly, and its JSON
+// encoding keys every pinned fleet counterexample, so the tags never
+// change.
+type ArrivalSpec struct {
+	Kind     string  `json:"kind"` // uniform | diurnal | bursty
+	Rate     float64 `json:"rate"`
+	Depth    float64 `json:"depth,omitempty"`
+	PeriodMs float64 `json:"period_ms,omitempty"`
+	Burst    float64 `json:"burst,omitempty"`
+	PBurst   float64 `json:"pburst,omitempty"`
+	PCalm    float64 `json:"pcalm,omitempty"`
 }
 
-// uniformArrival is a constant-rate Poisson process.
-type uniformArrival struct {
-	rate float64
-}
-
-func (u *uniformArrival) Spec() string {
-	return "uniform:rate=" + formatRate(u.rate)
-}
-
-func (u *uniformArrival) Rate(int64) float64 { return u.rate }
-
-// diurnalArrival modulates a Poisson process with one sinusoid —
-// the compressed day/night cycle. The phase starts at the trough so a
-// run opens in the quiet period and climbs toward peak traffic.
-type diurnalArrival struct {
-	rate  float64 // mean rate, req/s
-	depth float64 // modulation depth in [0, 1)
-	// periodMs is one full cycle in (possibly fractional) simulated
-	// milliseconds — kept exactly as parsed so Spec() round-trips. The
-	// old int64-nanosecond field made the round trip lossy twice over:
-	// Spec() rendered it with %d (truncating fractional milliseconds)
-	// and the parse truncated rather than rounded the ms->ns scaling.
-	periodMs float64
-}
-
-func (d *diurnalArrival) Spec() string {
-	return fmt.Sprintf("diurnal:rate=%s,depth=%s,period=%s",
-		formatRate(d.rate), formatRate(d.depth), formatRate(d.periodMs))
-}
-
-func (d *diurnalArrival) Rate(atNs int64) float64 {
-	phase := 2 * math.Pi * float64(atNs) / (d.periodMs * 1e6)
-	return d.rate * (1 + d.depth*math.Sin(phase-math.Pi/2))
-}
-
-// burstyArrival is a two-state Markov-modulated Poisson process: calm
-// at the base rate, bursting at burst x base, with per-tick switching
-// probabilities. The state chain draws from its own split of the fleet
-// arrival stream, so the burst schedule is seed-deterministic.
-type burstyArrival struct {
-	rate    float64 // calm-state rate, req/s
-	burst   float64 // burst-state multiplier, > 1
-	pBurst  float64 // P(calm -> burst) per rate sample
-	pCalm   float64 // P(burst -> calm) per rate sample
-	r       *rng.Rand
-	inBurst bool
-}
-
-func (b *burstyArrival) Spec() string {
-	return fmt.Sprintf("bursty:rate=%s,burst=%s,pburst=%s,pcalm=%s",
-		formatRate(b.rate), formatRate(b.burst), formatRate(b.pBurst), formatRate(b.pCalm))
-}
-
-func (b *burstyArrival) Rate(int64) float64 {
-	if b.inBurst {
-		if b.r.Float64() < b.pCalm {
-			b.inBurst = false
-		}
-	} else {
-		if b.r.Float64() < b.pBurst {
-			b.inBurst = true
-		}
-	}
-	if b.inBurst {
-		return b.rate * b.burst
-	}
-	return b.rate
-}
-
-// ParseArrival parses an arrival spec. stream seeds the process's own
-// randomness (the MMPP state chain); derive it from the fleet seed so
-// one knob reproduces the whole run.
-func ParseArrival(spec string, stream *rng.Rand) (Arrival, error) {
-	kind := spec
-	params := ""
-	if i := strings.IndexByte(spec, ':'); i >= 0 {
-		kind, params = spec[:i], spec[i+1:]
-	}
-	kv, err := parseParams(params)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: arrival %q: %w", spec, err)
-	}
-	get := func(key string, def float64) float64 {
-		if v, ok := kv[key]; ok {
-			delete(kv, key)
-			return v
-		}
-		return def
-	}
-	var a Arrival
+// DefaultArrival returns kind's spec with every parameter at its
+// default: the values a bare "kind" spec parses to. An unknown kind
+// comes back with only Kind set, and fails Validate.
+func DefaultArrival(kind string) ArrivalSpec {
 	switch kind {
 	case "uniform":
-		u := &uniformArrival{rate: get("rate", 400)}
-		if u.rate <= 0 {
-			return nil, fmt.Errorf("fleet: arrival %q: non-positive rate", spec)
-		}
-		a = u
+		return ArrivalSpec{Kind: kind, Rate: 400}
 	case "diurnal":
-		d := &diurnalArrival{
-			rate:     get("rate", 400),
-			depth:    get("depth", 0.6),
-			periodMs: get("period", 2000),
-		}
-		if d.rate <= 0 || d.periodMs <= 0 {
-			return nil, fmt.Errorf("fleet: arrival %q: non-positive rate or period", spec)
-		}
-		if d.depth < 0 || d.depth >= 1 {
-			return nil, fmt.Errorf("fleet: arrival %q: depth %v outside [0,1)", spec, d.depth)
-		}
-		a = d
+		return ArrivalSpec{Kind: kind, Rate: 400, Depth: 0.6, PeriodMs: 2000}
 	case "bursty":
-		b := &burstyArrival{
-			rate:   get("rate", 300),
-			burst:  get("burst", 6),
-			pBurst: get("pburst", 0.08),
-			pCalm:  get("pcalm", 0.25),
-			r:      stream.Split(),
-		}
-		if b.rate <= 0 || b.burst <= 1 {
-			return nil, fmt.Errorf("fleet: arrival %q: need rate > 0 and burst > 1", spec)
-		}
-		if b.pBurst <= 0 || b.pBurst > 1 || b.pCalm <= 0 || b.pCalm > 1 {
-			return nil, fmt.Errorf("fleet: arrival %q: switching probabilities outside (0,1]", spec)
-		}
-		a = b
-	default:
-		return nil, fmt.Errorf("fleet: unknown arrival kind %q (uniform | diurnal | bursty)", kind)
+		return ArrivalSpec{Kind: kind, Rate: 300, Burst: 6, PBurst: 0.08, PCalm: 0.25}
 	}
-	if len(kv) > 0 {
-		keys := make([]string, 0, len(kv))
-		for k := range kv {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		return nil, fmt.Errorf("fleet: arrival %q: unknown parameters %v", spec, keys)
+	return ArrivalSpec{Kind: kind}
+}
+
+// ParseArrivalSpec parses "kind" or "kind:key=val,...": omitted
+// parameters take DefaultArrival's values, param.Parse reads the rest,
+// and a parameter the kind does not have is an error.
+func ParseArrivalSpec(spec string) (ArrivalSpec, error) {
+	kind, params, _ := strings.Cut(spec, ":")
+	a := DefaultArrival(kind)
+	keys := map[string]any{"rate": &a.Rate}
+	switch kind {
+	case "diurnal":
+		keys["depth"], keys["period"] = &a.Depth, &a.PeriodMs
+	case "bursty":
+		keys["burst"], keys["pburst"], keys["pcalm"] = &a.Burst, &a.PBurst, &a.PCalm
+	}
+	if err := param.Parse(params, ",", keys); err != nil {
+		return ArrivalSpec{}, fmt.Errorf("fleet: arrival %q: %w", spec, err)
+	}
+	if err := a.Validate(); err != nil {
+		return ArrivalSpec{}, err
 	}
 	return a, nil
 }
 
-// parseParams splits "k=v,k=v" into a map.
-func parseParams(s string) (map[string]float64, error) {
-	kv := map[string]float64{}
-	if s == "" {
-		return kv, nil
+// String renders the canonical spec: the kind's parameters explicit,
+// in fixed order, shortest-exact numbers. ParseArrivalSpec(a.String())
+// == a for every valid spec whose unused parameters are zero.
+func (a ArrivalSpec) String() string {
+	f := param.Float
+	switch a.Kind {
+	case "uniform":
+		return "uniform:rate=" + f(a.Rate)
+	case "diurnal":
+		return "diurnal:rate=" + f(a.Rate) + ",depth=" + f(a.Depth) + ",period=" + f(a.PeriodMs)
+	case "bursty":
+		return "bursty:rate=" + f(a.Rate) + ",burst=" + f(a.Burst) +
+			",pburst=" + f(a.PBurst) + ",pcalm=" + f(a.PCalm)
 	}
-	for _, part := range strings.Split(s, ",") {
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			return nil, fmt.Errorf("malformed parameter %q (want key=value)", part)
-		}
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return nil, fmt.Errorf("parameter %q: %v", part, err)
-		}
-		// ParseFloat accepts NaN and Inf, which slip past every range
-		// check below (NaN compares false) or never end a draw (Inf).
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return nil, fmt.Errorf("parameter %q: not a finite number", part)
-		}
-		kv[strings.TrimSpace(k)] = f
-	}
-	return kv, nil
+	return a.Kind
 }
 
-// formatRate renders a parameter with the shortest exact form.
-func formatRate(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+// Validate checks the spec against the process domains. Specs built
+// as structs never pass through param.Parse, so it refuses non-finite
+// parameters itself: NaN slips past every range check and an infinite
+// rate never ends a draw.
+func (a ArrivalSpec) Validate() error {
+	for _, v := range [...]float64{a.Rate, a.Depth, a.PeriodMs, a.Burst, a.PBurst, a.PCalm} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("fleet: arrival %q: parameter %v not finite", a, v)
+		}
+	}
+	switch a.Kind {
+	case "uniform":
+		if a.Rate <= 0 {
+			return fmt.Errorf("fleet: arrival %q: non-positive rate", a)
+		}
+	case "diurnal":
+		if a.Rate <= 0 || a.PeriodMs <= 0 {
+			return fmt.Errorf("fleet: arrival %q: non-positive rate or period", a)
+		}
+		if a.Depth < 0 || a.Depth >= 1 {
+			return fmt.Errorf("fleet: arrival %q: depth %v outside [0,1)", a, a.Depth)
+		}
+	case "bursty":
+		if a.Rate <= 0 || a.Burst <= 1 {
+			return fmt.Errorf("fleet: arrival %q: need rate > 0 and burst > 1", a)
+		}
+		if a.PBurst <= 0 || a.PBurst > 1 || a.PCalm <= 0 || a.PCalm > 1 {
+			return fmt.Errorf("fleet: arrival %q: switching probabilities outside (0,1]", a)
+		}
+	default:
+		return fmt.Errorf("fleet: unknown arrival kind %q (uniform | diurnal | bursty)", a.Kind)
+	}
+	return nil
+}
+
+// Arrival is one running open-loop arrival process. It is stateful
+// (the bursty MMPP remembers its phase) and not safe for concurrent
+// use; the fleet drives it from its serial dispatch section only.
+type Arrival struct {
+	spec ArrivalSpec
+	// r and inBurst are the bursty process's state chain: it draws
+	// from its own split of the fleet arrival stream, so the burst
+	// schedule is seed-deterministic.
+	r       *rng.Rand
+	inBurst bool
+}
+
+// ParseArrival parses an arrival spec and starts its process. stream
+// seeds the process's own randomness (the MMPP state chain); derive it
+// from the fleet seed so one knob reproduces the whole run.
+func ParseArrival(spec string, stream *rng.Rand) (*Arrival, error) {
+	a, err := ParseArrivalSpec(spec)
+	if err != nil {
+		return nil, err
+	}
+	p := &Arrival{spec: a}
+	if a.Kind == "bursty" {
+		p.r = stream.Split()
+	}
+	return p, nil
+}
+
+// Spec returns the canonical spec string the process was built from,
+// with every parameter made explicit.
+func (p *Arrival) Spec() string { return p.spec.String() }
+
+// Rate returns the instantaneous arrival rate in requests per
+// simulated second at time atNs, advancing the bursty state chain one
+// step. Callers sample it once per tick, at the tick's start. The
+// diurnal sinusoid starts at its trough, so a run opens in the quiet
+// period and climbs toward peak traffic.
+func (p *Arrival) Rate(atNs int64) float64 {
+	a := &p.spec
+	switch a.Kind {
+	case "diurnal":
+		phase := 2 * math.Pi * float64(atNs) / (a.PeriodMs * 1e6)
+		return a.Rate * (1 + a.Depth*math.Sin(phase-math.Pi/2))
+	case "bursty":
+		if p.inBurst {
+			if p.r.Float64() < a.PCalm {
+				p.inBurst = false
+			}
+		} else {
+			if p.r.Float64() < a.PBurst {
+				p.inBurst = true
+			}
+		}
+		if p.inBurst {
+			return a.Rate * a.Burst
+		}
+	}
+	return a.Rate
+}
 
 // poisson draws a Poisson-distributed count with the given mean, via
 // Knuth's product-of-uniforms method — O(mean) per draw, exact, and a
@@ -242,7 +226,7 @@ func poisson(r *rng.Rand, mean float64) int {
 // [fromNs, toNs) to buf: a Poisson count at the window's sampled rate,
 // with offsets uniform over the window. Equal draws are
 // interchangeable, so the sort is canonical.
-func drawWindow(r *rng.Rand, a Arrival, fromNs, toNs int64, buf []int64) []int64 {
+func drawWindow(r *rng.Rand, a *Arrival, fromNs, toNs int64, buf []int64) []int64 {
 	rate := a.Rate(fromNs)
 	span := toNs - fromNs
 	if span <= 0 {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"smartbalance/internal/param"
 	"smartbalance/internal/rng"
 )
 
@@ -273,14 +274,14 @@ func TestArrivalSpecRoundTripsProperty(t *testing.T) {
 		var spec string
 		switch i % 3 {
 		case 0:
-			spec = "uniform:rate=" + formatRate(draw(0, 2000))
+			spec = "uniform:rate=" + param.Float(draw(0, 2000))
 		case 1:
 			spec = fmt.Sprintf("diurnal:rate=%s,depth=%s,period=%s",
-				formatRate(draw(0, 2000)), formatRate(draw(0, 0.999)), formatRate(draw(0, 5000)))
+				param.Float(draw(0, 2000)), param.Float(draw(0, 0.999)), param.Float(draw(0, 5000)))
 		case 2:
 			spec = fmt.Sprintf("bursty:rate=%s,burst=%s,pburst=%s,pcalm=%s",
-				formatRate(draw(0, 2000)), formatRate(draw(1, 20)),
-				formatRate(draw(0, 1)), formatRate(draw(0, 1)))
+				param.Float(draw(0, 2000)), param.Float(draw(1, 20)),
+				param.Float(draw(0, 1)), param.Float(draw(0, 1)))
 		}
 		a, err := ParseArrival(spec, rng.New(1))
 		if err != nil {

@@ -117,7 +117,7 @@ type Fleet struct {
 	cfg    Config
 	policy Policy
 	nodes  []*Node
-	proc   Arrival
+	proc   *Arrival
 	pick   *picker
 
 	arrStream *rng.Rand // arrival counts and offsets

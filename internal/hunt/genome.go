@@ -23,7 +23,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"strconv"
 
 	"smartbalance/internal/contention"
 	"smartbalance/internal/fault"
@@ -70,42 +69,12 @@ type NodeGenome struct {
 // FleetGenome describes a fleet-tier scenario: node count, per-node
 // platform profile, dispatch policy, and the arrival process.
 type FleetGenome struct {
-	Nodes      int           `json:"nodes"`
-	Profile    string        `json:"profile"`
-	Policy     string        `json:"policy"`
-	Arrival    ArrivalGenome `json:"arrival"`
-	Seed       uint64        `json:"seed"`
-	DurationMs int64         `json:"duration_ms"`
-}
-
-// ArrivalGenome is the mutable form of a fleet arrival spec. Spec()
-// renders the canonical string the fleet parses.
-type ArrivalGenome struct {
-	Kind     string  `json:"kind"` // uniform | diurnal | bursty
-	Rate     float64 `json:"rate"`
-	Depth    float64 `json:"depth,omitempty"`
-	PeriodMs float64 `json:"period_ms,omitempty"`
-	Burst    float64 `json:"burst,omitempty"`
-	PBurst   float64 `json:"pburst,omitempty"`
-	PCalm    float64 `json:"pcalm,omitempty"`
-}
-
-// g renders a float the way every canonical surface in this repository
-// does: shortest exact form.
-func g(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// Spec renders the canonical arrival spec string.
-func (a ArrivalGenome) Spec() string {
-	switch a.Kind {
-	case "uniform":
-		return "uniform:rate=" + g(a.Rate)
-	case "diurnal":
-		return fmt.Sprintf("diurnal:rate=%s,depth=%s,period=%s", g(a.Rate), g(a.Depth), g(a.PeriodMs))
-	case "bursty":
-		return fmt.Sprintf("bursty:rate=%s,burst=%s,pburst=%s,pcalm=%s",
-			g(a.Rate), g(a.Burst), g(a.PBurst), g(a.PCalm))
-	}
-	return "invalid:" + a.Kind
+	Nodes      int               `json:"nodes"`
+	Profile    string            `json:"profile"`
+	Policy     string            `json:"policy"`
+	Arrival    fleet.ArrivalSpec `json:"arrival"`
+	Seed       uint64            `json:"seed"`
+	DurationMs int64             `json:"duration_ms"`
 }
 
 // Validate checks the genome against the simulator domains, so every
@@ -146,6 +115,7 @@ func (n *NodeGenome) validate() error {
 }
 
 func (f *FleetGenome) validate() error {
+	a := f.Arrival
 	switch {
 	case f.Nodes < 2 || f.Nodes > 12:
 		return fmt.Errorf("hunt: fleet nodes %d outside [2,12]", f.Nodes)
@@ -153,38 +123,21 @@ func (f *FleetGenome) validate() error {
 		return fmt.Errorf("hunt: fleet profile %q", f.Profile)
 	case f.DurationMs < 100 || f.DurationMs > 600:
 		return fmt.Errorf("hunt: fleet duration %dms outside [100,600]", f.DurationMs)
+	// The arrival's search domain, the bounds mutation clamps into; the
+	// fleet's own domain is Arrival.Validate's below.
+	case a.Rate < 20 || a.Rate > 2000:
+		return fmt.Errorf("hunt: arrival rate %v outside [20,2000]", a.Rate)
+	case a.Kind == "diurnal" && a.Depth > 0.95:
+		return fmt.Errorf("hunt: diurnal depth %v outside [0,0.95]", a.Depth)
+	case a.Kind == "diurnal" && (a.PeriodMs < 50 || a.PeriodMs > 5000):
+		return fmt.Errorf("hunt: diurnal period %v outside [50,5000]ms", a.PeriodMs)
+	case a.Kind == "bursty" && (a.Burst < 1.5 || a.Burst > 20):
+		return fmt.Errorf("hunt: burst factor %v outside [1.5,20]", a.Burst)
 	}
 	if _, err := fleet.ParsePolicy(f.Policy); err != nil {
 		return err
 	}
-	return f.Arrival.validate()
-}
-
-func (a ArrivalGenome) validate() error {
-	if a.Rate < 20 || a.Rate > 2000 {
-		return fmt.Errorf("hunt: arrival rate %v outside [20,2000]", a.Rate)
-	}
-	switch a.Kind {
-	case "uniform":
-		return nil
-	case "diurnal":
-		if a.Depth < 0 || a.Depth > 0.95 {
-			return fmt.Errorf("hunt: diurnal depth %v outside [0,0.95]", a.Depth)
-		}
-		if a.PeriodMs < 50 || a.PeriodMs > 5000 {
-			return fmt.Errorf("hunt: diurnal period %v outside [50,5000]ms", a.PeriodMs)
-		}
-		return nil
-	case "bursty":
-		if a.Burst < 1.5 || a.Burst > 20 {
-			return fmt.Errorf("hunt: burst factor %v outside [1.5,20]", a.Burst)
-		}
-		if a.PBurst <= 0 || a.PBurst > 1 || a.PCalm <= 0 || a.PCalm > 1 {
-			return fmt.Errorf("hunt: burst switching probabilities outside (0,1]")
-		}
-		return nil
-	}
-	return fmt.Errorf("hunt: unknown arrival kind %q", a.Kind)
+	return a.Validate()
 }
 
 // Key is the candidate's canonical identity: its JSON encoding.

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 
+	"smartbalance/internal/param"
 	"smartbalance/internal/rng"
 	"smartbalance/internal/sweep"
 )
@@ -100,7 +101,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	logf("hunt seed=%d gens=%d pop=%d tiers=%s slo-p99=%s slo-jpr=%s margin=%s",
 		cfg.Seed, cfg.Generations, cfg.Population, joinTiers(cfg.Tiers),
-		g(cfg.SLO.P99Ms), g(cfg.SLO.JPR), g(cfg.Margin))
+		param.Float(cfg.SLO.P99Ms), param.Float(cfg.SLO.JPR), param.Float(cfg.Margin))
 
 	e := &Evaluator{SLO: cfg.SLO, Margin: cfg.Margin, Cache: cfg.Cache, Workers: cfg.Workers}
 	r := rng.New(cfg.Seed ^ huntSeedTag)
@@ -130,7 +131,7 @@ func Run(cfg Config) (*Result, error) {
 				}
 			}
 			logf("gen=%d cand=%d tier=%s fit=%s top=%s(%s) key=%s",
-				gen, i, ev.Cand.Tier, g(ev.Fitness), top.Objective, top.Detail, ev.Cand.Key())
+				gen, i, ev.Cand.Tier, param.Float(ev.Fitness), top.Objective, top.Detail, ev.Cand.Key())
 			for _, v := range ev.Violations {
 				if v.Score < 0 {
 					continue
@@ -162,7 +163,7 @@ func Run(cfg Config) (*Result, error) {
 			continue
 		}
 		logf("minimize obj=%s evals=%d steps=%d score=%s key=%s",
-			obj, m.Evals, m.Steps, g(m.Violation.Score), m.Cand.Key())
+			obj, m.Evals, m.Steps, param.Float(m.Violation.Score), m.Cand.Key())
 		res.Counterexamples = append(res.Counterexamples, NewEntry(m, cfg.SLO, cfg.Margin))
 	}
 	sort.Slice(res.Counterexamples, func(i, j int) bool {

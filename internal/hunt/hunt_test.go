@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"smartbalance/internal/fleet"
 	"smartbalance/internal/rng"
 	"smartbalance/internal/sweep"
 	"smartbalance/internal/workload"
@@ -31,7 +32,7 @@ func p99Violator() Candidate {
 		Nodes:      2,
 		Profile:    "quad",
 		Policy:     "energy",
-		Arrival:    ArrivalGenome{Kind: "uniform", Rate: 450},
+		Arrival:    fleet.ArrivalSpec{Kind: "uniform", Rate: 450},
 		Seed:       1,
 		DurationMs: 600,
 	}}
@@ -159,7 +160,7 @@ func TestMinimizeShrinksAndIsDeterministic(t *testing.T) {
 		Nodes:      6,
 		Profile:    "quad,biglittle",
 		Policy:     "energy",
-		Arrival:    ArrivalGenome{Kind: "bursty", Rate: 490.8, Burst: 6, PBurst: 0.08, PCalm: 0.1776},
+		Arrival:    fleet.ArrivalSpec{Kind: "bursty", Rate: 490.8, Burst: 6, PBurst: 0.08, PCalm: 0.1776},
 		Seed:       1,
 		DurationMs: 500,
 	}}
@@ -245,6 +246,31 @@ func TestCheckedInCorpusStillViolates(t *testing.T) {
 		} else if !r.OK {
 			t.Errorf("corpus entry %s no longer violates %s (%s)",
 				r.Entry.Name(), r.Entry.Objective, r.Violation.Detail)
+		}
+	}
+}
+
+// TestCheckedInCorpusNamesMatchHashes: a corpus file is named after
+// its entry's candidate hash, which hashes the genome's JSON encoding.
+// A change to that encoding (a renamed tag, a moved field) would
+// silently re-key every pinned counterexample; every checked-in file
+// must still carry its entry's name.
+func TestCheckedInCorpusNamesMatchHashes(t *testing.T) {
+	dir := filepath.Join("..", "..", "testdata", "corpus")
+	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := LoadCorpus(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) == 0 || len(entries) != len(files) {
+		t.Fatalf("loaded %d corpus entries from %d files", len(entries), len(files))
+	}
+	for i, e := range entries {
+		if got := filepath.Base(files[i]); got != e.Name() {
+			t.Errorf("corpus file %s holds entry %s", got, e.Name())
 		}
 	}
 }

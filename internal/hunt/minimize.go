@@ -263,7 +263,7 @@ var fleetAxes = []axis{
 			return nil
 		}
 		return []Candidate{reduceFleet(c, func(f *FleetGenome) {
-			f.Arrival = ArrivalGenome{Kind: "uniform", Rate: f.Arrival.Rate}
+			f.Arrival = defaultArrival("uniform", f.Arrival.Rate)
 		})}
 	},
 	// 4. Profile to quad.

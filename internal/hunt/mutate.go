@@ -3,6 +3,7 @@ package hunt
 import (
 	"strconv"
 
+	"smartbalance/internal/fleet"
 	"smartbalance/internal/rng"
 	"smartbalance/internal/workload"
 )
@@ -220,18 +221,10 @@ func mutateFleet(r *rng.Rand, f *FleetGenome) {
 	}
 }
 
-// defaultArrival builds the canonical midpoint genome for a kind.
-func defaultArrival(kind string, rate float64) ArrivalGenome {
-	a := ArrivalGenome{Kind: kind, Rate: rate}
-	switch kind {
-	case "diurnal":
-		a.Depth = 0.6
-		a.PeriodMs = 2000
-	case "bursty":
-		a.Burst = 6
-		a.PBurst = 0.08
-		a.PCalm = 0.25
-	}
+// defaultArrival is kind's default arrival spec at the given rate.
+func defaultArrival(kind string, rate float64) fleet.ArrivalSpec {
+	a := fleet.DefaultArrival(kind)
+	a.Rate = rate
 	return a
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"smartbalance/internal/param"
 )
 
 // Synthetic parametric benchmarks: the mutable corner of the workload
@@ -76,7 +78,7 @@ func DefaultSynth() SynthSpec {
 // fixed order, shortest-exact numbers. ParseSynth(s.String()) == s for
 // every valid spec.
 func (s SynthSpec) String() string {
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	f := param.Float
 	name := fmt.Sprintf("%sphases=%d,ins=%s,ilp=%s,mem=%s,bsh=%s,wsi=%s,wsd=%s,ent=%s,mlp=%s,sleep=%s",
 		SynthPrefix, s.Phases, f(s.InsM), f(s.ILP), f(s.Mem), f(s.Bsh),
 		f(s.WsIKB), f(s.WsDKB), f(s.Ent), f(s.MLP), f(s.SleepM))
@@ -117,58 +119,21 @@ func (s SynthSpec) Validate() error {
 	return nil
 }
 
-// ParseSynth parses a "synth:..." name. Omitted parameters take the
-// DefaultSynth values; unknown parameters are errors.
+// ParseSynth parses a "synth:..." name: param.Parse reads the
+// comma-separated parameters. Omitted parameters take the DefaultSynth
+// values; unknown parameters are errors.
 func ParseSynth(name string) (SynthSpec, error) {
 	s := DefaultSynth()
-	if !strings.HasPrefix(name, SynthPrefix) {
+	params, ok := strings.CutPrefix(name, SynthPrefix)
+	if !ok {
 		return s, fmt.Errorf("workload: %q is not a synth spec (want %q prefix)", name, SynthPrefix)
 	}
-	params := strings.TrimPrefix(name, SynthPrefix)
-	if params == "" {
-		return s, s.Validate()
-	}
-	for _, part := range strings.Split(params, ",") {
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			return s, fmt.Errorf("workload: synth parameter %q malformed (want key=value)", part)
-		}
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			return s, fmt.Errorf("workload: synth parameter %q: %v", part, err)
-		}
-		switch strings.TrimSpace(k) {
-		case "phases":
-			s.Phases = int(f)
-			if float64(s.Phases) != f { //sbvet:allow floateq(integrality check on a parsed literal, not a computed value)
-				return s, fmt.Errorf("workload: synth phases %v is not an integer", f)
-			}
-		case "ins":
-			s.InsM = f
-		case "ilp":
-			s.ILP = f
-		case "mem":
-			s.Mem = f
-		case "bsh":
-			s.Bsh = f
-		case "wsi":
-			s.WsIKB = f
-		case "wsd":
-			s.WsDKB = f
-		case "ent":
-			s.Ent = f
-		case "mlp":
-			s.MLP = f
-		case "sleep":
-			s.SleepM = f
-		case "ant":
-			s.Ant = int(f)
-			if float64(s.Ant) != f { //sbvet:allow floateq(integrality check on a parsed literal, not a computed value)
-				return s, fmt.Errorf("workload: synth ant %v is not an integer", f)
-			}
-		default:
-			return s, fmt.Errorf("workload: unknown synth parameter %q", k)
-		}
+	if err := param.Parse(params, ",", map[string]any{
+		"phases": &s.Phases, "ins": &s.InsM, "ilp": &s.ILP, "mem": &s.Mem,
+		"bsh": &s.Bsh, "wsi": &s.WsIKB, "wsd": &s.WsDKB, "ent": &s.Ent,
+		"mlp": &s.MLP, "sleep": &s.SleepM, "ant": &s.Ant,
+	}); err != nil {
+		return s, fmt.Errorf("workload: synth %w", err)
 	}
 	return s, s.Validate()
 }

@@ -106,17 +106,22 @@ func TestReadmeCompareBlockIsCurrent(t *testing.T) {
 }
 
 func TestBadFlagsFail(t *testing.T) {
-	cases := [][]string{
-		{"-policy", "random"},
-		{"-arrival", "storm"},
-		{"-nodes", "0"},
-		{"-classes", "video"},
-		{"-compare", "-telemetry", "x.jsonl"},
+	cases := []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-policy", "random"}, 1},
+		{[]string{"-arrival", "storm"}, 1},
+		{[]string{"-nodes", "0"}, 1},
+		{[]string{"-classes", "video"}, 1},
+		{[]string{"-compare", "-telemetry", "x.jsonl"}, 1},
+		{[]string{"-bogus"}, 1},
+		{[]string{"-h"}, 0}, // help is not a failure
 	}
-	for _, args := range cases {
+	for _, c := range cases {
 		var stdout, stderr bytes.Buffer
-		if code := run(args, &stdout, &stderr); code == 0 {
-			t.Errorf("sbfleet %v succeeded, want failure", args)
+		if code := run(c.args, &stdout, &stderr); code != c.want {
+			t.Errorf("sbfleet %v exited %d, want %d", c.args, code, c.want)
 		}
 	}
 }

@@ -49,6 +49,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		replay  = fs.String("replay", "", "replay a corpus directory instead of hunting; exits non-zero if any entry stopped violating")
 	)
 	if err := fs.Parse(argv); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
 		return 1
 	}
 	if fs.NArg() > 0 {

@@ -107,4 +107,7 @@ func TestRejectsUnknownTierAndStrayArgs(t *testing.T) {
 	if code := run([]string{"stray"}, &stdout, &stderr); code == 0 {
 		t.Error("stray positional argument exited 0")
 	}
+	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 {
+		t.Errorf("-h exited %d, want 0", code)
+	}
 }

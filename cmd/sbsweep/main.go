@@ -44,7 +44,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	var (
 		platforms = fs.String("platforms", "quad", "comma-separated platforms: quad | biglittle | scaling:<n>")
 		balancers = fs.String("balancers", "vanilla,smartbalance", "comma-separated balancers: smartbalance | vanilla | gts | iks | pinned")
-		workloads = fs.String("workloads", "Mix1", "comma-separated workloads: benchmark name, MixN, or imb:<T><I>")
+		workloads = fs.String("workloads", "Mix1", `comma-separated workloads: benchmark name, MixN, imb:<T><I>, or synth:key=value,... (e.g. "Mix1,synth:phases=1,ins=80")`)
 		threads   = fs.String("threads", "4", "comma-separated worker-thread counts")
 		seeds     = fs.String("seeds", "1", "comma-separated seeds; a-b expands the inclusive range")
 		faults    = fs.String("faults", "", `comma-separated fault plans, e.g. "none,drop=0.3;migfail=0.1" (empty sweeps clean)`)
@@ -62,10 +62,13 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fleetMode     = fs.Bool("fleet", false, "sweep the fleet tier instead of single-node scenarios (grids nodes x policy x arrival; -balancers, -seeds, -dur still apply)")
 		fleetNodes    = fs.String("fleet-nodes", "8", "comma-separated fleet sizes (with -fleet)")
 		fleetPolicies = fs.String("fleet-policies", "rr,least,energy", "comma-separated dispatch policies (with -fleet)")
-		fleetArrivals = fs.String("fleet-arrivals", "bursty", "comma-separated arrival specs (with -fleet)")
+		fleetArrivals = fs.String("fleet-arrivals", "bursty", `comma-separated arrival specs: uniform | diurnal | bursty[:key=value,...] (e.g. "uniform:rate=300,bursty"; with -fleet)`)
 		fleetProfiles = fs.String("fleet-profiles", "quad,biglittle", "comma-separated node-platform profiles; each profile is itself a +-separated cycle, e.g. quad+biglittle (with -fleet)")
 	)
 	if err := fs.Parse(argv); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
 		return 1
 	}
 

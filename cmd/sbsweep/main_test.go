@@ -181,15 +181,19 @@ func TestRunScenarioFailureExitsOne(t *testing.T) {
 }
 
 func TestRunBadFlagsExitOne(t *testing.T) {
-	for _, args := range [][]string{
-		{"-seeds", "x"},
-		{"-threads", "x"},
-		{"-seeds", ""},
-		{"-dur", "0"},
+	for _, c := range []struct {
+		args []string
+		want int
+	}{
+		{[]string{"-seeds", "x"}, 1},
+		{[]string{"-threads", "x"}, 1},
+		{[]string{"-seeds", ""}, 1},
+		{[]string{"-dur", "0"}, 1},
+		{[]string{"-h"}, 0}, // help is not a bad flag
 	} {
 		var out, errw bytes.Buffer
-		if code := run(args, &out, &errw); code != 1 {
-			t.Errorf("args %v: exit %d, want 1", args, code)
+		if code := run(c.args, &out, &errw); code != c.want {
+			t.Errorf("args %v: exit %d, want %d", c.args, code, c.want)
 		}
 	}
 }

@@ -46,6 +46,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		enabled[a.Name] = fs.Bool(a.Name, true, a.Doc)
 	}
 	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
 		return 2
 	}
 	patterns := fs.Args()

@@ -47,9 +47,11 @@ func TestRunJSONOutput(t *testing.T) {
 }
 
 func TestRunBadPattern(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"./no/such/dir"}, &out, &errb); code != 2 {
-		t.Errorf("exit %d on bad pattern, want 2", code)
+	for args, want := range map[string]int{"./no/such/dir": 2, "-bogus": 2, "-h": 0} {
+		var out, errb bytes.Buffer
+		if code := run([]string{args}, &out, &errb); code != want {
+			t.Errorf("sbvet %s exited %d, want %d", args, code, want)
+		}
 	}
 }
 

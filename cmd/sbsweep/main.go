@@ -57,7 +57,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		times     = fs.Bool("times", false, "print per-scenario wall times to stderr")
 		progress  = fs.Bool("progress", false, "print live per-job status to stderr")
 		expectHit = fs.Bool("expect-cached", false, "exit 2 if any job executed instead of being served from the cache")
-		telPath   = fs.String("telemetry", "", "write the sweep's merged telemetry to this file (.prom writes Prometheus text, anything else canonical JSONL)")
+		telPath   = fs.String("telemetry", "", "write the sweep's telemetry to this file (.prom writes Prometheus text, anything else canonical JSONL)")
 
 		fleetMode     = fs.Bool("fleet", false, "sweep the fleet tier instead of single-node scenarios (grids nodes x policy x arrival; -balancers, -seeds, -dur still apply)")
 		fleetNodes    = fs.String("fleet-nodes", "8", "comma-separated fleet sizes (with -fleet)")
@@ -110,12 +110,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		// timing below is operator-facing only and never reaches the
 		// canonical stdout report.
 		NewClock: core.RealClock,
-	}
-	var tel *telemetry.Collector
-	if *telPath != "" {
-		tel = telemetry.New(telemetry.Config{})
-		tel.SetMeta("tool", "sbsweep")
-		opts.Telemetry = tel
 	}
 	var cache *sweep.Cache
 	if *cacheDir != "" {
@@ -175,7 +169,10 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	for _, st := range s.Stacks {
 		fmt.Fprintf(stderr, "sbsweep: recovered panic in %s\n", st)
 	}
-	if tel != nil {
+	if *telPath != "" {
+		tel := telemetry.New(telemetry.Config{})
+		tel.SetMeta("tool", "sbsweep")
+		sweep.RecordJobs(tel, results)
 		scenarios := results
 		if *fleetMode {
 			scenarios = nil // fleet cells have no IPS/W to observe
@@ -236,7 +233,7 @@ func fleetTasks(grid sweep.FleetGrid, nodes, seeds, salt string) ([]sweep.Task, 
 	return sweep.FleetTasks(scs, salt)
 }
 
-// writeTelemetry exports the merged sweep telemetry: Prometheus text
+// writeTelemetry exports the sweep telemetry: Prometheus text
 // for .prom paths, canonical JSONL otherwise.
 func writeTelemetry(path string, tel *telemetry.Collector) error {
 	f, err := os.Create(path)

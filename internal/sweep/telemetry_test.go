@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"smartbalance/internal/telemetry"
@@ -31,14 +32,15 @@ func synthTasks(n int) []Task {
 }
 
 // sweepTrace runs the synthetic sweep with the given worker count and
-// returns the merged telemetry's canonical JSONL bytes.
+// returns its telemetry's canonical JSONL bytes.
 func sweepTrace(t *testing.T, workers int) []byte {
 	t.Helper()
-	tel := telemetry.New(telemetry.Config{})
-	results, err := Execute(synthTasks(12), Options{Workers: workers, Telemetry: tel})
+	results, err := Execute(synthTasks(12), Options{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tel := telemetry.New(telemetry.Config{})
+	RecordJobs(tel, results)
 	RecordTelemetry(tel, results, nil)
 	var buf bytes.Buffer
 	if err := telemetry.WriteJSONL(&buf, tel.Trace()); err != nil {
@@ -48,7 +50,7 @@ func sweepTrace(t *testing.T, workers int) []byte {
 }
 
 // TestSweepTelemetryParallelEqualsSerial is the telemetry-equivalence
-// guarantee: the merged trace of a parallel sweep is byte-identical to
+// guarantee: the trace of a parallel sweep is byte-identical to
 // a serial one, for several worker counts.
 func TestSweepTelemetryParallelEqualsSerial(t *testing.T) {
 	serial := sweepTrace(t, 1)
@@ -62,11 +64,12 @@ func TestSweepTelemetryParallelEqualsSerial(t *testing.T) {
 }
 
 func TestSweepTelemetryJobAccounting(t *testing.T) {
-	tel := telemetry.New(telemetry.Config{})
-	results, err := Execute(synthTasks(12), Options{Workers: 4, Telemetry: tel})
+	results, err := Execute(synthTasks(12), Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tel := telemetry.New(telemetry.Config{})
+	RecordJobs(tel, results)
 	RecordTelemetry(tel, results, nil)
 	if got := tel.Counter("sweep_jobs_total").Value(); got != 12 {
 		t.Fatalf("sweep_jobs_total = %d, want 12", got)
@@ -84,6 +87,13 @@ func TestSweepTelemetryJobAccounting(t *testing.T) {
 	for i, e := range tr.Epochs {
 		if e.Epoch != i+1 || len(e.Spans) != 1 || e.Spans[0].Phase != "job" {
 			t.Fatalf("epoch[%d] = %+v, want epoch %d with one job span", i, e, i+1)
+		}
+		want := []telemetry.Attr{telemetry.Str("key", results[i].Key), telemetry.Str("status", "done")}
+		if i%5 == 4 {
+			want[1] = telemetry.Str("status", "failed")
+		}
+		if !reflect.DeepEqual(e.Spans[0].Attrs, want) {
+			t.Fatalf("epoch[%d] attrs = %v, want %v", i, e.Spans[0].Attrs, want)
 		}
 	}
 	// The EE histogram saw every successful outcome.
@@ -116,11 +126,12 @@ func TestSweepTelemetryCacheCounters(t *testing.T) {
 		}
 		return tasks
 	}
-	cold := telemetry.New(telemetry.Config{})
-	results, err := Execute(mkTasks(), Options{Workers: 3, Cache: cache, Telemetry: cold})
+	results, err := Execute(mkTasks(), Options{Workers: 3, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cold := telemetry.New(telemetry.Config{})
+	RecordJobs(cold, results)
 	RecordTelemetry(cold, results, cache)
 	if got := cold.Counter("sweep_cache_misses_total").Value(); got != 6 {
 		t.Fatalf("cold misses = %d, want 6", got)
@@ -136,11 +147,12 @@ func TestSweepTelemetryCacheCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := telemetry.New(telemetry.Config{})
-	results, err = Execute(mkTasks(), Options{Workers: 3, Cache: warmCache, Telemetry: warm})
+	results, err = Execute(mkTasks(), Options{Workers: 3, Cache: warmCache})
 	if err != nil {
 		t.Fatal(err)
 	}
+	warm := telemetry.New(telemetry.Config{})
+	RecordJobs(warm, results)
 	RecordTelemetry(warm, results, warmCache)
 	if got := warm.Counter("sweep_cache_misses_total").Value(); got != 0 {
 		t.Fatalf("warm misses = %d, want 0", got)
@@ -153,13 +165,14 @@ func TestSweepTelemetryCacheCounters(t *testing.T) {
 	}
 }
 
-// TestSweepTelemetryDisabledIsFree pins the no-telemetry path: Execute
-// with a nil collector must not panic and must not allocate collectors.
+// TestSweepTelemetryDisabledIsFree pins the no-telemetry path: both
+// passes over a nil collector are no-ops that must not panic.
 func TestSweepTelemetryDisabledIsFree(t *testing.T) {
 	results, err := Execute(synthTasks(5), Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	RecordJobs(nil, results)
 	RecordTelemetry(nil, results, nil)
 	if FirstError(results) == nil {
 		t.Fatal("synthetic failure lost")

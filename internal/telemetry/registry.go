@@ -44,7 +44,6 @@ func (c *Counter) Value() int64 {
 type Gauge struct {
 	name string
 	v    float64
-	set  bool
 }
 
 // Set records the gauge's value.
@@ -53,7 +52,6 @@ func (g *Gauge) Set(v float64) {
 		return
 	}
 	g.v = v
-	g.set = true
 }
 
 // Value returns the current value (0 on a nil or never-set handle).
@@ -66,8 +64,8 @@ func (g *Gauge) Value() float64 {
 
 // Histogram is a fixed-bucket float64 distribution: observation counts
 // per upper bound (cumulative style is applied at export), plus sum
-// and count. Bucket bounds are fixed at registration, keeping merges
-// and exports deterministic. The nil handle is a no-op.
+// and count. Bucket bounds are fixed at registration, keeping exports
+// deterministic. The nil handle is a no-op.
 type Histogram struct {
 	name   string
 	bounds []float64 // sorted upper bounds; +Inf bucket is implicit
@@ -214,49 +212,4 @@ func (r *Registry) Snapshot() []Metric {
 		return out[i].Kind < out[j].Kind
 	})
 	return out
-}
-
-// merge folds src's metrics into r: counters and histograms sum,
-// gauges take src's value when src set one.
-func (r *Registry) merge(src *Registry) {
-	for _, name := range sortedKeys(src.counters) {
-		r.Counter(name).Add(src.counters[name].v)
-	}
-	for _, name := range sortedKeys(src.gauges) {
-		if sg := src.gauges[name]; sg.set {
-			r.Gauge(name).Set(sg.v)
-		} else {
-			r.Gauge(name) // register so zero-valued gauges survive merges
-		}
-	}
-	for _, name := range sortedKeys(src.hists) {
-		sh := src.hists[name]
-		dh := r.Histogram(name, sh.bounds)
-		if len(dh.counts) != len(sh.counts) {
-			// Conflicting bucket layouts cannot merge meaningfully; fold
-			// the observations through Observe so count/sum stay right.
-			for i, n := range sh.counts {
-				v := sh.sum / float64(max64(sh.count, 1))
-				if i < len(sh.bounds) {
-					v = sh.bounds[i]
-				}
-				for ; n > 0; n-- {
-					dh.Observe(v)
-				}
-			}
-			continue
-		}
-		for i := range sh.counts {
-			dh.counts[i] += sh.counts[i]
-		}
-		dh.count += sh.count
-		dh.sum += sh.sum
-	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

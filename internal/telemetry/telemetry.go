@@ -15,8 +15,7 @@
 // is exported in sorted key order, and span order within an epoch is
 // the order of emission, which simulation code keeps deterministic.
 // Two runs with the same seed therefore produce byte-identical
-// exports, and a parallel sweep's merged telemetry is byte-identical
-// to a serial one.
+// exports.
 //
 // # Disabled cost contract
 //
@@ -27,10 +26,12 @@
 // still guard the construction with Enabled(), since variadic argument
 // slices are allocated by the caller.
 //
-// Collectors are not safe for concurrent use: like trace.Recorder they
-// inherit the single-threadedness of the kernel feeding them. Parallel
-// sweeps give every worker its own collector and merge afterwards
-// (Merge), in canonical job order.
+// Collectors are not safe for concurrent use: they inherit the
+// single-threadedness of the kernel feeding them. Parallel code either
+// records after its workers finish, from results held in canonical
+// order (a sweep writes its job telemetry from Execute's results), or
+// gives each worker a collector of its own and reads them back in a
+// fixed order (the fleet's per-node collectors, in node-ID order).
 package telemetry
 
 import (
@@ -443,45 +444,9 @@ func (c *Collector) Trace() *Trace {
 	}
 }
 
-// Merge folds src into c: counters and histograms sum, gauges take
-// src's value when src set one (last-merged wins), meta entries copy
-// (src wins), and epoch records concatenate and re-sort stably by
-// epoch number. Callers merging per-worker collectors must merge in
-// canonical order for gauge and meta determinism; spans are
-// canonicalised by the epoch sort regardless of merge order.
-func (c *Collector) Merge(src *Collector) {
-	if c == nil || src == nil {
-		return
-	}
-	for _, k := range sortedKeys(src.meta) {
-		c.meta[k] = src.meta[k]
-	}
-	c.reg.merge(&src.reg)
-	src.closeEpoch()
-	c.closeEpoch()
-	c.epochs = append(c.epochs, src.epochs...)
-	sort.SliceStable(c.epochs, func(i, j int) bool {
-		return c.epochs[i].Epoch < c.epochs[j].Epoch
-	})
-	c.dropped += src.dropped
-	c.anomalies = append(c.anomalies, src.anomalies...)
-	sort.SliceStable(c.anomalies, func(i, j int) bool {
-		return c.anomalies[i].Epoch < c.anomalies[j].Epoch
-	})
-	for _, d := range src.dumps {
-		if len(c.dumps) >= c.cfg.MaxDumps {
-			break
-		}
-		c.dumps = append(c.dumps, d)
-	}
-	sort.SliceStable(c.dumps, func(i, j int) bool {
-		return c.dumps[i].Anomaly.Epoch < c.dumps[j].Anomaly.Epoch
-	})
-}
-
-// sortedKeys returns the map's keys in sorted order. Merges and
-// snapshots walk metric maps through it, so handle creation order (and
-// with it nothing observable) stays deterministic.
+// sortedKeys returns the map's keys in sorted order. Snapshots walk
+// metric maps through it, so handle creation order (and with it
+// nothing observable) stays deterministic.
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m)) //sbvet:allow hotpath(metric-export path; runs on anomaly dumps and end-of-run snapshots, not steady-state epochs)
 	for k := range m {                //sbvet:allow hotpath(metric-export path; runs on anomaly dumps and end-of-run snapshots, not steady-state epochs)
@@ -491,9 +456,8 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// Trace is the export-ready snapshot of one collector (or of several,
-// merged): the document every exporter renders and ReadJSONL
-// reconstructs.
+// Trace is the export-ready snapshot of one collector: the document
+// every exporter renders and ReadJSONL reconstructs.
 type Trace struct {
 	Meta      map[string]string
 	Epochs    []EpochRecord

@@ -41,7 +41,6 @@ func TestCollectorNilIsSafe(t *testing.T) {
 	c.BeginEpoch(1, 0)
 	c.Span("sense", 0, 1)
 	c.Anomaly(0, "r", "")
-	c.Merge(New(Config{}))
 	if got := c.Counter("x").Value(); got != 0 {
 		t.Fatalf("nil counter value = %d, want 0", got)
 	}
@@ -170,69 +169,6 @@ func TestSnapshotSortedAndZeroValued(t *testing.T) {
 	}
 	if ms[0].Value != 0 {
 		t.Fatalf("untouched counter exports %v, want explicit 0", ms[0].Value)
-	}
-}
-
-func TestMergeCanonicalisesWorkerOrder(t *testing.T) {
-	build := func(epochs ...int) *Collector {
-		c := New(Config{})
-		for _, e := range epochs {
-			c.BeginEpoch(e, int64(e)*10)
-			c.Span("job", int64(e)*10, 3, Int("epoch", int64(e)))
-			c.Counter("jobs_total").Inc()
-		}
-		return c
-	}
-	// Two merge orders simulating different parallel schedules.
-	a := New(Config{})
-	a.Merge(build(1, 4))
-	a.Merge(build(2, 3))
-	b := New(Config{})
-	b.Merge(build(2, 3))
-	b.Merge(build(1, 4))
-	// Counters must sum either way.
-	if av, bv := a.Counter("jobs_total").Value(), b.Counter("jobs_total").Value(); av != 4 || bv != 4 {
-		t.Fatalf("merged counters = %d/%d, want 4/4", av, bv)
-	}
-	if d := FirstDivergence(a.Trace(), b.Trace()); d != nil {
-		t.Fatalf("merge order leaked into trace: %s", d)
-	}
-	for i, e := range a.Trace().Epochs {
-		if e.Epoch != i+1 {
-			t.Fatalf("merged epoch[%d] = %d, want sorted order", i, e.Epoch)
-		}
-	}
-}
-
-func TestMergeGaugeLastWinsAndMeta(t *testing.T) {
-	a := New(Config{})
-	a.Gauge("g").Set(1)
-	a.SetMeta("k", "a")
-	b := New(Config{})
-	b.Gauge("g").Set(2)
-	b.SetMeta("k", "b")
-	dst := New(Config{})
-	dst.Merge(a)
-	dst.Merge(b)
-	if got := dst.Gauge("g").Value(); got != 2 {
-		t.Fatalf("merged gauge = %v, want last-merged 2", got)
-	}
-	if got := dst.Trace().Meta["k"]; got != "b" {
-		t.Fatalf("merged meta = %q, want %q", got, "b")
-	}
-	// An unset gauge merges as a registered zero, not an absence.
-	e := New(Config{})
-	e.Gauge("unset")
-	dst2 := New(Config{})
-	dst2.Merge(e)
-	found := false
-	for _, m := range dst2.Trace().Metrics {
-		if m.Key == "unset" && m.Kind == KindGauge {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("unset gauge vanished in merge")
 	}
 }
 

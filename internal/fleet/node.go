@@ -114,12 +114,7 @@ func newNode(id int, platName, balName string, trainSeed, kernelSeed, annealSeed
 		tel.SetMeta("node", strconv.Itoa(id))
 		tel.SetMeta("platform", platName)
 		tel.SetMeta("balancer", k.Balancer().Name())
-		k.AddObserver(telemetry.KernelObserver(tel))
-		if sink, ok := k.Balancer().(interface {
-			SetTelemetry(*telemetry.Collector)
-		}); ok {
-			sink.SetTelemetry(tel)
-		}
+		telemetry.Attach(k, tel)
 	}
 	return n, nil
 }

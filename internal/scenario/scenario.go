@@ -166,12 +166,7 @@ func Run(plat *arch.Platform, bal kernel.Balancer, specs []workload.ThreadSpec, 
 		return nil, err
 	}
 	if tel != nil {
-		k.AddObserver(telemetry.KernelObserver(tel))
-		if sink, ok := bal.(interface {
-			SetTelemetry(*telemetry.Collector)
-		}); ok {
-			sink.SetTelemetry(tel)
-		}
+		telemetry.Attach(k, tel)
 	}
 	for i := range specs {
 		if _, err := k.Spawn(&specs[i]); err != nil {

@@ -4,6 +4,19 @@ import (
 	"smartbalance/internal/kernel"
 )
 
+// Attach wires c into a kernel run: it installs KernelObserver(c) and,
+// when the kernel's balancer accepts a collector (the SmartBalance
+// controller, bare or thermally wrapped), hands it c for its per-phase
+// spans, health gauges and anomaly triggers. It returns the observer's
+// slot for Kernel.RemoveObserver.
+func Attach(k *kernel.Kernel, c *Collector) int {
+	id := k.AddObserver(KernelObserver(c))
+	if sink, ok := k.Balancer().(interface{ SetTelemetry(*Collector) }); ok {
+		sink.SetTelemetry(c)
+	}
+	return id
+}
+
 // KernelObserver adapts a Collector to the kernel's trace-observer
 // hook, and is the one place kernel scheduling events are aggregated:
 // every event increments a per-kind counter, slices additionally feed

@@ -244,21 +244,27 @@ func (f *Fleet) Telemetry() *telemetry.Collector { return f.tel }
 // to DrainNs more, check every node's kernel invariants (the first
 // violation in node-ID order fails the run), and distill the result.
 //
-// Each tick is: draw the window's arrivals (serial) → step every node
-// to the window's end (parallel-safe) → harvest completions in node-ID
-// order (serial) → dispatch the window's arrivals on fresh signals
-// (serial). Dispatched requests spawn at the next tick boundary, so a
-// request's latency includes up to one tick of dispatch quantisation —
-// the price of a deterministic parallel section.
+// Each tick is: draw the window's arrivals (serial; drain ticks draw
+// none) → step every node to the window's end (parallel-safe) →
+// harvest completions in node-ID order (serial) → dispatch the
+// window's arrivals on fresh signals (serial). Dispatched requests
+// spawn at the next tick boundary, so a request's latency includes up
+// to one tick of dispatch quantisation — the price of a deterministic
+// parallel section.
 func (f *Fleet) Run() (*Result, error) {
-	tick := 0
+	deadline := f.cfg.DurationNs + f.cfg.DrainNs
 	var now int64
-	for now < f.cfg.DurationNs {
-		end := now + f.cfg.TickNs
-		if end > f.cfg.DurationNs {
-			end = f.cfg.DurationNs
+	for tick := 0; now < f.cfg.DurationNs || (f.outstanding() > 0 && now < deadline); tick++ {
+		admit := now < f.cfg.DurationNs
+		limit := deadline
+		if admit {
+			limit = f.cfg.DurationNs
 		}
-		f.arrBuf = drawWindow(f.arrStream, f.proc, now, end, f.arrBuf[:0])
+		end := min(now+f.cfg.TickNs, limit)
+		f.arrBuf = f.arrBuf[:0]
+		if admit {
+			f.arrBuf = drawWindow(f.arrStream, f.proc, now, end, f.arrBuf)
+		}
 		if err := f.stepNodes(end); err != nil {
 			return nil, err
 		}
@@ -268,21 +274,6 @@ func (f *Fleet) Run() (*Result, error) {
 		}
 		f.recordTick(tick, now, end, len(f.arrBuf), completed)
 		now = end
-		tick++
-	}
-	deadline := f.cfg.DurationNs + f.cfg.DrainNs
-	for f.outstanding() > 0 && now < deadline {
-		end := now + f.cfg.TickNs
-		if end > deadline {
-			end = deadline
-		}
-		if err := f.stepNodes(end); err != nil {
-			return nil, err
-		}
-		completed := f.harvest()
-		f.recordTick(tick, now, end, 0, completed)
-		now = end
-		tick++
 	}
 	for _, n := range f.nodes {
 		if err := n.kern.CheckInvariants(); err != nil {

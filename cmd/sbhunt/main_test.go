@@ -46,9 +46,9 @@ func TestHuntWritesAndReplaysCorpus(t *testing.T) {
 	dir := t.TempDir()
 	cache := filepath.Join(dir, "cache")
 	// Seed 6 at this budget is the corpus-generation configuration
-	// (DESIGN.md §14): testdata/corpus was produced by exactly this run.
-	// Neither the worker pool nor the cache state may leak into the hunt
-	// log or the minimized genomes.
+	// (DESIGN.md §14): testdata/corpus is exactly this run's output, file
+	// for file. Neither the worker pool nor the cache state may leak into
+	// the hunt log or the minimized genomes.
 	gen := []string{"-seed", "6", "-gens", "6", "-pop", "16"}
 	runHunt := func(corpus string, extra ...string) string {
 		t.Helper()
@@ -63,6 +63,19 @@ func TestHuntWritesAndReplaysCorpus(t *testing.T) {
 	files := readCorpus(t, filepath.Join(dir, "corpus1"))
 	if len(files) < 3 {
 		t.Fatalf("seed 6 found %d minimized counterexamples, want >= 3:\n%s", len(files), serial)
+	}
+	checkedIn := readCorpus(t, filepath.Join("..", "..", "testdata", "corpus"))
+	for name, data := range files {
+		if want, ok := checkedIn[name]; !ok {
+			t.Errorf("seed 6 writes %s, which testdata/corpus lacks", name)
+		} else if data != want {
+			t.Errorf("seed 6 writes %s differently from testdata/corpus:\n%s\nvs checked in\n%s", name, data, want)
+		}
+	}
+	for name := range checkedIn {
+		if _, ok := files[name]; !ok {
+			t.Errorf("testdata/corpus holds %s, which seed 6 no longer writes", name)
+		}
 	}
 	if !reflect.DeepEqual(files, readCorpus(t, filepath.Join(dir, "corpus8"))) {
 		t.Fatal("corpus files differ between -workers 1 and -workers 8")

@@ -53,9 +53,6 @@ func newModulePass(l *Loader, shared map[string]*Pass) *ModulePass {
 // Packages returns every loaded module package in deterministic order.
 func (mp *ModulePass) Packages() []*Package { return mp.pkgs }
 
-// PassFor returns the Pass of a loaded package.
-func (mp *ModulePass) PassFor(pkg *Package) *Pass { return mp.passes[pkg.Path] }
-
 // Reportf records a diagnostic for the running module analyzer at a
 // position inside pkg, honouring that file's allow annotations.
 func (mp *ModulePass) Reportf(pkg *Package, at token.Pos, format string, args ...any) {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strings"
 
 	"smartbalance/internal/param"
 	"smartbalance/internal/rng"
@@ -100,7 +101,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 	logf("hunt seed=%d gens=%d pop=%d tiers=%s slo-p99=%s slo-jpr=%s margin=%s",
-		cfg.Seed, cfg.Generations, cfg.Population, joinTiers(cfg.Tiers),
+		cfg.Seed, cfg.Generations, cfg.Population, strings.Join(cfg.Tiers, ","),
 		param.Float(cfg.SLO.P99Ms), param.Float(cfg.SLO.JPR), param.Float(cfg.Margin))
 
 	e := &Evaluator{SLO: cfg.SLO, Margin: cfg.Margin, Cache: cfg.Cache, Workers: cfg.Workers}
@@ -213,16 +214,4 @@ func nextGeneration(r *rng.Rand, pop []Candidate, evals []Evaluation, size int, 
 		next = append(next, Mutate(r, pop[elites[i%len(elites)]]))
 	}
 	return next
-}
-
-// joinTiers renders the tier list canonically.
-func joinTiers(tiers []string) string {
-	out := ""
-	for i, t := range tiers {
-		if i > 0 {
-			out += ","
-		}
-		out += t
-	}
-	return out
 }

@@ -132,15 +132,6 @@ func Sub(a, b *Matrix) (*Matrix, error) {
 	return c, nil
 }
 
-// Scale returns s*m as a new matrix.
-func (m *Matrix) Scale(s float64) *Matrix {
-	c := m.Clone()
-	for i := range c.data {
-		c.data[i] *= s
-	}
-	return c
-}
-
 // Mul returns the matrix product a*b. It returns ErrShape if the inner
 // dimensions disagree.
 func Mul(a, b *Matrix) (*Matrix, error) {

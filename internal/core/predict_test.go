@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"smartbalance/internal/arch"
+	"smartbalance/internal/mat"
 	"smartbalance/internal/powermodel"
 	"smartbalance/internal/regress"
 	"smartbalance/internal/rng"
@@ -235,6 +236,33 @@ func TestTrainBigLittle(t *testing.T) {
 	}
 	if !p.Trained() {
 		t.Fatal("big.LITTLE predictor incomplete")
+	}
+}
+
+// TestTrainDesignIsRankDeficient pins the premise for fitting Θ with
+// regress.Ridge and no QR attempt: FR is constant within a pair, so
+// every pair's weighted design has proportional FR and const columns
+// and QR least squares reports it singular.
+func TestTrainDesignIsRankDeficient(t *testing.T) {
+	for _, types := range [][]arch.CoreType{arch.Table2Types(), arch.BigLittleTypes()} {
+		cfg := DefaultTrainConfig()
+		cfg.Seed = 1
+		obs, err := profileCorpus(types, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		design := newPairDesign(len(obs[0]))
+		for s := range types {
+			for d := range types {
+				if s == d {
+					continue
+				}
+				design.fill(obs[s], obs[d], types[d].FreqMHz/types[s].FreqMHz)
+				if _, err := mat.LeastSquares(mat.FromRows(design.rows), design.targets); !errors.Is(err, mat.ErrSingular) {
+					t.Errorf("%s->%s: QR returned %v, want ErrSingular", types[s].Name, types[d].Name, err)
+				}
+			}
+		}
 	}
 }
 

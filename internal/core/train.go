@@ -124,6 +124,53 @@ func Train(types []arch.CoreType, cfg TrainConfig) (*Predictor, error) {
 	if err != nil {
 		return nil, err
 	}
+	obs, err := profileCorpus(types, cfg)
+	if err != nil {
+		return nil, err
+	}
+
+	// Θ rows: for each ordered (src, dst) pair, regress dst IPC on the
+	// src-side features. FR is constant within a pair, so the FR and
+	// const columns are proportional and every pair's design is
+	// rank-deficient by construction: QR always fails on it, so
+	// regress.Ridge fits it by the ridge normal equations directly.
+	design := newPairDesign(len(obs[0]))
+	for s := range types {
+		for d := range types {
+			if s == d {
+				continue
+			}
+			design.fill(obs[s], obs[d], types[d].FreqMHz/types[s].FreqMHz)
+			model, err := regress.Ridge(design.rows, design.targets)
+			if err != nil {
+				return nil, fmt.Errorf("core: fit %s->%s: %w", types[s].Name, types[d].Name, err)
+			}
+			if err := p.SetModel(arch.CoreTypeID(s), arch.CoreTypeID(d), model); err != nil {
+				return nil, err
+			}
+		}
+	}
+
+	// Eq. (9) power fits: per destination type, power ~ a1*ipc + a0.
+	for tid := range types {
+		xs := make([]float64, len(obs[tid]))
+		ys := make([]float64, len(obs[tid]))
+		for pi := range obs[tid] {
+			xs[pi] = obs[tid][pi].IPC
+			ys[pi] = obs[tid][pi].PowerW
+		}
+		a1, a0, err := regress.SimpleFit(xs, ys)
+		if err != nil {
+			return nil, fmt.Errorf("core: power fit for %s: %w", types[tid].Name, err)
+		}
+		p.SetPowerFit(arch.CoreTypeID(tid), PowerFit{Alpha1: a1, Alpha0: a0})
+	}
+	return p, nil
+}
+
+// profileCorpus profiles every corpus phase on every core type once:
+// obs[type][phase].
+func profileCorpus(types []arch.CoreType, cfg TrainConfig) ([][]Measurement, error) {
 	phases := TrainingPhases(cfg.RandomPhases, cfg.Seed)
 	if len(phases) < NumFeatures {
 		return nil, fmt.Errorf("core: corpus of %d phases too small", len(phases))
@@ -137,67 +184,53 @@ func Train(types []arch.CoreType, cfg TrainConfig) (*Predictor, error) {
 		pms[i] = pm
 	}
 	r := rng.New(cfg.Seed ^ 0x5EED)
-
-	// Profile every phase on every type once.
-	obs := make([][]Measurement, len(types)) // obs[type][phase]
+	obs := make([][]Measurement, len(types))
 	for tid := range types {
 		obs[tid] = make([]Measurement, len(phases))
 		for pi := range phases {
 			obs[tid][pi] = ProfileMeasurement(&phases[pi], types, arch.CoreTypeID(tid), pms[tid], cfg.SensorSigma, r)
 		}
 	}
+	return obs, nil
+}
 
-	// Θ rows: for each ordered (src, dst) pair, regress dst IPC on the
-	// src-side features.
-	for s := range types {
-		for d := range types {
-			if s == d {
-				continue
-			}
-			fr := types[d].FreqMHz / types[s].FreqMHz
-			// Relative-error weighting: Fig. 6 reports *percentage*
-			// error, so each sample is scaled by 1/target — weighted
-			// least squares minimising the relative residual.
-			rows := make([][]float64, len(phases))
-			targets := make([]float64, len(phases))
-			for pi := range phases {
-				x := Features(&obs[s][pi], fr)
-				y := obs[d][pi].IPC
-				w := 1.0
-				if y > 0.05 {
-					w = 1 / y
-				}
-				for fi := range x {
-					x[fi] *= w
-				}
-				rows[pi] = x
-				targets[pi] = y * w
-			}
-			model, err := regress.Fit(rows, targets)
-			if err != nil {
-				return nil, fmt.Errorf("core: fit %s->%s: %w", types[s].Name, types[d].Name, err)
-			}
-			if err := p.SetModel(arch.CoreTypeID(s), arch.CoreTypeID(d), model); err != nil {
-				return nil, err
-			}
-		}
-	}
+// pairDesign is one (src, dst) pair's weighted regression design, one
+// row per corpus phase, over a single backing array that Train reuses
+// for every pair.
+type pairDesign struct {
+	rows    [][]float64
+	targets []float64
+}
 
-	// Eq. (9) power fits: per destination type, power ~ a1*ipc + a0.
-	for tid := range types {
-		xs := make([]float64, len(phases))
-		ys := make([]float64, len(phases))
-		for pi := range phases {
-			xs[pi] = obs[tid][pi].IPC
-			ys[pi] = obs[tid][pi].PowerW
-		}
-		a1, a0, err := regress.SimpleFit(xs, ys)
-		if err != nil {
-			return nil, fmt.Errorf("core: power fit for %s: %w", types[tid].Name, err)
-		}
-		p.SetPowerFit(arch.CoreTypeID(tid), PowerFit{Alpha1: a1, Alpha0: a0})
+func newPairDesign(n int) *pairDesign {
+	flat := make([]float64, n*NumFeatures)
+	pd := &pairDesign{rows: make([][]float64, n), targets: make([]float64, n)}
+	for i := range pd.rows {
+		pd.rows[i] = flat[i*NumFeatures : (i+1)*NumFeatures]
 	}
-	return p, nil
+	return pd
+}
+
+// fill writes the design that regresses the IPCs measured on the
+// destination type (dst) on the features measured on the source type
+// (src), for frequency ratio fr = F_dst / F_src. Relative-error
+// weighting: Fig. 6 reports *percentage* error, so each sample is
+// scaled by 1/target — weighted least squares minimising the relative
+// residual.
+func (pd *pairDesign) fill(src, dst []Measurement, fr float64) {
+	for pi, row := range pd.rows {
+		x := (*[NumFeatures]float64)(row)
+		featuresInto(x, &src[pi], fr)
+		y := dst[pi].IPC
+		w := 1.0
+		if y > 0.05 {
+			w = 1 / y
+		}
+		for fi := range x {
+			x[fi] *= w
+		}
+		pd.targets[pi] = y * w
+	}
 }
 
 // PredictionError quantifies the predictor's held-out accuracy (the

@@ -1,10 +1,12 @@
 package regress
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
 
+	"smartbalance/internal/mat"
 	"smartbalance/internal/rng"
 )
 
@@ -59,17 +61,19 @@ func TestFitWithNoiseIsUnbiased(t *testing.T) {
 }
 
 func TestFitRejectsBadData(t *testing.T) {
-	if _, err := Fit(nil, nil); err == nil {
-		t.Fatal("empty data accepted")
-	}
-	if _, err := Fit([][]float64{{1, 2}}, []float64{1}); err == nil {
-		t.Fatal("fewer samples than features accepted")
-	}
-	if _, err := Fit([][]float64{{1, 2}, {3}}, []float64{1, 2}); err == nil {
-		t.Fatal("ragged rows accepted")
-	}
-	if _, err := Fit([][]float64{{1}, {2}}, []float64{1}); err == nil {
-		t.Fatal("length mismatch accepted")
+	for name, fit := range map[string]func([][]float64, []float64) (*Model, error){"Fit": Fit, "Ridge": Ridge} {
+		if _, err := fit(nil, nil); err == nil {
+			t.Fatalf("%s: empty data accepted", name)
+		}
+		if _, err := fit([][]float64{{1, 2}}, []float64{1}); err == nil {
+			t.Fatalf("%s: fewer samples than features accepted", name)
+		}
+		if _, err := fit([][]float64{{1, 2}, {3}}, []float64{1, 2}); err == nil {
+			t.Fatalf("%s: ragged rows accepted", name)
+		}
+		if _, err := fit([][]float64{{1}, {2}}, []float64{1}); err == nil {
+			t.Fatalf("%s: length mismatch accepted", name)
+		}
 	}
 }
 
@@ -93,6 +97,92 @@ func TestFitCollinearFallsBackToRidge(t *testing.T) {
 	}
 	if math.Abs(m.Predict([]float64{2, 0, 1})-10) > 0.05 {
 		t.Fatalf("ridge prediction off: %g", m.Predict([]float64{2, 0, 1}))
+	}
+}
+
+// randomEntry draws a design entry that is exactly +0 or −0 one time
+// in five each, and otherwise a signed magnitude from 1e-3 to 1e3.
+func randomEntry(r *rng.Rand) float64 {
+	switch u := r.Float64(); {
+	case u < 0.2:
+		return 0
+	case u < 0.4:
+		return math.Copysign(0, -1)
+	default:
+		v := math.Pow(10, -3+6*r.Float64())
+		if r.Float64() < 0.5 {
+			v = -v
+		}
+		return v
+	}
+}
+
+// TestRidgeMatchesNormalEquationsReference checks Ridge's one-pass Gram
+// against the textbook construction (AᵀA through an explicit transpose
+// and mat.Mul, Aᵀy through MulVec, λ on the diagonal, mat.Solve) bit
+// for bit, coefficients and statistics, on random designs with exact
+// zeros, −0, zero rows, zero columns and magnitudes from 1e-3 to 1e3.
+func TestRidgeMatchesNormalEquationsReference(t *testing.T) {
+	r := rng.New(25)
+	for trial := 0; trial < 3000; trial++ {
+		p := 1 + r.Intn(12)
+		n := p + r.Intn(2*p+1)
+		zeroCol := make([]bool, p)
+		for j := range zeroCol {
+			zeroCol[j] = r.Float64() < 0.1
+		}
+		rows := make([][]float64, n)
+		y := make([]float64, n)
+		for i := range rows {
+			rows[i] = make([]float64, p)
+			y[i] = randomEntry(r)
+			if r.Float64() < 0.1 {
+				continue // an all-zero row
+			}
+			for j := range rows[i] {
+				if !zeroCol[j] {
+					rows[i][j] = randomEntry(r)
+				}
+			}
+		}
+
+		a := mat.FromRows(rows)
+		at := a.T()
+		ata, err := mat.Mul(at, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < p; i++ {
+			ata.Set(i, i, ata.At(i, i)+lambda)
+		}
+		aty, err := at.MulVec(y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coef, refErr := mat.Solve(ata, aty)
+
+		got, err := Ridge(rows, y)
+		if refErr != nil {
+			if !errors.Is(err, refErr) {
+				t.Fatalf("trial %d: reference failed with %v, Ridge returned %v", trial, refErr, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		want := &Model{Coef: coef, N: n}
+		want.computeStats(rows, y)
+		same := got.N == want.N &&
+			math.Float64bits(got.R2) == math.Float64bits(want.R2) &&
+			math.Float64bits(got.RMSE) == math.Float64bits(want.RMSE) &&
+			math.Float64bits(got.MeanAbsPct) == math.Float64bits(want.MeanAbsPct)
+		for j := range coef {
+			same = same && math.Float64bits(got.Coef[j]) == math.Float64bits(coef[j])
+		}
+		if !same {
+			t.Fatalf("trial %d (%dx%d): Ridge %+v, reference %+v", trial, n, p, got, want)
+		}
 	}
 }
 

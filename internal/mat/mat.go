@@ -235,7 +235,10 @@ func swapRows(m *Matrix, a, b int) {
 // LeastSquares solves min ||A*x - b||_2 for x using Householder QR. A
 // must have at least as many rows as columns; otherwise ErrShape is
 // returned. ErrSingular is returned when A is rank-deficient at working
-// precision.
+// precision: when some column keeps no more than 1e-12 of its 2-norm
+// once the columns before it are projected out. The test is relative,
+// so scaling A by any factor does not change the answer; an all-zero
+// column is always singular.
 func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 	mRows, nCols := a.rows, a.cols
 	if len(b) != mRows {
@@ -247,6 +250,14 @@ func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 	r := a.Clone()
 	y := make([]float64, mRows)
 	copy(y, b)
+	// tol[k] is the rank threshold of column k: 1e-12 of its 2-norm.
+	tol := make([]float64, nCols)
+	for k := range tol {
+		for i := 0; i < mRows; i++ {
+			tol[k] = math.Hypot(tol[k], r.At(i, k))
+		}
+		tol[k] *= 1e-12
+	}
 
 	// Householder triangularisation, applying reflections to y as we go.
 	for k := 0; k < nCols; k++ {
@@ -255,7 +266,7 @@ func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 		for i := k; i < mRows; i++ {
 			norm = math.Hypot(norm, r.At(i, k))
 		}
-		if norm < 1e-12 {
+		if norm <= tol[k] {
 			return nil, ErrSingular
 		}
 		if r.At(k, k) > 0 {
@@ -305,7 +316,7 @@ func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 			s -= r.At(i, j) * x[j]
 		}
 		d := r.At(i, i)
-		if math.Abs(d) < 1e-12 {
+		if math.Abs(d) <= tol[i] {
 			return nil, ErrSingular
 		}
 		x[i] = s / d

@@ -344,6 +344,45 @@ func TestLeastSquaresRankDeficient(t *testing.T) {
 	}
 }
 
+// TestLeastSquaresRankIsScaleInvariant checks that rank is judged
+// relative to each column's norm: a design whose column 0 is 1.7 times
+// column 2 is singular at every scale, and a full-rank design solves
+// at every scale (A and b scaled together leave x unchanged).
+func TestLeastSquaresRankIsScaleInvariant(t *testing.T) {
+	col1 := []float64{2.0, -0.5, 1.3, 0.4, -1.1, 0.8}
+	col2 := []float64{0.3, 1.1, 2.6, 0.7, 1.9, 3.2}
+	indep := []float64{1.0, 0.2, -0.7, 1.5, 0.3, -0.4}
+	want := []float64{2, -1, 0.5}
+	for _, scale := range []float64{1e-14, 1e-9, 1, 1e3, 1e6} {
+		deficient := New(len(col1), 3)
+		full := New(len(col1), 3)
+		b := make([]float64, len(col1))
+		for i := range col1 {
+			deficient.Set(i, 0, scale*1.7*col2[i])
+			deficient.Set(i, 1, scale*col1[i])
+			deficient.Set(i, 2, scale*col2[i])
+			full.Set(i, 0, scale*indep[i])
+			full.Set(i, 1, scale*col1[i])
+			full.Set(i, 2, scale*col2[i])
+			b[i] = scale * (want[0]*indep[i] + want[1]*col1[i] + want[2]*col2[i])
+		}
+		if x, err := LeastSquares(deficient, b); err != ErrSingular {
+			t.Errorf("scale %g: proportional columns gave x = %v, err = %v; want ErrSingular", scale, x, err)
+		}
+		x, err := LeastSquares(full, b)
+		if err != nil {
+			t.Errorf("scale %g: full-rank design: %v", scale, err)
+			continue
+		}
+		for i, w := range want {
+			if !approxEq(x[i], w, 1e-9) {
+				t.Errorf("scale %g: x = %v, want %v", scale, x, want)
+				break
+			}
+		}
+	}
+}
+
 func TestNorm2AndDot(t *testing.T) {
 	if !approxEq(Norm2([]float64{3, 4}), 5, 1e-12) {
 		t.Fatal("Norm2 wrong")

@@ -6,40 +6,44 @@ import (
 )
 
 // BenchmarkFleet measures end-to-end fleet throughput — full kernels
-// per node, parallel node stepping — on the canned bursty scenario at
-// 8 and 32 nodes, for measuring while working on the fleet tier;
-// perfbench's fleet-bursty workload is the repository benchmark.
+// per node, parallel node stepping — on the canned bursty scenario, for
+// measuring while working on the fleet tier; perfbench's fleet-bursty
+// workload is the repository benchmark. n8 runs 8 nodes at 8 workers;
+// n32/wW runs 32 nodes at W workers, the curve over the worker count.
 // Reported as completed requests per wall second and nanoseconds of
 // wall time per completed request.
 func BenchmarkFleet(b *testing.B) {
-	for _, nodes := range []int{8, 32} {
-		b.Run(fmt.Sprintf("n%d", nodes), func(b *testing.B) {
-			cfg := DefaultConfig()
-			cfg.Nodes = nodes
-			cfg.Arrival = "bursty:rate=300,burst=6,pburst=0.08,pcalm=0.25"
-			cfg.DurationNs = 200e6
-			cfg.Seed = 7
-			cfg.Workers = 8
-			completed := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f, err := New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := f.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				completed += res.Completed
-			}
-			b.StopTimer()
-			if completed == 0 {
-				b.Fatal("benchmark completed no requests")
-			}
-			secs := b.Elapsed().Seconds()
-			b.ReportMetric(float64(completed)/secs, "req/s")
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(completed), "ns/request")
-		})
+	b.Run("n8", func(b *testing.B) { benchFleet(b, 8, 8) })
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("n32/w%d", workers), func(b *testing.B) { benchFleet(b, 32, workers) })
 	}
+}
+
+func benchFleet(b *testing.B, nodes, workers int) {
+	cfg := DefaultConfig()
+	cfg.Nodes = nodes
+	cfg.Arrival = "bursty:rate=300,burst=6,pburst=0.08,pcalm=0.25"
+	cfg.DurationNs = 200e6
+	cfg.Seed = 7
+	cfg.Workers = workers
+	completed := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := f.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		completed += res.Completed
+	}
+	b.StopTimer()
+	if completed == 0 {
+		b.Fatal("benchmark completed no requests")
+	}
+	secs := b.Elapsed().Seconds()
+	b.ReportMetric(float64(completed)/secs, "req/s")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(completed), "ns/request")
 }

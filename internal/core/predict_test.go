@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"smartbalance/internal/arch"
-	"smartbalance/internal/mat"
 	"smartbalance/internal/powermodel"
 	"smartbalance/internal/regress"
 	"smartbalance/internal/rng"
@@ -78,13 +77,13 @@ func TestTrainProducesFullPredictor(t *testing.T) {
 			if m == nil {
 				t.Fatalf("missing model %d->%d", s, d)
 			}
-			// Training uses relative-error weighting, so R2 on the
-			// transformed targets is not meaningful; the mean absolute
-			// percentage training error is. Upward predictions (small
-			// source core -> Huge) are inherently lossy because the
-			// narrow core saturates the ILP signal, so the per-pair
-			// bound is loose; the held-out *average* is asserted tightly
-			// in TestPredictionErrorMatchesPaperBallpark.
+			// Training uses relative-error weighting, so the mean
+			// absolute percentage training error is the measure.
+			// Upward predictions (small source core -> Huge) are
+			// inherently lossy because the narrow core saturates the
+			// ILP signal, so the per-pair bound is loose; the held-out
+			// *average* is asserted tightly in
+			// TestPredictionErrorMatchesPaperBallpark.
 			if m.MeanAbsPct > 30 {
 				t.Errorf("model %d->%d training MAPE = %.1f%%; predictor useless", s, d, m.MeanAbsPct)
 			}
@@ -240,9 +239,9 @@ func TestTrainBigLittle(t *testing.T) {
 }
 
 // TestTrainDesignIsRankDeficient pins the premise for fitting Θ with
-// regress.Ridge and no QR attempt: FR is constant within a pair, so
-// every pair's weighted design has proportional FR and const columns
-// and QR least squares reports it singular.
+// regress.Ridge alone: FR is constant within a pair, so in every row of
+// every pair's weighted design the FR column is fr times the const
+// column, bit for bit, and AᵀA is singular without the ridge term.
 func TestTrainDesignIsRankDeficient(t *testing.T) {
 	for _, types := range [][]arch.CoreType{arch.Table2Types(), arch.BigLittleTypes()} {
 		cfg := DefaultTrainConfig()
@@ -257,9 +256,13 @@ func TestTrainDesignIsRankDeficient(t *testing.T) {
 				if s == d {
 					continue
 				}
-				design.fill(obs[s], obs[d], types[d].FreqMHz/types[s].FreqMHz)
-				if _, err := mat.LeastSquares(mat.FromRows(design.rows), design.targets); !errors.Is(err, mat.ErrSingular) {
-					t.Errorf("%s->%s: QR returned %v, want ErrSingular", types[s].Name, types[d].Name, err)
+				fr := types[d].FreqMHz / types[s].FreqMHz
+				design.fill(obs[s], obs[d], fr)
+				for i, row := range design.rows {
+					if math.Float64bits(row[0]) != math.Float64bits(fr*row[NumFeatures-1]) {
+						t.Fatalf("%s->%s row %d: FR %g is not fr=%g times const %g",
+							types[s].Name, types[d].Name, i, row[0], fr, row[NumFeatures-1])
+					}
 				}
 			}
 		}
@@ -278,7 +281,7 @@ func TestRankDeficientCorpusNeverYieldsSilentNaN(t *testing.T) {
 	// A degenerate training corpus — every sample identical, so the
 	// design matrix has rank 1 against NumFeatures columns — must
 	// produce either an explicit fit error or finite, usable
-	// coefficients (the ridge fallback); never NaN that flows silently
+	// coefficients (the ridge term); never NaN that flows silently
 	// into predictions.
 	row := []float64{1.2, 0.01, 0.02, 0.3, 0.1, 0.05, 0.001, 0.002, 1.5, 1}
 	rows := make([][]float64, NumFeatures+2)
@@ -287,7 +290,7 @@ func TestRankDeficientCorpusNeverYieldsSilentNaN(t *testing.T) {
 		rows[i] = row
 		y[i] = 0.8
 	}
-	model, err := regress.Fit(rows, y)
+	model, err := regress.Ridge(rows, y)
 	if err != nil {
 		return // explicit rejection is acceptable
 	}

@@ -132,8 +132,8 @@ func Train(types []arch.CoreType, cfg TrainConfig) (*Predictor, error) {
 	// Θ rows: for each ordered (src, dst) pair, regress dst IPC on the
 	// src-side features. FR is constant within a pair, so the FR and
 	// const columns are proportional and every pair's design is
-	// rank-deficient by construction: QR always fails on it, so
-	// regress.Ridge fits it by the ridge normal equations directly.
+	// rank-deficient by construction; regress.Ridge's ridge term makes
+	// it solvable.
 	design := newPairDesign(len(obs[0]))
 	for s := range types {
 		for d := range types {

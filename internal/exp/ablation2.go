@@ -114,7 +114,7 @@ func AblationFeatureSparsity(opts Options) (*Result, error) {
 					}
 					targets[pi] = tIPC * w
 				}
-				model, err := regress.Fit(rows, targets)
+				model, err := regress.Ridge(rows, targets)
 				if err != nil {
 					return nil, fmt.Errorf("A6 %s %d->%d: %w", g.label, s, d, err)
 				}

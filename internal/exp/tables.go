@@ -129,7 +129,7 @@ func TablePredictorCoefficients(opts Options) (*Result, error) {
 			}
 		}
 	}
-	tb.AddNote("training uses relative-error-weighted least squares; worst per-pair training MAPE %.1f%%", worstMAPE)
+	tb.AddNote("training uses relative-error-weighted ridge least squares (λ = 1e-6); worst per-pair training MAPE %.1f%%", worstMAPE)
 	return &Result{
 		ID:         "T4",
 		Title:      "Predictor coefficient matrix",

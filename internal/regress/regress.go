@@ -1,21 +1,22 @@
-// Package regress implements ordinary least-squares linear regression,
-// the tool the paper uses twice: to train the cross-core IPC predictor
-// coefficient matrix Θ (Eq. 8, "we employ standard linear regression
-// using the least squares method") and the per-core-type power fit
+// Package regress implements the least-squares linear regression the
+// paper uses twice: to train the cross-core IPC predictor coefficient
+// matrix Θ (Eq. 8, "we employ standard linear regression using the
+// least squares method") and the per-core-type power fit
 // p = α₁·ipc + α₀ (Eq. 9, "obtained from offline profiling").
 package regress
 
 import (
 	"errors"
-	"fmt"
 	"math"
-
-	"smartbalance/internal/mat"
 )
 
 // ErrBadData is returned when the training set is unusable (empty,
 // ragged, or fewer samples than features).
 var ErrBadData = errors.New("regress: unusable training data")
+
+// ErrSingular is returned when the ridge system has no unique solution
+// at working precision.
+var ErrSingular = errors.New("regress: matrix is singular to working precision")
 
 // Model is a fitted linear model y ~= Coef · x. If the caller wants an
 // intercept it appends a constant-1 feature, which is the convention
@@ -24,10 +25,6 @@ var ErrBadData = errors.New("regress: unusable training data")
 type Model struct {
 	// Coef holds one weight per feature.
 	Coef []float64
-	// R2 is the coefficient of determination on the training set.
-	R2 float64
-	// RMSE is the root-mean-square training error.
-	RMSE float64
 	// MeanAbsPct is the mean absolute percentage error on the training
 	// set, ignoring targets with magnitude below 1e-9. This is the error
 	// measure reported in the paper's Fig. 6.
@@ -36,31 +33,20 @@ type Model struct {
 	N int
 }
 
-// lambda is the ridge term added to the diagonal of AᵀA when a design
-// is fitted by the normal equations: small enough to leave a
-// well-conditioned fit unmoved, large enough to make a rank-deficient
-// one solvable.
+// lambda is the ridge term added to the diagonal of AᵀA: small enough
+// to leave a well-conditioned fit unmoved, large enough to make a
+// rank-deficient one solvable.
 const lambda = 1e-6
 
-// Fit computes the least-squares solution for the design matrix rows
-// (one sample per entry, one feature per column) against targets y. It
-// solves by QR and falls back to the ridge normal equations when the
-// design is rank-deficient.
-func Fit(rows [][]float64, y []float64) (*Model, error) {
-	return fit(rows, y, solveQROrRidge)
-}
-
-// Ridge fits the design by the ridge-regularised normal equations
-// (AᵀA + λI) x = Aᵀy without trying QR first. It is for designs that
-// are rank-deficient by construction, where Fit's QR attempt always
-// fails; on those its result is Fit's, bit for bit.
+// Ridge fits the design rows (one sample per entry, one feature per
+// column) against targets y by the ridge-regularised normal equations
+// (AᵀA + λI) x = Aᵀy, the one solve the predictor designs admit: FR is
+// constant within a source→destination pair, so the FR and const
+// columns are proportional, and a masked counter is an all-zero column.
+// It returns ErrBadData for an empty, ragged or underdetermined
+// training set and ErrSingular when a pivot underflows. rows and y are
+// not modified.
 func Ridge(rows [][]float64, y []float64) (*Model, error) {
-	return fit(rows, y, solveRidge)
-}
-
-// fit rejects an empty, ragged or underdetermined training set, solves
-// it and fills in the training statistics.
-func fit(rows [][]float64, y []float64, solve func([][]float64, []float64) ([]float64, error)) (*Model, error) {
 	if len(rows) == 0 || len(rows) != len(y) {
 		return nil, ErrBadData
 	}
@@ -73,113 +59,110 @@ func fit(rows [][]float64, y []float64, solve func([][]float64, []float64) ([]fl
 			return nil, ErrBadData
 		}
 	}
-	coef, err := solve(rows, y)
-	if err != nil {
-		return nil, fmt.Errorf("regress: %w", err)
-	}
-	m := &Model{Coef: coef, N: len(y)}
-	m.computeStats(rows, y)
-	return m, nil
-}
-
-func solveQROrRidge(rows [][]float64, y []float64) ([]float64, error) {
-	coef, err := mat.LeastSquares(mat.FromRows(rows), y)
-	if errors.Is(err, mat.ErrSingular) {
-		// A collinear feature makes the design singular: FR and const
-		// within one type pair, or a counter column that is identically
-		// zero for a core type (the zero entries of the paper's Table 4).
-		return solveRidge(rows, y)
-	}
-	return coef, err
-}
-
-// solveRidge solves (AᵀA + λI) x = Aᵀy. It accumulates the upper
-// triangle of AᵀA and Aᵀy in one pass over the rows, each entry summing
-// its products in row order as mat.Mul(a.T(), a) and MulVec do, and
-// mirrors the triangle.
-func solveRidge(rows [][]float64, y []float64) ([]float64, error) {
-	p := len(rows[0])
-	g := mat.New(p, p)
+	// One pass over the rows accumulates the upper triangle of AᵀA and
+	// Aᵀy, each entry summing its products in row order; the triangle
+	// is then mirrored.
+	g := make([]float64, p*p)
 	aty := make([]float64, p)
 	for k, r := range rows {
 		for i, ri := range r {
+			gi := g[i*p : (i+1)*p]
 			for j := i; j < p; j++ {
-				g.Set(i, j, g.At(i, j)+ri*r[j])
+				gi[j] += ri * r[j]
 			}
 			aty[i] += ri * y[k]
 		}
 	}
 	for i := 0; i < p; i++ {
 		for j := i + 1; j < p; j++ {
-			g.Set(j, i, g.At(i, j))
+			g[j*p+i] = g[i*p+j]
 		}
-		g.Set(i, i, g.At(i, i)+lambda)
+		g[i*p+i] += lambda
 	}
-	return mat.Solve(g, aty)
+	if err := solve(g, aty); err != nil {
+		return nil, err
+	}
+	m := &Model{Coef: aty, N: len(y)}
+	m.computeStats(rows, y)
+	return m, nil
 }
 
-// Predict evaluates the model on a single feature vector.
+// solve solves the n×n system a·x = b, a row-major, in place by
+// Gaussian elimination with partial pivoting: x holds b on entry and
+// the solution on return, and a is overwritten. It returns ErrSingular
+// if a pivot's magnitude falls below 1e-12.
+func solve(a, x []float64) error {
+	n := len(x)
+	for col := 0; col < n; col++ {
+		// Partial pivot: largest magnitude in this column at or below the
+		// diagonal.
+		pivot := col
+		maxAbs := math.Abs(a[col*n+col])
+		for r := col + 1; r < n; r++ {
+			if v := math.Abs(a[r*n+col]); v > maxAbs {
+				maxAbs, pivot = v, r
+			}
+		}
+		if maxAbs < 1e-12 {
+			return ErrSingular
+		}
+		if pivot != col {
+			rp, rc := a[pivot*n:(pivot+1)*n], a[col*n:(col+1)*n]
+			for i := range rp {
+				rp[i], rc[i] = rc[i], rp[i]
+			}
+			x[pivot], x[col] = x[col], x[pivot]
+		}
+		inv := 1 / a[col*n+col]
+		for r := col + 1; r < n; r++ {
+			f := a[r*n+col] * inv
+			if f == 0 { //sbvet:allow floateq(exact-zero elimination skip; the update is a no-op for an exactly zero factor)
+				continue
+			}
+			for c := col; c < n; c++ {
+				a[r*n+c] -= f * a[col*n+c]
+			}
+			x[r] -= f * x[col]
+		}
+	}
+	// Back substitution.
+	for i := n - 1; i >= 0; i-- {
+		s := x[i]
+		for j := i + 1; j < n; j++ {
+			s -= a[i*n+j] * x[j]
+		}
+		x[i] = s / a[i*n+i]
+	}
+	return nil
+}
+
+// Predict evaluates the model on a single feature vector. It panics if
+// x and Coef differ in length, as that is always a programming error
+// here.
 func (m *Model) Predict(x []float64) float64 {
-	return mat.Dot(m.Coef, x)
+	if len(x) != len(m.Coef) {
+		panic("regress: Predict length mismatch")
+	}
+	s := 0.0
+	for i, c := range m.Coef {
+		s += c * x[i]
+	}
+	return s
 }
 
-// computeStats fills R2, RMSE, and MeanAbsPct from the training set.
+// computeStats fills MeanAbsPct from the training set.
 func (m *Model) computeStats(rows [][]float64, y []float64) {
-	n := float64(len(y))
-	meanY := 0.0
-	for _, v := range y {
-		meanY += v
-	}
-	meanY /= n
-
-	var ssRes, ssTot, sumSq, sumPct float64
+	var sumPct float64
 	nPct := 0
 	for i, r := range rows {
-		pred := m.Predict(r)
-		d := y[i] - pred
-		ssRes += d * d
-		t := y[i] - meanY
-		ssTot += t * t
-		sumSq += d * d
 		if math.Abs(y[i]) > 1e-9 {
-			sumPct += math.Abs(d / y[i])
+			sumPct += math.Abs((y[i] - m.Predict(r)) / y[i])
 			nPct++
 		}
 	}
-	if ssTot > 0 {
-		m.R2 = 1 - ssRes/ssTot
-	} else {
-		m.R2 = 1
-	}
-	m.RMSE = math.Sqrt(sumSq / n)
 	if nPct > 0 {
 		m.MeanAbsPct = 100 * sumPct / float64(nPct)
 	}
-}
-
-// Evaluate returns the mean absolute percentage error of the model on a
-// held-out set, the paper's Fig. 6 metric. Targets below 1e-9 in
-// magnitude are skipped.
-func (m *Model) Evaluate(rows [][]float64, y []float64) (mape float64, err error) {
-	if len(rows) != len(y) || len(rows) == 0 {
-		return 0, ErrBadData
-	}
-	sum := 0.0
-	n := 0
-	for i, r := range rows {
-		if len(r) != len(m.Coef) {
-			return 0, ErrBadData
-		}
-		if math.Abs(y[i]) <= 1e-9 {
-			continue
-		}
-		sum += math.Abs((y[i] - m.Predict(r)) / y[i])
-		n++
-	}
-	if n == 0 {
-		return 0, ErrBadData
-	}
-	return 100 * sum / float64(n), nil
 }
 
 // SimpleFit fits the one-dimensional affine model y = a1*x + a0 and

@@ -1,12 +1,11 @@
 // Package stats provides the small set of descriptive statistics the
 // experiment harness reports: means (arithmetic and geometric), standard
-// deviation, percentiles, and fixed-width histograms.
+// deviation, extremes, and Jain's fairness index.
 package stats
 
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by functions that need at least one sample.
@@ -60,30 +59,6 @@ func StdDev(xs []float64) (float64, error) {
 	return math.Sqrt(s / float64(len(xs)-1)), nil
 }
 
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using
-// linear interpolation between closest ranks. xs is not modified.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, errors.New("stats: percentile out of [0,100]")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
 // Min returns the smallest sample.
 func Min(xs []float64) (float64, error) {
 	if len(xs) == 0 {
@@ -114,12 +89,9 @@ func Max(xs []float64) (float64, error) {
 
 // Summary bundles the descriptive statistics of one sample set.
 type Summary struct {
-	N                  int
-	Mean, Std          float64
-	Min, Median, Max   float64
-	P5, P95            float64
-	GeoMean            float64 // 0 when any sample is non-positive
-	geoMeanUnavailable bool
+	N         int
+	Mean, Std float64
+	Min, Max  float64
 }
 
 // Summarize computes a Summary, or an error for empty input.
@@ -133,14 +105,6 @@ func Summarize(xs []float64) (Summary, error) {
 	s.Std, _ = StdDev(xs)
 	s.Min, _ = Min(xs)
 	s.Max, _ = Max(xs)
-	s.Median, _ = Percentile(xs, 50)
-	s.P5, _ = Percentile(xs, 5)
-	s.P95, _ = Percentile(xs, 95)
-	if g, err := GeoMean(xs); err == nil {
-		s.GeoMean = g
-	} else {
-		s.geoMeanUnavailable = true
-	}
 	return s, nil
 }
 
@@ -164,37 +128,4 @@ func JainFairness(xs []float64) (float64, error) {
 		return 0, errors.New("stats: all-zero samples in fairness index")
 	}
 	return sum * sum / (float64(len(xs)) * sumSq), nil
-}
-
-// Histogram counts samples into nbins equal-width bins spanning
-// [min, max]. Values exactly at max land in the last bin. It returns the
-// counts and the bin edges (nbins+1 values).
-func Histogram(xs []float64, nbins int) (counts []int, edges []float64, err error) {
-	if len(xs) == 0 {
-		return nil, nil, ErrEmpty
-	}
-	if nbins <= 0 {
-		return nil, nil, errors.New("stats: non-positive bin count")
-	}
-	lo, _ := Min(xs)
-	hi, _ := Max(xs)
-	counts = make([]int, nbins)
-	edges = make([]float64, nbins+1)
-	width := (hi - lo) / float64(nbins)
-	for i := range edges {
-		edges[i] = lo + width*float64(i)
-	}
-	edges[nbins] = hi
-	if width == 0 { //sbvet:allow floateq(width is exactly zero iff min == max; guards the bin division below)
-		counts[0] = len(xs)
-		return counts, edges, nil
-	}
-	for _, x := range xs {
-		b := int((x - lo) / width)
-		if b >= nbins {
-			b = nbins - 1
-		}
-		counts[b]++
-	}
-	return counts, edges, nil
 }

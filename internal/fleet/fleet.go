@@ -16,14 +16,16 @@
 // and per-request jitter seeds, each node's kernel service order and
 // annealer — draws from a stream derived from Config.Seed by
 // splitmix64, one stream per concern, so no consumer can perturb
-// another. Nodes share no mutable state: the parallel section of a
-// tick touches only node-local state, and every cross-node read or
-// write happens in the serial sections in node-ID order. Equal seeds
-// therefore produce byte-identical telemetry for any Workers value.
+// another. Nodes share no mutable state: the parallel section of an
+// epoch tick touches only node-local state, and every cross-node read
+// or write happens in the serial sections in node-ID order. Equal
+// seeds therefore produce byte-identical telemetry for any Workers
+// value.
 package fleet
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -72,8 +74,12 @@ type Config struct {
 	// DrainNs bounds the post-admission drain that lets in-flight
 	// requests finish (default: DurationNs).
 	DrainNs int64
-	// Workers bounds the node-stepping worker pool; <= 1 steps nodes
-	// serially. The value never changes any output, only wall-clock.
+	// Workers bounds how many goroutines step nodes: the caller of Run
+	// steps nodes too, joined by up to Workers-1 helpers, capped at
+	// GOMAXPROCS-1. Only ticks in which some node's balancer epoch
+	// falls are shared; the caller steps every other tick alone, and
+	// <= 1 steps every tick serially. The value never changes any
+	// output, only wall-clock.
 	Workers int
 	// Telemetry enables the fleet collector and per-node collectors.
 	Telemetry bool
@@ -131,6 +137,8 @@ type Fleet struct {
 	requests int
 	latNs    []int64 // every completion latency, canonical order
 	arrBuf   []int64 // per-tick arrival scratch
+
+	pool *stepPool // Run's helpers; nil when every tick steps serially
 }
 
 // latencyBoundsMs are the fleet latency histogram's upper bounds.
@@ -245,13 +253,17 @@ func (f *Fleet) Telemetry() *telemetry.Collector { return f.tel }
 // violation in node-ID order fails the run), and distill the result.
 //
 // Each tick is: draw the window's arrivals (serial; drain ticks draw
-// none) → step every node to the window's end (parallel-safe) →
-// harvest completions in node-ID order (serial) → dispatch the
-// window's arrivals on fresh signals (serial). Dispatched requests
-// spawn at the next tick boundary, so a request's latency includes up
-// to one tick of dispatch quantisation — the price of a deterministic
-// parallel section.
+// none) → step every node to the window's end (shared with the pool's
+// helpers in epoch ticks) → harvest completions in node-ID order
+// (serial) → dispatch the window's arrivals on fresh signals (serial).
+// Dispatched requests spawn at the next tick boundary, so a request's
+// latency includes up to one tick of dispatch quantisation — the price
+// of a deterministic parallel section.
 func (f *Fleet) Run() (*Result, error) {
+	if h := min(f.cfg.Workers, len(f.nodes), runtime.GOMAXPROCS(0)) - 1; h > 0 {
+		f.pool = startPool(f.nodes, h)
+		defer f.pool.stop()
+	}
 	deadline := f.cfg.DurationNs + f.cfg.DrainNs
 	var now int64
 	for tick := 0; now < f.cfg.DurationNs || (f.outstanding() > 0 && now < deadline); tick++ {
@@ -303,12 +315,15 @@ func (f *Fleet) dispatch(atNs int64) {
 	f.pick.pick().assign(rq)
 }
 
-// stepNodes advances every node to toNs. With Workers > 1 nodes step
-// concurrently on a bounded pool; each goroutine touches only
-// node-local state, and errors are collected per node and surfaced in
-// node-ID order, so the outcome is identical to the serial path.
+// stepNodes advances every node to toNs. A quiet tick costs each node
+// a few microseconds, less than handing it to another thread, so the
+// caller steps it alone and returns the first error in node-ID order.
+// A tick in which some node's balancer epoch falls runs the controller
+// on every node and is shared with the pool's helpers. Each step
+// touches only node-local state, and errors surface in node-ID order,
+// so the outcome is identical to the serial path.
 func (f *Fleet) stepNodes(toNs int64) error {
-	if f.cfg.Workers <= 1 || len(f.nodes) == 1 {
+	if f.pool == nil || !f.epochDue(toNs) {
 		for _, n := range f.nodes {
 			if err := n.step(toNs); err != nil {
 				return err
@@ -316,33 +331,154 @@ func (f *Fleet) stepNodes(toNs int64) error {
 		}
 		return nil
 	}
-	w := f.cfg.Workers
-	if w > len(f.nodes) {
-		w = len(f.nodes)
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				j := int(atomic.AddInt64(&next, 1)) - 1
-				if j >= len(f.nodes) {
-					return
-				}
-				n := f.nodes[j]
-				n.stepErr = n.step(toNs)
-			}
-		}()
-	}
-	wg.Wait()
+	f.pool.share(toNs)
 	for _, n := range f.nodes {
 		if n.stepErr != nil {
 			return n.stepErr
 		}
 	}
 	return nil
+}
+
+// epochDue reports whether some node's balancer epoch falls in the
+// tick ending at toNs.
+func (f *Fleet) epochDue(toNs int64) bool {
+	for _, n := range f.nodes {
+		if n.kern.NextEpoch() <= toNs {
+			return true
+		}
+	}
+	return false
+}
+
+// spinYields is how many times an idle helper yields (runtime.Gosched)
+// waiting for the next shared tick before it parks. It is a count, not
+// a time, because the fleet reads no clock. At about 0.2 µs a yield on
+// an otherwise idle CPU it lasts about 0.8 ms, longer than the eleven
+// quiet ticks between two epoch ticks of an 8-node fleet at 5 ms ticks
+// (about 0.3 ms), so that fleet's helper joins each epoch tick at once
+// instead of waking up to 0.6 ms late; a helper of a fleet with longer
+// gaps parks instead of burning a CPU. At 2048 yields the canned 8-node
+// run parked before about half of its 94 epoch ticks.
+const spinYields = 4096
+
+// stepPool is the helper side of Run's node stepping: goroutines that
+// live as long as Run and join its caller in every shared tick. A
+// shared tick is a generation: the caller publishes its horizon and
+// generation, then caller and helpers claim nodes in node-ID order
+// from one atomic counter until none is left. Between generations a
+// helper spins a bounded number of yields, then parks on its wake
+// channel.
+type stepPool struct {
+	nodes []*Node
+	// claim packs the generation (high 32 bits) with the next unclaimed
+	// node index (low 32 bits), so one atomic add claims a node and
+	// says in which generation. An add that lands after the caller
+	// published a newer generation claims in that one.
+	claim atomic.Uint64
+	// toNs is the current generation's horizon. The caller writes it
+	// before publishing the generation and only after every node of
+	// the previous one is stepped.
+	toNs int64
+	// stepped counts the current generation's stepped nodes.
+	stepped atomic.Int64
+	stopped atomic.Bool
+	parked  []atomic.Bool
+	wake    []chan struct{} // one slot per helper
+	exited  sync.WaitGroup
+}
+
+// startPool starts n helpers over nodes.
+func startPool(nodes []*Node, n int) *stepPool {
+	p := &stepPool{nodes: nodes, parked: make([]atomic.Bool, n), wake: make([]chan struct{}, n)}
+	p.exited.Add(n)
+	for i := range p.wake {
+		p.wake[i] = make(chan struct{}, 1)
+		go p.help(i)
+	}
+	return p
+}
+
+// share steps every node to toNs with whichever helpers join, and
+// returns once every node is stepped.
+func (p *stepPool) share(toNs int64) {
+	p.toNs = toNs
+	p.stepped.Store(0)
+	p.claim.Store((p.claim.Load()>>32 + 1) << 32)
+	for i := range p.wake {
+		if p.parked[i].Load() {
+			p.signal(i)
+		}
+	}
+	p.steps()
+	// Every node is claimed: wait for the ones helpers still step.
+	for p.stepped.Load() < int64(len(p.nodes)) {
+		runtime.Gosched()
+	}
+}
+
+// steps claims and steps nodes until none is left, and returns the
+// generation it finished in.
+func (p *stepPool) steps() uint64 {
+	for {
+		c := p.claim.Add(1)
+		i := int(uint32(c)) - 1
+		if i >= len(p.nodes) {
+			return c >> 32
+		}
+		n := p.nodes[i]
+		n.stepErr = n.step(p.toNs)
+		p.stepped.Add(1)
+	}
+}
+
+// help is helper id's loop: wait for a generation it has not joined,
+// spinning, then parked; join it; repeat until stopped.
+func (p *stepPool) help(id int) {
+	defer p.exited.Done()
+	var joined uint64
+	for {
+		for spins := 0; p.claim.Load()>>32 == joined; spins++ {
+			if p.stopped.Load() {
+				return
+			}
+			if spins < spinYields {
+				runtime.Gosched()
+				continue
+			}
+			// Park. The caller reads parked after publishing a
+			// generation, and this re-reads the claim after setting
+			// it, so one of the two sees the other: no wake-up is lost.
+			p.parked[id].Store(true)
+			if p.claim.Load()>>32 == joined && !p.stopped.Load() {
+				<-p.wake[id]
+			}
+			p.parked[id].Store(false)
+			spins = 0
+		}
+		joined = p.steps()
+	}
+}
+
+// signal wakes helper id if it is parked or about to park; a token
+// left in its slot costs it one extra spin.
+func (p *stepPool) signal(id int) {
+	select {
+	case p.wake[id] <- struct{}{}:
+	default:
+	}
+}
+
+// stop ends the helpers and returns once they have exited. A spinning
+// helper sees the flag at its next yield, not at the end of its spin;
+// a parked one is woken to see it. No generation is in flight, so none
+// of them touches a node again.
+func (p *stepPool) stop() {
+	p.stopped.Store(true)
+	for i := range p.wake {
+		p.signal(i)
+	}
+	p.exited.Wait()
 }
 
 // harvest folds the tick's completions into the fleet accounting, in

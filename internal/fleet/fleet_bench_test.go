@@ -6,12 +6,14 @@ import (
 )
 
 // BenchmarkFleet measures end-to-end fleet throughput — full kernels
-// per node, parallel node stepping — on the canned bursty scenario, for
-// measuring while working on the fleet tier; perfbench's fleet-bursty
-// workload is the repository benchmark. n8 runs 8 nodes at 8 workers;
-// n32/wW runs 32 nodes at W workers, the curve over the worker count.
-// Reported as completed requests per wall second and nanoseconds of
-// wall time per completed request.
+// per node, epoch ticks stepped in parallel — on the canned bursty
+// scenario, for measuring while working on the fleet tier; perfbench's
+// fleet-bursty workload is the repository benchmark. n8 runs 8 nodes
+// with Workers=8 and n32/wW 32 nodes with Workers=W, the curve over
+// the worker count. Run's caller steps nodes too, and its helpers are
+// capped at GOMAXPROCS-1, so on a 2-vCPU host every Workers >= 2 runs
+// the caller and one helper. Reported as completed requests per wall
+// second and nanoseconds of wall time per completed request.
 func BenchmarkFleet(b *testing.B) {
 	b.Run("n8", func(b *testing.B) { benchFleet(b, 8, 8) })
 	for _, workers := range []int{1, 2, 4, 8} {

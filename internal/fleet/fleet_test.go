@@ -2,8 +2,13 @@ package fleet
 
 import (
 	"bytes"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
+	"smartbalance/internal/kernel"
 	"smartbalance/internal/telemetry"
 )
 
@@ -66,6 +71,115 @@ func resHeadline(r *Result) *struct {
 		Req, Done, Inflight int
 		Energy, JPR, P99    float64
 	}{r.Requests, r.Completed, r.InFlight, r.EnergyJ, r.JoulesPerRequest, r.P99Ms}
+}
+
+// sharedTickConfig is the canned bursty scenario with ticks as long as
+// the kernel's balancer epoch, so a balancer epoch falls in every tick
+// except those the admission window or the drain deadline cut short:
+// at Workers > 1 nearly every tick takes the shared path.
+func sharedTickConfig(workers int) Config {
+	cfg := burstyGateConfig("energy")
+	cfg.TickNs = kernel.DefaultConfig().EpochNs
+	cfg.Workers = workers
+	return cfg
+}
+
+// sharedTicks is how many ticks f's pool shared; 0 without a pool.
+func sharedTicks(f *Fleet) uint64 {
+	if f.pool == nil {
+		return 0
+	}
+	return f.pool.claim.Load() >> 32
+}
+
+// TestSharedTicksByteIdenticalAcrossWorkers runs the shared path
+// whatever the runner's CPU count: helpers are capped at GOMAXPROCS-1,
+// so on a 1-CPU runner TestFixedSeedByteIdenticalAcrossWorkers covers
+// only the serial path. TestNoHelperOutlivesRun checks that this
+// configuration shares its ticks.
+func TestSharedTicksByteIdenticalAcrossWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	base, baseRes := runJSONL(t, sharedTickConfig(1))
+	for _, workers := range []int{2, 3, 8} {
+		got, res := runJSONL(t, sharedTickConfig(workers))
+		if !bytes.Equal(base, got) {
+			t.Fatalf("workers=%d: telemetry JSONL differs from serial run (%d vs %d bytes)",
+				workers, len(base), len(got))
+		}
+		if *resHeadline(res) != *resHeadline(baseRes) {
+			t.Fatalf("workers=%d: result differs from serial run:\n%v\nvs\n%v", workers, res, baseRes)
+		}
+	}
+}
+
+// TestNoHelperOutlivesRun checks that Run stops its helpers on every
+// return path: after a run that succeeds, and after one whose nodes 3
+// and 6 fail in the first tick, which is shared. The failing run must
+// return node 3's error, as the serial path does. A last case stops a
+// pool whose helpers have all parked.
+func TestNoHelperOutlivesRun(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	// settle polls until no more goroutines run than before.
+	settle := func(before int) {
+		t.Helper()
+		for i := 0; runtime.NumGoroutine() > before && i < 1000; i++ {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("%d goroutines left running, %d before", n, before)
+		}
+	}
+	run := func(workers int, failing ...int) (*Fleet, error) {
+		t.Helper()
+		f, err := New(sharedTickConfig(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range failing {
+			f.nodes[id].assign(Request{Class: "no-such-class-" + strconv.Itoa(id)})
+		}
+		before := runtime.NumGoroutine()
+		_, err = f.Run()
+		settle(before)
+		return f, err
+	}
+
+	f, err := run(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sharedTicks(f) == 0 {
+		t.Fatal("no tick took the shared path")
+	}
+
+	_, serialErr := run(1, 3, 6)
+	f, err = run(4, 3, 6)
+	if err == nil || serialErr == nil {
+		t.Fatalf("a node with an unknown request class did not fail the run: serial %v, shared %v", serialErr, err)
+	}
+	if err.Error() != serialErr.Error() {
+		t.Fatalf("shared path returned %q, serial path %q", err, serialErr)
+	}
+	if !strings.Contains(err.Error(), `"no-such-class-3"`) {
+		t.Fatalf("run returned %q, want node 3's error", err)
+	}
+	if sharedTicks(f) != 1 {
+		t.Fatalf("failing run shared %d ticks, want the first one only", sharedTicks(f))
+	}
+
+	// Helpers that ran out of spin before the stop sit parked.
+	before := runtime.NumGoroutine()
+	p := startPool(f.nodes, 3)
+	for i := range p.parked {
+		for j := 0; !p.parked[i].Load(); j++ {
+			if j == 1000 {
+				t.Fatalf("helper %d never parked", i)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	p.stop()
+	settle(before)
 }
 
 func TestFixedSeedByteIdenticalAcrossRuns(t *testing.T) {

@@ -465,6 +465,9 @@ func New(m *machine.Machine, b Balancer, cfg Config) (*Kernel, error) {
 		events:   newEventQueue(plat.NumCores()),
 		cores:    make([]coreRun, plat.NumCores()),
 		bank:     bank,
+		// The clock starts at 0, so the first balancer tick is one
+		// epoch in.
+		nextEpoch: cfg.EpochNs,
 	}
 	for i := range k.cores {
 		k.cores[i] = coreRun{id: arch.CoreID(i), sleeping: true}
@@ -474,6 +477,10 @@ func New(m *machine.Machine, b Balancer, cfg Config) (*Kernel, error) {
 
 // Now returns the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
+
+// NextEpoch returns the time of the next balancer tick: a Run whose
+// horizon reaches it runs the balancer.
+func (k *Kernel) NextEpoch() Time { return k.nextEpoch }
 
 // Platform returns the underlying platform.
 func (k *Kernel) Platform() *arch.Platform { return k.plat }

@@ -242,9 +242,6 @@ func (k *Kernel) Run(until Time) error {
 	if until <= k.now {
 		return errors.New("kernel: Run horizon not in the future")
 	}
-	if k.nextEpoch == 0 {
-		k.nextEpoch = k.now + k.cfg.EpochNs
-	}
 	k.horizon = until
 	// (Re-)dispatch cores that have queued work but no running slice —
 	// initial spawns before the first Run, or cores parked at a previous

@@ -3,9 +3,11 @@
 # Mirrors what CI should run: formatting, go vet (the root module and
 # the perfbench benchmark module, which ./... does not reach), the
 # project's own sbvet determinism/safety analyzers, the build, and the
-# race-enabled test suite. The fixed-seed contracts (sweep cache, fault
-# robustness, telemetry, fleet and hunt determinism) and the epoch
-# allocation ceilings are Go tests, so the race run covers them too.
+# race-enabled test suite, then ten more race runs of the fleet's
+# shared-tick tests, whose helper goroutines interleave differently
+# each run. The fixed-seed contracts (sweep cache, fault robustness,
+# telemetry, fleet and hunt determinism) and the epoch allocation
+# ceilings are Go tests, so the race run covers them too.
 # perfbench (BENCHMARK.json) is the repository's only benchmark; the
 # committed BENCH_core.json is frozen history that nothing regenerates
 # or checks. Fails fast on the first broken stage.
@@ -35,5 +37,8 @@ go build ./...
 
 echo "== go test -race ./..."
 go test -race ./...
+
+echo "== go test -race -count=10 (the fleet's shared ticks and helper lifetime)"
+go test -race -count=10 -run '^(TestSharedTicksByteIdenticalAcrossWorkers|TestNoHelperOutlivesRun)$' ./internal/fleet
 
 echo "ok: all checks passed"

@@ -429,19 +429,37 @@ func (b *Bank) RecordSleep(core int, ns int64, energyJ float64) error {
 func (b *Bank) Snapshot() ([]ThreadSample, []CoreEpochSample) {
 	o := &b.snaps[b.snapIdx]
 	b.snapIdx ^= 1
-	o.threads = o.threads[:0]
-	o.samples = o.samples[:0]
-	o.perCore = o.perCore[:0]
-	for tid := 0; tid < len(b.threadHead); tid++ {
-		start := len(o.perCore)
-		for s := b.threadHead[tid]; s >= 0; s = b.slotNext[s] {
+	// First walk: count the epoch's entries and sampled threads, so each
+	// arena grows at most once, then fill by index.
+	entries, threads := 0, 0
+	for _, head := range b.threadHead {
+		n := 0
+		for s := head; s >= 0; s = b.slotNext[s] {
 			if b.slotStamp[s] == b.epoch {
-				o.perCore = append(o.perCore, CoreCounters{Core: int(b.slotCore[s]), C: b.counters[s]}) //sbvet:allow hotpath(double-buffered snapshot arena — capacity reaches the live slot count once and is reused every other epoch)
+				n++
 			}
 		}
-		if len(o.perCore) > start {
-			o.samples = append(o.samples, ThreadEpochSample{PerCore: o.perCore[start:len(o.perCore):len(o.perCore)]}) //sbvet:allow hotpath(double-buffered snapshot arena — capacity reaches the live thread count once and is reused every other epoch)
-			o.threads = append(o.threads, ThreadSample{Thread: tid, Sample: &o.samples[len(o.samples)-1]})            //sbvet:allow hotpath(double-buffered snapshot arena — capacity reaches the live thread count once and is reused every other epoch)
+		entries += n
+		if n > 0 {
+			threads++
+		}
+	}
+	o.perCore = grow(o.perCore, entries)
+	o.samples = grow(o.samples, threads)
+	o.threads = grow(o.threads, threads)
+	e, th := 0, 0
+	for tid, head := range b.threadHead {
+		start := e
+		for s := head; s >= 0; s = b.slotNext[s] {
+			if b.slotStamp[s] == b.epoch {
+				o.perCore[e] = CoreCounters{Core: int(b.slotCore[s]), C: b.counters[s]}
+				e++
+			}
+		}
+		if e > start {
+			o.samples[th] = ThreadEpochSample{PerCore: o.perCore[start:e:e]}
+			o.threads[th] = ThreadSample{Thread: tid, Sample: &o.samples[th]}
+			th++
 		}
 	}
 	b.epoch++
@@ -454,6 +472,17 @@ func (b *Bank) Snapshot() ([]ThreadSample, []CoreEpochSample) {
 	}
 	b.cores = next
 	return o.threads, cores
+}
+
+// grow returns s resized to n. It reallocates only when s is short, to
+// at least twice its capacity, so an arena that creeps up over a run's
+// first epochs is re-made a logarithmic number of times. Contents are
+// unspecified; callers overwrite every element.
+func grow[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, n, max(n, 2*cap(s))) //sbvet:allow hotpath(double-buffered snapshot arena — grows to the epoch's live count, at least doubling, and is reused every other epoch)
+	}
+	return s[:n]
 }
 
 // NumCores returns the bank's core count.

@@ -159,6 +159,21 @@ func (s *sliceTimers) set(c arch.CoreID, at Time, seq uint64) {
 	}
 }
 
+// rebuild recomputes every internal node from its two children, bottom
+// up, after the caller rewrote leaves in place: O(leaves), where one set
+// per leaf costs O(leaves · log leaves).
+func (s *sliceTimers) rebuild() {
+	n := s.nodes
+	for i := s.leaves - 1; i >= 1; i-- {
+		a, b := &n[2*i], &n[2*i+1]
+		if before(b.at, b.seq, a.at, a.seq) != 0 {
+			n[i] = *b
+		} else {
+			n[i] = *a
+		}
+	}
+}
+
 // eventQueue holds the kernel's pending events under one (at, seq)
 // total order, shaped to the kernel's traffic: each core's single
 // pending slice end lives in a winner tree over the cores, and the

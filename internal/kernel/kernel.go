@@ -407,6 +407,13 @@ type Kernel struct {
 	// events holds every core's pending slice end and the pending
 	// wakeups under one (at, seq) order (DESIGN.md §12).
 	events eventQueue
+	// place is Spawn's placement index: a winner tree over the cores
+	// keyed by (RunqueueLen, core id), so its root is the core fork
+	// placement picks. It is valid only while placeFresh: Run and
+	// Migrate change runqueue lengths without updating it, and the next
+	// Spawn rebuilds it.
+	place      sliceTimers
+	placeFresh bool
 
 	cores []coreRun
 	// tasks is indexed by ThreadID: ids are assigned densely from 0 and
@@ -463,6 +470,7 @@ func New(m *machine.Machine, b Balancer, cfg Config) (*Kernel, error) {
 		balancer: b,
 		cfg:      cfg,
 		events:   newEventQueue(plat.NumCores()),
+		place:    newSliceTimers(plat.NumCores()),
 		cores:    make([]coreRun, plat.NumCores()),
 		bank:     bank,
 		// The clock starts at 0, so the first balancer tick is one
@@ -555,6 +563,9 @@ func (k *Kernel) CoreLoad(c arch.CoreID) int64 {
 // Spawn creates a task from spec at the current simulated time
 // (sched_fork analogue). Initial placement goes to the core with the
 // fewest runnable tasks, ties broken by id — mirroring fork balancing.
+// That core is the root of the placement index, so a Spawn costs
+// O(log cores) after the first of a burst, which rebuilds the index in
+// O(cores) if Run or Migrate moved tasks since the last Spawn.
 func (k *Kernel) Spawn(spec *workload.ThreadSpec) (ThreadID, error) {
 	st, err := k.mach.NewThreadState(spec)
 	if err != nil {
@@ -562,14 +573,7 @@ func (k *Kernel) Spawn(spec *workload.ThreadSpec) (ThreadID, error) {
 	}
 	id := k.nextID
 	k.nextID++
-	best := arch.CoreID(0)
-	bestLen := math.MaxInt
-	for i := range k.cores {
-		if l := k.RunqueueLen(arch.CoreID(i)); l < bestLen {
-			bestLen = l
-			best = arch.CoreID(i)
-		}
-	}
+	best := k.placeCore()
 	t := &Task{
 		ID:            id,
 		Spec:          spec,
@@ -587,7 +591,24 @@ func (k *Kernel) Spawn(spec *workload.ThreadSpec) (ThreadID, error) {
 	k.emit(TraceEvent{At: k.now, Kind: TraceSpawn, Core: best, Thread: id})
 	k.enqueue(t, best)
 	k.kick(best)
+	k.place.set(best, Time(k.RunqueueLen(best)), uint64(best))
 	return id, nil
+}
+
+// placeCore returns the core fork placement picks, the root of the
+// placement index, after rebuilding the index from every core's
+// RunqueueLen if it is stale.
+func (k *Kernel) placeCore() arch.CoreID {
+	p := &k.place
+	if !k.placeFresh {
+		for i := range k.cores {
+			c := arch.CoreID(i)
+			p.nodes[p.leaves+i] = timer{at: Time(k.RunqueueLen(c)), seq: uint64(c), core: c}
+		}
+		p.rebuild()
+		k.placeFresh = true
+	}
+	return p.nodes[1].core
 }
 
 // Migrate moves a task to the destination core. Runnable tasks move
@@ -619,6 +640,9 @@ func (k *Kernel) Migrate(id ThreadID, dst arch.CoreID) error {
 	case StateRunning:
 		if t.core != dst {
 			t.pendingCore = dst
+		} else {
+			// Back to its own core: take back a move still pending.
+			t.pendingCore = -1
 		}
 		return nil
 	case StateSleeping:
@@ -634,6 +658,7 @@ func (k *Kernel) Migrate(id ThreadID, dst arch.CoreID) error {
 		if t.core == dst {
 			return nil
 		}
+		k.placeFresh = false
 		k.dequeue(t)
 		t.migrations++
 		k.migrations++

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"smartbalance/internal/arch"
+	"smartbalance/internal/hpc"
 	"smartbalance/internal/machine"
+	"smartbalance/internal/workload"
 )
 
 // rqSnapshot captures every core's runqueue accounting, the invariant
@@ -168,5 +170,54 @@ func TestInjectedMigrateRefusalLeavesAccountingUnchanged(t *testing.T) {
 	}
 	if inj.calls != 1 {
 		t.Fatal("injector consulted for an invalid request")
+	}
+}
+
+// TestMigrateBackTakesBackPendingMove: a balancer that asks a running
+// task to move to the next core and then back to its own, in one epoch,
+// leaves it where it was — the second request takes back the first,
+// which would otherwise still be applied at the next context switch.
+func TestMigrateBackTakesBackPendingMove(t *testing.T) {
+	id, home := ThreadID(-1), arch.CoreID(-1)
+	bal := balancerFunc(func(k *Kernel, _ Time, _ []hpc.ThreadSample, _ []hpc.CoreEpochSample) {
+		if id >= 0 {
+			return
+		}
+		for _, task := range k.ActiveTasks() {
+			if task.State() != StateRunning {
+				continue
+			}
+			id, home = task.ID, task.Core()
+			if err := k.Migrate(id, (home+1)%arch.CoreID(k.NumCores())); err != nil {
+				t.Error(err)
+			}
+			if err := k.Migrate(id, home); err != nil {
+				t.Error(err)
+			}
+			return
+		}
+	})
+	k := newKernel(t, arch.QuadHMP(), bal)
+	specs, err := workload.Mix("Mix1", 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range specs {
+		if _, err := k.Spawn(&specs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := k.Run(3 * k.Config().EpochNs); err != nil {
+		t.Fatal(err)
+	}
+	if id < 0 {
+		t.Fatal("no task was running at the first epoch")
+	}
+	if task := k.Task(id); task.Core() != home || task.Migrations() != 0 {
+		t.Fatalf("task %d on core %d after %d migrations, want core %d and none",
+			id, task.Core(), task.Migrations(), home)
+	}
+	if err := k.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -243,6 +243,7 @@ func (k *Kernel) Run(until Time) error {
 		return errors.New("kernel: Run horizon not in the future")
 	}
 	k.horizon = until
+	k.placeFresh = false
 	// (Re-)dispatch cores that have queued work but no running slice —
 	// initial spawns before the first Run, or cores parked at a previous
 	// horizon.

@@ -212,13 +212,16 @@ func (k *Kernel) Stats() *RunStats {
 
 // CheckInvariants verifies internal consistency: every non-finished
 // task is in exactly one scheduler location, runqueue membership
-// matches task state, a core has a pending slice end exactly when it
-// has a current task, and accounting is non-negative. Tests call this
-// after stress runs.
+// matches task state, each core's runqWeight is the summed weight of
+// its queued tasks, a core has a pending slice end exactly when it has
+// a current task, a fresh placement index holds every core's
+// RunqueueLen, and accounting is non-negative. Tests call this after
+// stress runs.
 func (k *Kernel) CheckInvariants() error {
 	seen := make(map[ThreadID]string)
 	for i := range k.cores {
 		cr := &k.cores[i]
+		var weight int64
 		if cr.current != nil {
 			t := cr.current
 			if t.taskState != StateRunning {
@@ -244,6 +247,10 @@ func (k *Kernel) CheckInvariants() error {
 				return fmt.Errorf("kernel: task %d in two places (%s and core %d queue)", t.ID, loc, i)
 			}
 			seen[t.ID] = fmt.Sprintf("core %d queue", i)
+			weight += t.weight
+		}
+		if weight != cr.runqWeight {
+			return fmt.Errorf("kernel: core %d runqWeight %d, queued tasks weigh %d", i, cr.runqWeight, weight)
 		}
 		if cr.busyNs < 0 || cr.sleepNs < 0 || cr.energyJ < 0 {
 			return fmt.Errorf("kernel: negative accounting on core %d", i)
@@ -253,6 +260,11 @@ func (k *Kernel) CheckInvariants() error {
 		}
 		if armed := k.events.armed(cr.id); armed != (cr.current != nil) {
 			return fmt.Errorf("kernel: core %d pending slice end = %v, current task = %v", i, armed, cr.current != nil)
+		}
+		if leaf := k.place.nodes[k.place.leaves+i]; k.placeFresh &&
+			(leaf.at != Time(k.RunqueueLen(cr.id)) || leaf.seq != uint64(i) || leaf.core != cr.id) {
+			return fmt.Errorf("kernel: placement leaf of core %d holds (%d, %d, %d), runqueue length %d",
+				i, leaf.at, leaf.seq, leaf.core, k.RunqueueLen(cr.id))
 		}
 	}
 	for i, t := range k.tasks {

@@ -37,12 +37,21 @@ type ThreadState struct {
 	cyclesDone   int
 	finished     bool
 
-	// metrics[phase*numTypes+coreType] holds the model evaluation,
-	// filled for every entry at construction. Flat layout: the lookup
-	// is one bounds check and no pointer chase on the slice hot path.
+	// metrics[phase*numTypes+coreType] holds the model evaluation. A
+	// core type's column, every phase at once, is evaluated the first
+	// time the thread needs that type, and bit coreType of filled is
+	// set then. Flat layout: the lookup is one bounds check and no
+	// pointer chase on the slice hot path. The core types themselves
+	// are read from the calling Machine, which keeps the struct in its
+	// 80-byte size class.
+	filled   uint64
 	numTypes int
 	metrics  []perfmodel.Metrics
 }
+
+// maxTypes is the most core types a Machine accepts: one filled bit per
+// type.
+const maxTypes = 64
 
 // Options tunes optional machine behaviours.
 type Options struct {
@@ -80,6 +89,9 @@ func NewWithOptions(plat *arch.Platform, opts Options) (*Machine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("machine: %w", err)
 	}
+	if q := plat.NumTypes(); q > maxTypes {
+		return nil, fmt.Errorf("machine: %d core types, at most %d supported", q, maxTypes)
+	}
 	cont, err := contention.NewModel(plat, opts.Contention)
 	if err != nil {
 		return nil, fmt.Errorf("machine: %w", err)
@@ -107,28 +119,23 @@ func (m *Machine) Platform() *arch.Platform { return m.plat }
 // PowerModels returns the calibrated power models.
 func (m *Machine) PowerModels() *powermodel.Platform { return m.pm }
 
-// NewThreadState validates the spec and prepares run-time state. The
-// steady-state metrics of every (phase, core type) pair are evaluated
-// eagerly — the spec is immutable and the table is small, so paying
-// the model up front keeps phase transitions free of evaluation work
-// on the slice hot path.
+// NewThreadState validates the spec and prepares run-time state. It
+// allocates the (phase, core type) table of steady-state metrics but
+// evaluates none of it: a column is filled, every phase at once, the
+// first time ExecSliceOnCore or SteadyMetrics needs its core type, so a
+// thread pays the model only for the types it meets, and phase
+// transitions stay evaluation-free. Allocating the table here keeps the
+// slice path allocation-free.
 func (m *Machine) NewThreadState(spec *workload.ThreadSpec) (*ThreadState, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("machine: %w", err)
 	}
-	n := len(spec.Phases)
 	q := m.plat.NumTypes()
-	ts := &ThreadState{
+	return &ThreadState{
 		Spec:     spec,
 		numTypes: q,
-		metrics:  make([]perfmodel.Metrics, n*q),
-	}
-	for p := 0; p < n; p++ {
-		for c := 0; c < q; c++ {
-			ts.metrics[p*q+c] = perfmodel.Evaluate(&spec.Phases[p], &m.plat.Types[c])
-		}
-	}
-	return ts, nil
+		metrics:  make([]perfmodel.Metrics, len(spec.Phases)*q),
+	}, nil
 }
 
 // Finished reports whether the thread has retired all instructions.
@@ -149,18 +156,27 @@ func (t *ThreadState) Progress() (cycles int, instr uint64) {
 }
 
 // SteadyMetrics returns the memoised steady-state metrics of the
-// thread's current phase on core type tid. This is also the oracle the
-// predictor evaluation (Fig. 6) and the prediction-vs-oracle ablation
-// compare against.
+// thread's current phase on core type tid, filling the type's column on
+// first use. This is also the oracle the predictor evaluation (Fig. 6)
+// and the prediction-vs-oracle ablation compare against.
 func (m *Machine) SteadyMetrics(t *ThreadState, tid arch.CoreTypeID) perfmodel.Metrics {
-	return *t.phaseMetrics(tid)
+	return *m.phaseMetrics(t, tid)
 }
 
-// phaseMetrics returns a pointer to the current phase's entry in the
-// memo table; the entries are immutable, so callers may hold it across
-// calls.
-func (t *ThreadState) phaseMetrics(tid arch.CoreTypeID) *perfmodel.Metrics {
-	return &t.metrics[t.phaseIdx*t.numTypes+int(tid)]
+// phaseMetrics returns a pointer to the current phase's entry for core
+// type tid in t's memo table, first evaluating the type's column for
+// every phase if it is not filled yet. Filled entries never change, so
+// callers may hold the pointer across calls.
+func (m *Machine) phaseMetrics(t *ThreadState, tid arch.CoreTypeID) *perfmodel.Metrics {
+	q := t.numTypes
+	if t.filled&(1<<uint(tid)) == 0 {
+		ct := &m.plat.Types[tid]
+		for p := range t.Spec.Phases {
+			t.metrics[p*q+int(tid)] = perfmodel.Evaluate(&t.Spec.Phases[p], ct)
+		}
+		t.filled |= 1 << uint(tid)
+	}
+	return &t.metrics[t.phaseIdx*q+int(tid)]
 }
 
 // SliceResult reports what happened during one execution slice.
@@ -218,7 +234,7 @@ func (m *Machine) ExecSliceOnCore(res *SliceResult, t *ThreadState, core arch.Co
 			contended = perfmodel.EvaluateShared(ph, ct, latScale, missScale)
 			met = &contended
 		} else {
-			met = t.phaseMetrics(tid)
+			met = m.phaseMetrics(t, tid)
 		}
 		ipsPerNs := met.IPC * freqGHz // instructions per nanosecond
 

@@ -235,7 +235,7 @@ func Mix(mix string, nthreads int, seed uint64) ([]ThreadSpec, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []ThreadSpec
+	out := make([]ThreadSpec, 0, len(benches)*max(nthreads, 0))
 	for i, b := range benches {
 		specs, err := Benchmark(b, nthreads, seed+uint64(i)*0x9E37)
 		if err != nil {

@@ -68,11 +68,12 @@ func RequestSpec(class, name string, seed uint64) (ThreadSpec, error) {
 		if p.class != class {
 			continue
 		}
-		r := rng.New(seed)
+		phases := make([]Phase, 1)
+		perturbPhases(rng.New(seed), phases, []Phase{p.phase}, 0.10)
 		spec := ThreadSpec{
 			Name:      name,
 			Benchmark: "req:" + class,
-			Phases:    perturbPhases(r, []Phase{p.phase}, 0.10),
+			Phases:    phases,
 			Repeats:   1,
 		}
 		if err := spec.Validate(); err != nil {

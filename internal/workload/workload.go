@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 
 	"smartbalance/internal/rng"
 )
@@ -180,12 +181,12 @@ func clampF(v, lo, hi float64) float64 {
 	return v
 }
 
-// perturbPhases returns a copy of phases with every attribute jittered
-// by a few percent, so the m worker threads of one benchmark are similar
-// but not identical — mirroring real data-dependent workers.
-func perturbPhases(r *rng.Rand, phases []Phase, amount float64) []Phase {
-	out := make([]Phase, len(phases))
-	for i, p := range phases {
+// perturbPhases writes into dst a copy of src with every attribute
+// jittered by a few percent, so the m worker threads of one benchmark
+// are similar but not identical — mirroring real data-dependent
+// workers. dst and src have the same length.
+func perturbPhases(r *rng.Rand, dst, src []Phase, amount float64) {
+	for i, p := range src {
 		q := p
 		q.Instructions = uint64(jitter(r, float64(p.Instructions), amount))
 		if q.Instructions == 0 {
@@ -206,25 +207,36 @@ func perturbPhases(r *rng.Rand, phases []Phase, amount float64) []Phase {
 				q.SleepAfterNs = 0
 			}
 		}
-		out[i] = q
+		dst[i] = q
 	}
-	return out
 }
 
 // Spawn materialises nthreads worker threads from a benchmark profile,
-// each with deterministic per-worker jitter derived from seed.
+// named "<benchName>.w<index>", each with deterministic per-worker
+// jitter derived from seed: worker w's phases are drawn from a
+// generator reseeded with the w-th value of seed's stream. The workers'
+// phases share one backing array, each capped at its own length, so
+// an append to one spec's Phases never writes into the next.
 func Spawn(benchName string, base []Phase, nthreads int, seed uint64) ([]ThreadSpec, error) {
 	if nthreads < 1 {
 		return nil, fmt.Errorf("workload: Spawn %q needs >= 1 thread", benchName)
 	}
 	r := rng.New(seed)
+	var wr rng.Rand
+	n := len(base)
+	phases := make([]Phase, nthreads*n)
 	specs := make([]ThreadSpec, nthreads)
+	name := append([]byte(benchName), ".w"...)
+	prefix := len(name)
 	for w := 0; w < nthreads; w++ {
-		wr := r.Split()
+		wr.Reseed(r.Uint64())
+		ph := phases[w*n : (w+1)*n : (w+1)*n]
+		perturbPhases(&wr, ph, base, 0.08)
+		name = strconv.AppendInt(name[:prefix], int64(w), 10)
 		specs[w] = ThreadSpec{
-			Name:      fmt.Sprintf("%s.w%d", benchName, w),
+			Name:      string(name),
 			Benchmark: benchName,
-			Phases:    perturbPhases(wr, base, 0.08),
+			Phases:    ph,
 		}
 		if err := specs[w].Validate(); err != nil {
 			return nil, err

@@ -1,10 +1,14 @@
 package workload
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"smartbalance/internal/rng"
 )
 
 func validPhase() Phase {
@@ -163,19 +167,19 @@ func TestBenchmarkUnknown(t *testing.T) {
 }
 
 func TestBenchmarkThreadCountAndNames(t *testing.T) {
-	specs, err := Benchmark("swaptions", 4, 7)
+	specs, err := Benchmark("swaptions", 120, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(specs) != 4 {
+	if len(specs) != 120 {
 		t.Fatalf("got %d threads", len(specs))
 	}
 	for i, s := range specs {
 		if s.Benchmark != "swaptions" {
 			t.Errorf("thread %d benchmark = %q", i, s.Benchmark)
 		}
-		if !strings.HasPrefix(s.Name, "swaptions.w") {
-			t.Errorf("thread %d name = %q", i, s.Name)
+		if want := fmt.Sprintf("swaptions.w%d", i); s.Name != want {
+			t.Errorf("thread %d name = %q, want %q", i, s.Name, want)
 		}
 	}
 	if _, err := Benchmark("swaptions", 0, 7); err == nil {
@@ -206,6 +210,24 @@ func TestSpawnDeterministicButJittered(t *testing.T) {
 	c, _ := Benchmark("canneal", 4, 43)
 	if a[0].Phases[0].ILP == c[0].Phases[0].ILP {
 		t.Fatal("different seeds produced identical workers")
+	}
+	// Worker w draws from its own stream: a generator split off the
+	// seed's generator for the w-th time.
+	base := parsecProfiles["canneal"]
+	r := rng.New(42)
+	for w := range a {
+		want := make([]Phase, len(base))
+		perturbPhases(r.Split(), want, base, 0.08)
+		if !reflect.DeepEqual(a[w].Phases, want) {
+			t.Fatalf("worker %d phases differ from its split stream", w)
+		}
+	}
+	// Workers share one backing array, but an append to one worker's
+	// phases never writes into the next worker's.
+	next := a[1].Phases[0]
+	_ = append(a[0].Phases, Phase{Name: "appended"})
+	if a[1].Phases[0] != next {
+		t.Fatal("an append to worker 0's phases overwrote worker 1's")
 	}
 }
 

@@ -119,6 +119,48 @@ func TestScaleEpochAllocsSteady(t *testing.T) {
 	}
 }
 
+// benchSpawn times what a run's set-up spends on threads: generating
+// threads Mix1 workers, building the kernel and spawning every worker.
+// The machine, whose power models are calibrated once per platform, is
+// built outside the timer. It reports host ns per spawned thread.
+func benchSpawn(b *testing.B, cores, threads int) {
+	if testing.Short() && cores > 256 {
+		b.Skip("short mode: the 256-core point only")
+	}
+	plat, err := arch.ScalingHMP(cores)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := machine.New(plat)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		specs, err := workload.Mix("Mix1", threads/2, uint64(i)+1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		k, err := kernel.New(m, idleBalancer{}, kernel.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j := range specs {
+			if _, err := k.Spawn(&specs[j]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*threads), "ns/thread")
+}
+
+// BenchmarkSpawnScale: c256_t2560 is perfbench node-scale's shape.
+func BenchmarkSpawnScale(b *testing.B) {
+	b.Run("c256_t2560", func(b *testing.B) { benchSpawn(b, 256, 2560) })
+	b.Run("c1024_t16384", func(b *testing.B) { benchSpawn(b, 1024, 16384) })
+}
+
 func BenchmarkKernelScale(b *testing.B) {
 	b.Run("c256_t2560", func(b *testing.B) { benchScale(b, 256, 2560) })
 	b.Run("c1024_t10240", func(b *testing.B) { benchScale(b, 1024, 10240) })

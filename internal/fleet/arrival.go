@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"smartbalance/internal/param"
@@ -14,10 +13,9 @@ import (
 // "Open-loop" means arrivals never wait for the system — the stream
 // stands in for millions of independent users, whose request times do
 // not depend on how loaded the fleet is. Each process is a
-// deterministic function of the fleet seed: the dispatcher draws the
-// per-tick arrival counts and offsets from one seeded stream, so equal
-// seeds regenerate the identical request sequence for any policy or
-// worker count.
+// continuous-time point process drawn from one generator seeded by the
+// fleet seed, so equal seeds regenerate the identical request sequence
+// for any policy, worker count or dispatch tick.
 //
 // The spec grammar is "kind" or "kind:key=val,key=val":
 //
@@ -26,9 +24,10 @@ import (
 //	bursty:rate=300,burst=6,pburst=0.08,pcalm=0.25
 //
 // diurnal's period is in simulated milliseconds (one compressed
-// "day"); bursty is a two-state MMPP: a calm state at the base rate
-// and a burst state at burst x the base rate, switching per tick with
-// the given probabilities.
+// "day"); bursty is a two-state MMPP (Markov-modulated Poisson
+// process): a calm state at the base rate and a burst state at burst x
+// the base rate, leaving calm at rate pburst per 5 ms and a burst at
+// rate pcalm per 5 ms.
 
 // ArrivalSpec is the one description of an arrival process, in the
 // grammar's units: Rate in requests per simulated second (bursty's
@@ -136,30 +135,42 @@ func (a ArrivalSpec) Validate() error {
 	return nil
 }
 
-// Arrival is one running open-loop arrival process. It is stateful
-// (the bursty MMPP remembers its phase) and not safe for concurrent
-// use; the fleet drives it from its serial dispatch section only.
+// burstStepNs defines bursty's switching probabilities: pburst and
+// pcalm are the chances of a switch within one 5 ms step, so the
+// process leaves calm at rate pburst/burstStepNs and a burst at rate
+// pcalm/burstStepNs. It is part of the process's definition, not a
+// parameter: the keys were defined on a 5 ms step, and at these rates
+// the process keeps that step's stationary burst share
+// pburst/(pburst+pcalm) and its mean burst and calm lengths,
+// burstStepNs/pcalm and burstStepNs/pburst.
+const burstStepNs = 5e6
+
+// Arrival is one running open-loop arrival process: a continuous-time
+// point process drawn from its own generator, so the stream depends on
+// the spec and the seed alone, never on how a caller cuts time into
+// windows. It is not safe for concurrent use; the fleet drives it from
+// its serial dispatch section only.
 type Arrival struct {
 	spec ArrivalSpec
-	// r and inBurst are the bursty process's state chain: it draws
-	// from its own split of the fleet arrival stream, so the burst
-	// schedule is seed-deterministic.
-	r       *rng.Rand
+	r    *rng.Rand
+	// t is the time of the last event in float64 ns, inBurst bursty's
+	// state, and next the time of the next arrival, drawn but not yet
+	// returned.
+	t       float64
 	inBurst bool
+	next    int64
 }
 
-// ParseArrival parses an arrival spec and starts its process. stream
-// seeds the process's own randomness (the MMPP state chain); derive it
-// from the fleet seed so one knob reproduces the whole run.
+// ParseArrival parses an arrival spec and starts its process. Every
+// draw comes from one split of stream; derive stream from the fleet
+// seed so one knob reproduces the whole run.
 func ParseArrival(spec string, stream *rng.Rand) (*Arrival, error) {
 	a, err := ParseArrivalSpec(spec)
 	if err != nil {
 		return nil, err
 	}
-	p := &Arrival{spec: a}
-	if a.Kind == "bursty" {
-		p.r = stream.Split()
-	}
+	p := &Arrival{spec: a, r: stream.Split()}
+	p.advance()
 	return p, nil
 }
 
@@ -167,78 +178,60 @@ func ParseArrival(spec string, stream *rng.Rand) (*Arrival, error) {
 // with every parameter made explicit.
 func (p *Arrival) Spec() string { return p.spec.String() }
 
-// Rate returns the instantaneous arrival rate in requests per
-// simulated second at time atNs, advancing the bursty state chain one
-// step. Callers sample it once per tick, at the tick's start. The
-// diurnal sinusoid starts at its trough, so a run opens in the quiet
-// period and climbs toward peak traffic.
-func (p *Arrival) Rate(atNs int64) float64 {
+// Until appends the arrival times before endNs that no earlier call
+// returned to buf, in order, and returns it. Calls with growing ends
+// cut one stream into windows, so the arrivals are the same however
+// the caller cuts it.
+func (p *Arrival) Until(endNs int64, buf []int64) []int64 {
+	for p.next < endNs {
+		buf = append(buf, p.next)
+		p.advance()
+	}
+	return buf
+}
+
+// advance steps the process to its next arrival, whose time is the
+// running time truncated to whole nanoseconds.
+func (p *Arrival) advance() {
+	for !p.step() {
+	}
+	p.next = int64(p.t)
+}
+
+// step draws one event and reports whether it is an arrival: an
+// exponential gap at the kind's event rate, then, for diurnal and
+// bursty, one uniform that decides what the event is. Diurnal thins
+// events at the peak rate rate*(1+depth), keeping each with
+// probability rate(t)/peak; its sinusoid starts at the trough at t = 0,
+// so a run opens in the quiet period. Bursty races the state's arrival
+// rate (rate, or rate*burst) against its switching rate, and the event
+// is a switch with probability switching/(rate+switching).
+func (p *Arrival) step() bool {
 	a := &p.spec
+	rate := a.Rate / 1e9 // per ns
 	switch a.Kind {
 	case "diurnal":
-		phase := 2 * math.Pi * float64(atNs) / (a.PeriodMs * 1e6)
-		return a.Rate * (1 + a.Depth*math.Sin(phase-math.Pi/2))
+		peak := rate * (1 + a.Depth)
+		p.t += p.gap(peak)
+		phase := 2 * math.Pi * p.t / (a.PeriodMs * 1e6)
+		return p.r.Float64()*peak < rate*(1+a.Depth*math.Sin(phase-math.Pi/2))
 	case "bursty":
+		switching := a.PBurst / burstStepNs
 		if p.inBurst {
-			if p.r.Float64() < a.PCalm {
-				p.inBurst = false
-			}
-		} else {
-			if p.r.Float64() < a.PBurst {
-				p.inBurst = true
-			}
+			rate, switching = rate*a.Burst, a.PCalm/burstStepNs
 		}
-		if p.inBurst {
-			return a.Rate * a.Burst
+		p.t += p.gap(rate + switching)
+		if p.r.Float64()*(rate+switching) < switching {
+			p.inBurst = !p.inBurst
+			return false
 		}
+		return true
 	}
-	return a.Rate
+	p.t += p.gap(rate)
+	return true
 }
 
-// poisson draws a Poisson-distributed count with the given mean, via
-// Knuth's product-of-uniforms method — O(mean) per draw, exact, and a
-// pure function of the stream. Per-tick means stay small (rate x tick,
-// tens at most), so the linear cost is irrelevant.
-func poisson(r *rng.Rand, mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	// Split very large means to keep exp(-mean) away from underflow.
-	k := 0
-	for mean > 256 {
-		k += poisson(r, 256)
-		mean -= 256
-	}
-	limit := math.Exp(-mean)
-	p := 1.0
-	n := -1
-	for p > limit {
-		p *= r.Float64()
-		n++
-	}
-	if n < 0 {
-		n = 0
-	}
-	return k + n
-}
-
-// drawWindow appends the sorted arrival times of one tick window
-// [fromNs, toNs) to buf: a Poisson count at the window's sampled rate,
-// with offsets uniform over the window. Equal draws are
-// interchangeable, so the sort is canonical.
-func drawWindow(r *rng.Rand, a *Arrival, fromNs, toNs int64, buf []int64) []int64 {
-	rate := a.Rate(fromNs)
-	span := toNs - fromNs
-	if span <= 0 {
-		return buf
-	}
-	mean := rate * float64(span) * 1e-9
-	n := poisson(r, mean)
-	start := len(buf)
-	for i := 0; i < n; i++ {
-		buf = append(buf, fromNs+int64(r.Float64()*float64(span)))
-	}
-	win := buf[start:]
-	sort.Slice(win, func(i, j int) bool { return win[i] < win[j] })
-	return buf
+// gap draws an exponential gap in ns at the given event rate per ns.
+func (p *Arrival) gap(rate float64) float64 {
+	return -math.Log(1-p.r.Float64()) / rate
 }

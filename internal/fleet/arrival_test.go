@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -53,8 +55,9 @@ func TestParseArrivalRejectsBadSpecs(t *testing.T) {
 
 // TestParseArrivalRejectsNonFinite: strconv.ParseFloat accepts NaN and
 // Inf, which every range check passes (NaN compares false) and which
-// hang or silence the draw (an Inf rate never ends the Poisson split,
-// a NaN rate draws nothing). Every kind and parameter must refuse them.
+// hang or corrupt the draw (an Inf rate draws zero gaps, so a window
+// never ends; a NaN rate makes the running time NaN). Every kind and
+// parameter must refuse them.
 func TestParseArrivalRejectsNonFinite(t *testing.T) {
 	params := map[string][]string{
 		"uniform": {"rate"},
@@ -73,59 +76,43 @@ func TestParseArrivalRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// drawAll draws count ticks of tickNs each and returns every arrival
-// offset in order.
-func drawAll(t *testing.T, spec string, seed uint64, ticks int, tickNs int64) []int64 {
+// until drives a fresh process of spec and seed to endNs in windows
+// of windowNs and returns every arrival time, in order.
+func until(t *testing.T, spec string, seed uint64, endNs, windowNs int64) []int64 {
 	t.Helper()
-	stream := rng.New(seed)
-	a, err := ParseArrival(spec, stream)
+	a, err := ParseArrival(spec, rng.New(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out []int64
-	for i := 0; i < ticks; i++ {
-		out = drawWindow(stream, a, int64(i)*tickNs, int64(i+1)*tickNs, out)
+	for from := int64(0); from < endNs; from += windowNs {
+		out = a.Until(min(from+windowNs, endNs), out)
 	}
 	return out
 }
 
 func TestArrivalsDeterministicUnderEqualSeeds(t *testing.T) {
 	for _, spec := range []string{"uniform", "diurnal", "bursty"} {
-		a := drawAll(t, spec, 42, 400, 5e6)
-		b := drawAll(t, spec, 42, 400, 5e6)
-		if len(a) != len(b) {
-			t.Fatalf("%s: equal seeds drew %d vs %d arrivals", spec, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s: equal seeds diverge at arrival %d: %d vs %d", spec, i, a[i], b[i])
-			}
+		a := until(t, spec, 42, 2e9, 5e6)
+		b := until(t, spec, 42, 2e9, 5e6)
+		if !slices.Equal(a, b) {
+			t.Fatalf("%s: equal seeds drew different streams (%d vs %d arrivals)", spec, len(a), len(b))
 		}
 	}
 }
 
 func TestArrivalsDistinctUnderDistinctSeeds(t *testing.T) {
 	for _, spec := range []string{"uniform", "diurnal", "bursty"} {
-		a := drawAll(t, spec, 1, 400, 5e6)
-		b := drawAll(t, spec, 2, 400, 5e6)
-		same := len(a) == len(b)
-		if same {
-			for i := range a {
-				if a[i] != b[i] {
-					same = false
-					break
-				}
-			}
-		}
-		if same {
+		a := until(t, spec, 1, 2e9, 5e6)
+		b := until(t, spec, 2, 2e9, 5e6)
+		if slices.Equal(a, b) {
 			t.Errorf("%s: seeds 1 and 2 drew identical streams (%d arrivals)", spec, len(a))
 		}
 	}
 }
 
 func TestArrivalsSortedWithinWindows(t *testing.T) {
-	stream := rng.New(9)
-	a, err := ParseArrival("bursty", stream)
+	a, err := ParseArrival("bursty", rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +120,7 @@ func TestArrivalsSortedWithinWindows(t *testing.T) {
 	const tick = 5e6
 	for i := 0; i < 200; i++ {
 		from, to := int64(i)*tick, int64(i+1)*tick
-		buf = drawWindow(stream, a, from, to, buf[:0])
+		buf = a.Until(to, buf[:0])
 		for j, at := range buf {
 			if at < from || at >= to {
 				t.Fatalf("tick %d: arrival %d at %dns outside [%d, %d)", i, j, at, from, to)
@@ -145,36 +132,73 @@ func TestArrivalsSortedWithinWindows(t *testing.T) {
 	}
 }
 
-// meanRate estimates the empirical rate in requests per second over
-// the drawn span.
-func meanRate(arrivals []int64, spanNs int64) float64 {
-	return float64(len(arrivals)) / (float64(spanNs) * 1e-9)
+// TestUntilSameForAnyWindows: the stream is a function of the spec and
+// the seed alone, so windows of 1, 2, 5 and 10 ms cut the one stream
+// that a single window over the whole span returns.
+func TestUntilSameForAnyWindows(t *testing.T) {
+	const spanNs = int64(2e9)
+	for _, spec := range []string{"uniform", "diurnal", "bursty"} {
+		whole := until(t, spec, 3, spanNs, spanNs)
+		if len(whole) < 100 {
+			t.Fatalf("%s: only %d arrivals in %d ns", spec, len(whole), spanNs)
+		}
+		for _, windowMs := range []int64{1, 2, 5, 10} {
+			if got := until(t, spec, 3, spanNs, windowMs*1e6); !slices.Equal(got, whole) {
+				t.Errorf("%s: %d ms windows drew %d arrivals, one window %d",
+					spec, windowMs, len(got), len(whole))
+			}
+		}
+	}
 }
 
+// The realised-rate tests pool rateSeeds seeds of rateSpanNs each:
+// 1,280 simulated seconds per kind. Over that span the uniform and
+// diurnal counts are Poisson, within 0.15 % of their mean at one
+// standard deviation, and bursty's burst correlation widens its count
+// to about 0.5 %; its burst-time share and mean burst and calm lengths
+// sit within about 1 %. The bands below are several of those wide.
+const (
+	rateSeeds  = 64
+	rateSpanNs = int64(20e9)
+)
+
+// realisedRate returns spec's mean arrival rate in requests per
+// simulated second over rateSeeds seeds.
+func realisedRate(t *testing.T, spec string) float64 {
+	t.Helper()
+	total := 0
+	for seed := uint64(1); seed <= rateSeeds; seed++ {
+		total += len(until(t, spec, seed, rateSpanNs, rateSpanNs))
+	}
+	return float64(total) / (rateSeeds * float64(rateSpanNs) * 1e-9)
+}
+
+// within reports whether got lies within a relative band of want.
+func within(got, want, band float64) bool { return math.Abs(got-want) <= band*want }
+
 func TestUniformMeanRate(t *testing.T) {
-	const ticks, tick = 2000, int64(5e6) // 10 simulated seconds
-	got := meanRate(drawAll(t, "uniform:rate=400", 3, ticks, tick), int64(ticks)*tick)
-	if got < 360 || got > 440 {
-		t.Errorf("uniform rate=400 drew %.1f req/s, want within [360, 440]", got)
+	got := realisedRate(t, "uniform:rate=400")
+	t.Logf("uniform rate=400: %.2f req/s", got)
+	if !within(got, 400, 0.02) {
+		t.Errorf("uniform rate=400 drew %.2f req/s, want within 2%% of 400", got)
 	}
 }
 
 func TestDiurnalMeanRate(t *testing.T) {
-	// Whole periods: the sinusoid averages out, so the empirical mean
-	// approaches the base rate; and the trough/peak windows must differ.
-	const tick = int64(5e6)
-	const ticks = 2000 // 10s = 5 full 2000ms periods
-	arrivals := drawAll(t, "diurnal:rate=400,depth=0.6,period=2000", 4, ticks, tick)
-	got := meanRate(arrivals, int64(ticks)*tick)
-	if got < 360 || got > 440 {
-		t.Errorf("diurnal rate=400 drew %.1f req/s over whole periods, want within [360, 440]", got)
+	// Whole periods (20 s is ten 2000 ms periods): the sinusoid
+	// averages out, so the realised mean is the base rate.
+	const spec = "diurnal:rate=400,depth=0.6,period=2000"
+	got := realisedRate(t, spec)
+	t.Logf("%s: %.2f req/s", spec, got)
+	if !within(got, 400, 0.02) {
+		t.Errorf("diurnal rate=400 drew %.2f req/s over whole periods, want within 2%% of 400", got)
 	}
 
 	// The first quarter-period sits at the trough, the third at the
 	// peak: (1-depth) vs (1+depth) of the base rate.
 	periodNs := int64(2000) * 1e6
 	var trough, peak int
-	for _, at := range arrivals {
+	for _, at := range until(t, spec, 4, 10e9, 10e9) {
 		switch phase := at % periodNs; {
 		case phase < periodNs/4:
 			trough++
@@ -188,50 +212,57 @@ func TestDiurnalMeanRate(t *testing.T) {
 }
 
 func TestBurstyMeanRate(t *testing.T) {
-	// The MMPP's stationary burst fraction is pburst/(pburst+pcalm);
-	// its long-run mean rate is rate*(1 + frac*(burst-1)).
-	const tick = int64(5e6)
-	const ticks = 8000 // 40 simulated seconds to let the chain mix
-	got := meanRate(drawAll(t, "bursty:rate=300,burst=6,pburst=0.08,pcalm=0.25", 5, ticks, tick), int64(ticks)*tick)
-	frac := 0.08 / (0.08 + 0.25)
-	want := 300 * (1 + frac*5)
-	if got < want*0.85 || got > want*1.15 {
-		t.Errorf("bursty drew %.1f req/s, want within 15%% of %.1f", got, want)
-	}
-	// And it must actually burst: the peak rate observed in some window
-	// should reach the burst multiplier, not hover at the base rate.
-	stream := rng.New(5)
-	a, err := ParseArrival("bursty:rate=300,burst=6,pburst=0.08,pcalm=0.25", stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sawBurst := false
-	for i := 0; i < 1000 && !sawBurst; i++ {
-		sawBurst = a.Rate(int64(i)*tick) > 300*5
-	}
-	if !sawBurst {
-		t.Error("bursty process never entered the burst state in 1000 ticks")
+	// The MMPP spends a share s = pburst/(pburst+pcalm) of its time in
+	// the burst state, so its long-run mean rate is
+	// rate*(1 + (burst-1)*s).
+	s := 0.08 / (0.08 + 0.25)
+	want := 300 * (1 + 5*s)
+	got := realisedRate(t, "bursty:rate=300,burst=6,pburst=0.08,pcalm=0.25")
+	t.Logf("bursty: %.2f req/s, spec mean %.2f", got, want)
+	if !within(got, want, 0.03) {
+		t.Errorf("bursty drew %.2f req/s, want within 3%% of %.2f", got, want)
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	r := rng.New(11)
-	for _, mean := range []float64{0.5, 3, 40, 700} {
-		var total int
-		const draws = 4000
-		for i := 0; i < draws; i++ {
-			total += poisson(r, mean)
-		}
-		got := float64(total) / draws
-		if got < mean*0.9 || got > mean*1.1 {
-			t.Errorf("poisson(mean=%v) averaged %.3f over %d draws", mean, got, draws)
+// TestBurstyBurstShare steps the process event by event and times its
+// states: the burst-time share must be pburst/(pburst+pcalm), and the
+// mean burst and calm lengths burstStepNs/pcalm and burstStepNs/pburst,
+// the values of a chain that switches with these probabilities once
+// every burstStepNs.
+func TestBurstyBurstShare(t *testing.T) {
+	spec, err := ParseArrivalSpec("bursty:rate=300,burst=6,pburst=0.08,pcalm=0.25")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stateNs [2]float64 // calm, burst
+	var ended [2]int       // completed calm and burst periods
+	for seed := uint64(1); seed <= rateSeeds; seed++ {
+		a := &Arrival{spec: spec, r: rng.New(seed)}
+		for a.t < float64(rateSpanNs) {
+			from, burst := a.t, a.inBurst
+			a.step()
+			state := 0
+			if burst {
+				state = 1
+			}
+			stateNs[state] += min(a.t, float64(rateSpanNs)) - from
+			if a.inBurst != burst && a.t < float64(rateSpanNs) {
+				ended[state]++
+			}
 		}
 	}
-	if n := poisson(r, 0); n != 0 {
-		t.Errorf("poisson(0) = %d, want 0", n)
+	share := stateNs[1] / (stateNs[0] + stateNs[1])
+	t.Logf("burst-time share %.4f; mean calm %.4g ns over %d periods, burst %.4g ns over %d",
+		share, stateNs[0]/float64(ended[0]), ended[0], stateNs[1]/float64(ended[1]), ended[1])
+	if want := 0.08 / (0.08 + 0.25); !within(share, want, 0.05) {
+		t.Errorf("burst-time share %.4f, want within 5%% of %.4f", share, want)
 	}
-	if n := poisson(r, -3); n != 0 {
-		t.Errorf("poisson(-3) = %d, want 0", n)
+	for state, p := range [2]float64{spec.PBurst, spec.PCalm} {
+		mean := stateNs[state] / float64(ended[state])
+		if want := burstStepNs / p; !within(mean, want, 0.05) {
+			t.Errorf("state %d lasts %.3g ns on average over %d periods, want within 5%% of %.3g",
+				state, mean, ended[state], want)
+		}
 	}
 }
 

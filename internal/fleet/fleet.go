@@ -12,15 +12,14 @@
 // p99 request latency.
 //
 // Determinism contract: a fleet run is a pure function of its Config.
-// Every random choice — arrival counts and offsets, request classes
-// and per-request jitter seeds, each node's kernel service order and
-// annealer — draws from a stream derived from Config.Seed by
-// splitmix64, one stream per concern, so no consumer can perturb
-// another. Nodes share no mutable state: the parallel section of an
-// epoch tick touches only node-local state, and every cross-node read
-// or write happens in the serial sections in node-ID order. Equal
-// seeds therefore produce byte-identical telemetry for any Workers
-// value.
+// Every random choice — arrival times, request classes and per-request
+// jitter seeds, each node's kernel service order and annealer — draws
+// from a stream derived from Config.Seed by splitmix64, one stream per
+// concern, so no consumer can perturb another. Nodes share no mutable
+// state: the parallel section of an epoch tick touches only node-local
+// state, and every cross-node read or write happens in the serial
+// sections in node-ID order. Equal seeds therefore produce
+// byte-identical telemetry for any Workers value.
 package fleet
 
 import (
@@ -69,7 +68,8 @@ type Config struct {
 	DurationNs int64
 	// TickNs is the dispatch quantum (default 5ms): arrivals within a
 	// tick are routed together at its end and spawn at the next tick
-	// boundary.
+	// boundary. It quantises dispatch only: the arrival stream is the
+	// same at every tick.
 	TickNs int64
 	// DrainNs bounds the post-admission drain that lets in-flight
 	// requests finish (default: DurationNs).
@@ -126,7 +126,6 @@ type Fleet struct {
 	proc   *Arrival
 	pick   *picker
 
-	arrStream *rng.Rand // arrival counts and offsets
 	reqStream *rng.Rand // request classes and jitter seeds
 	classes   []string
 
@@ -169,18 +168,17 @@ func New(cfg Config) (*Fleet, error) {
 	// One derived stream per concern: arrival draws, request draws, and
 	// per-node kernel/annealer seeds, all chained off Config.Seed.
 	arrState := cfg.Seed ^ arrivalSeedTag
+	proc, err := ParseArrival(cfg.Arrival, rng.New(rng.Splitmix64(&arrState)))
+	if err != nil {
+		return nil, err
+	}
 	reqState := cfg.Seed ^ requestSeedTag
 	f := &Fleet{
 		cfg:       cfg,
 		policy:    policy,
-		proc:      nil,
-		arrStream: rng.New(rng.Splitmix64(&arrState)),
+		proc:      proc,
 		reqStream: rng.New(rng.Splitmix64(&reqState)),
 		classes:   classes,
-	}
-	f.proc, err = ParseArrival(cfg.Arrival, f.arrStream)
-	if err != nil {
-		return nil, err
 	}
 
 	if cfg.Telemetry {
@@ -252,8 +250,8 @@ func (f *Fleet) Telemetry() *telemetry.Collector { return f.tel }
 // to DrainNs more, check every node's kernel invariants (the first
 // violation in node-ID order fails the run), and distill the result.
 //
-// Each tick is: draw the window's arrivals (serial; drain ticks draw
-// none) → step every node to the window's end (shared with the pool's
+// Each tick is: take the window's arrivals from the arrival process
+// (serial; drain ticks take none) → step every node to the window's end (shared with the pool's
 // helpers in epoch ticks) → harvest completions in node-ID order
 // (serial) → dispatch the window's arrivals on fresh signals (serial).
 // Dispatched requests spawn at the next tick boundary, so a request's
@@ -275,7 +273,7 @@ func (f *Fleet) Run() (*Result, error) {
 		end := min(now+f.cfg.TickNs, limit)
 		f.arrBuf = f.arrBuf[:0]
 		if admit {
-			f.arrBuf = drawWindow(f.arrStream, f.proc, now, end, f.arrBuf)
+			f.arrBuf = f.proc.Until(end, f.arrBuf)
 		}
 		if err := f.stepNodes(end); err != nil {
 			return nil, err
@@ -359,7 +357,7 @@ func (f *Fleet) epochDue(toNs int64) bool {
 // (about 0.3 ms), so that fleet's helper joins each epoch tick at once
 // instead of waking up to 0.6 ms late; a helper of a fleet with longer
 // gaps parks instead of burning a CPU. At 2048 yields the canned 8-node
-// run parked before about half of its 94 epoch ticks.
+// run parked before about half of its epoch ticks.
 const spinYields = 4096
 
 // stepPool is the helper side of Run's node stepping: goroutines that

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -375,5 +376,70 @@ func TestSingleNodeSingleClass(t *testing.T) {
 	}
 	if len(res.PerNode) != 1 || res.PerNode[0].Requests != res.Requests {
 		t.Errorf("single node did not receive all %d requests", res.Requests)
+	}
+}
+
+// admittedArrivals runs cfg and returns the arrival time of every
+// request the fleet admitted, indexed by request ID. A node drops a
+// request from its books in the harvest after the request exits, so
+// the kernel reports each exit while the node still holds the request;
+// requests still held when Run returns are read from the nodes.
+func admittedArrivals(t *testing.T, cfg Config) []int64 {
+	t.Helper()
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := map[uint64]int64{}
+	for _, n := range f.nodes {
+		n.kern.AddObserver(func(e kernel.TraceEvent) {
+			if rq, ok := n.inflight[e.Thread]; ok && e.Kind == kernel.TraceFinish {
+				byID[rq.ID] = rq.ArrivalNs
+			}
+		})
+	}
+	res, err := f.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range f.nodes {
+		for _, rq := range n.inflight {
+			byID[rq.ID] = rq.ArrivalNs
+		}
+		for _, rq := range n.pending {
+			byID[rq.ID] = rq.ArrivalNs
+		}
+	}
+	if len(byID) != res.Requests {
+		t.Fatalf("found %d of the %d admitted requests", len(byID), res.Requests)
+	}
+	out := make([]int64, len(byID))
+	for id, at := range byID {
+		out[id] = at
+	}
+	return out
+}
+
+// TestArrivalTimesIndependentOfTick: the tick quantises dispatch only,
+// so the canned bursty run admits the same requests at the same times
+// whatever its tick.
+func TestArrivalTimesIndependentOfTick(t *testing.T) {
+	var base []int64
+	for _, tickMs := range []int64{1, 2, 5, 10} {
+		cfg := burstyGateConfig("energy")
+		cfg.TickNs = tickMs * 1e6
+		got := admittedArrivals(t, cfg)
+		if base == nil {
+			base = got
+			continue
+		}
+		if !slices.Equal(got, base) {
+			i := 0
+			for i < min(len(got), len(base)) && got[i] == base[i] {
+				i++
+			}
+			t.Errorf("tick %d ms admits %d requests, 1 ms admits %d; they differ from request %d on",
+				tickMs, len(got), len(base), i)
+		}
 	}
 }

@@ -87,10 +87,12 @@ const errFitness = -1e9
 // baseline node runs deliberately reuse sweep.SchemaVersion
 // fingerprints — they are ordinary scenario runs, shared with every
 // other sweep consumer; these versions cover only payload shapes that
-// exist solely for the hunt.
+// exist solely for the hunt. A fleet cell is an ordinary fleet run
+// keyed with its worker count, so its version carries
+// sweep.FleetSchemaVersion: a change to fleet outputs re-keys it too.
 const (
 	obsSchemaVersion       = "sbhunt-obs-v2"
-	fleetHuntSchemaVersion = "sbhunt-fleet-v1"
+	fleetHuntSchemaVersion = "sbhunt-fleet-v1|" + sweep.FleetSchemaVersion
 )
 
 // obsPayload is the observed-run task payload: the ordinary outcome

@@ -19,8 +19,9 @@ import (
 
 // FleetSchemaVersion participates in every fleet-cell fingerprint,
 // separately versioned from the scenario schema so either tier can
-// evolve without invalidating the other's cache.
-const FleetSchemaVersion = "sbfleet-v1"
+// evolve without invalidating the other's cache. Bump it whenever a
+// fleet run's outputs change.
+const FleetSchemaVersion = "sbfleet-v2"
 
 // FleetScenario is one cell of a fleet sweep.
 type FleetScenario struct {

@@ -246,7 +246,7 @@ func TestTelemetryDisabledZeroAlloc(t *testing.T) {
 // BenchmarkEpochTelemetryEnabled sizes the enabled-path cost of the
 // same per-epoch sequence, for comparison against the zero above.
 func BenchmarkEpochTelemetryEnabled(b *testing.B) {
-	tel := NewTelemetryCollector(TelemetryConfig{})
+	tel := NewTelemetryCollector()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tel.BeginEpoch(i+1, int64(i)*60e6)

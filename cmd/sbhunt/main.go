@@ -1,7 +1,7 @@
 // Command sbhunt runs the adversarial scenario search: a seeded
 // evolutionary hunt over scenario genomes scored on falsification
 // objectives (SmartBalance losing to a baseline, SLO violations,
-// flight-recorder anomalies, worker-count divergence), followed by a
+// anomaly triggers firing, worker-count divergence), followed by a
 // delta-debugging minimizer that shrinks each counterexample before
 // pinning it to a corpus directory.
 //

@@ -86,7 +86,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	// exports, so either flag attaches one.
 	var tel *smartbalance.TelemetryCollector
 	if *telPath != "" || *traceN > 0 {
-		tel = sys.EnableTelemetry(smartbalance.TelemetryConfig{})
+		tel = sys.EnableTelemetry()
 		tel.SetMeta("platform", *platName)
 		tel.SetMeta("workload", *wl)
 		tel.SetMeta("threads", strconv.Itoa(*threads))

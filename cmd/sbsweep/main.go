@@ -170,7 +170,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "sbsweep: recovered panic in %s\n", st)
 	}
 	if *telPath != "" {
-		tel := telemetry.New(telemetry.Config{})
+		tel := telemetry.New()
 		tel.SetMeta("tool", "sbsweep")
 		sweep.RecordJobs(tel, results)
 		scenarios := results

@@ -106,7 +106,6 @@ func runSummary(args []string, stdout, stderr io.Writer) int {
 	for _, a := range tr.Anomalies {
 		fmt.Fprintf(stdout, "  %s\n", a.String())
 	}
-	fmt.Fprintf(stdout, "dumps     %d\n", len(tr.Dumps))
 	if tr.Meta["tier"] == "fleet" {
 		fleetSummary(stdout, tr)
 	}

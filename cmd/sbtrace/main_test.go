@@ -42,7 +42,7 @@ func writeSeedTrace(t *testing.T, seed uint64) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tel := sys.EnableTelemetry(smartbalance.TelemetryConfig{})
+	tel := sys.EnableTelemetry()
 	tel.SetMeta("seed", "s") // fixed: the divergence must come from the run itself
 	specs, err := smartbalance.Mix("Mix1", 2, seed)
 	if err != nil {
@@ -90,10 +90,13 @@ func TestSummary(t *testing.T) {
 }
 
 // TestFleetSummaryGolden pins the fleet-tier summary rendering against
-// a committed trace (testdata/fleet_small.jsonl, produced by
-// `sbfleet -nodes 2 -dur 100 -seed 3 -arrival bursty:... -telemetry`)
-// and its golden output. Regenerate both with -update after an
-// intentional format change.
+// a committed trace and its golden output. The trace,
+// testdata/fleet_small.jsonl, is the export of
+//
+//	sbfleet -nodes 2 -dur 100 -seed 3 -arrival "bursty:rate=300,burst=6,pburst=0.08,pcalm=0.25" -telemetry testdata/fleet_small.jsonl
+//
+// After an intentional change to the fleet or the format, re-run that
+// command, then this test with -update.
 func TestFleetSummaryGolden(t *testing.T) {
 	fixture := filepath.Join("testdata", "fleet_small.jsonl")
 	golden := filepath.Join("testdata", "fleet_summary.golden")

@@ -7,7 +7,9 @@ package smartbalance
 // harness runs a real system long enough to capture one representative
 // epoch's sensing snapshot, then replays the controller's Rebalance
 // against it so the numbers isolate the balancer from the workload
-// simulation around it.
+// simulation around it. A replay announces its epoch to the collector
+// itself, as the kernel adapter does before every Rebalance in a
+// kernel run, so each replayed epoch gets a record of its own.
 
 import (
 	"testing"
@@ -22,6 +24,8 @@ import (
 // epoch's sensing snapshot so benchmarks can replay it.
 type captureBalancer struct {
 	inner   *SmartBalanceController
+	tel     *TelemetryCollector // nil with telemetry off
+	epoch   int                 // the last epoch announced to tel
 	threads []hpc.ThreadSample
 	cores   []hpc.CoreEpochSample
 	now     kernel.Time
@@ -33,6 +37,14 @@ func (c *captureBalancer) Rebalance(k *kernel.Kernel, now kernel.Time,
 	threads []hpc.ThreadSample, cores []hpc.CoreEpochSample) {
 	c.threads, c.cores, c.now = threads, cores, now
 	c.inner.Rebalance(k, now, threads, cores)
+}
+
+// replay runs the controller once more on the captured snapshot, as
+// the next epoch.
+func (c *captureBalancer) replay(k *kernel.Kernel) {
+	c.epoch++
+	c.tel.BeginEpoch(c.epoch, int64(c.now))
+	c.inner.Rebalance(k, c.now, c.threads, c.cores)
 }
 
 // epochHotHarness builds an HMP system under SmartBalance, runs it for
@@ -68,8 +80,8 @@ func epochHotHarness(tb testing.TB, telemetry, contended bool) (*captureBalancer
 		inner.SetContention(sys.Kernel().Machine().Contention())
 	}
 	if telemetry {
-		tcfg := TelemetryConfig{MaxEpochs: 64}
-		inner.SetTelemetry(sys.EnableTelemetry(tcfg))
+		cap.tel = sys.EnableTelemetry()
+		inner.SetTelemetry(cap.tel)
 	}
 	specs, err := Mix("Mix1", 8, 1)
 	if err != nil {
@@ -86,6 +98,7 @@ func epochHotHarness(tb testing.TB, telemetry, contended bool) (*captureBalancer
 	if cap.threads == nil {
 		tb.Fatal("no epoch snapshot captured")
 	}
+	cap.epoch = sys.Stats().Epochs
 	return cap, sys.Kernel()
 }
 
@@ -96,10 +109,10 @@ func epochAllocs(tb testing.TB, telemetry, contended bool) float64 {
 	cap, k := epochHotHarness(tb, telemetry, contended)
 	// Warm the controller's scratch buffers beyond the captured state.
 	for i := 0; i < 16; i++ {
-		cap.inner.Rebalance(k, cap.now, cap.threads, cap.cores)
+		cap.replay(k)
 	}
 	return testing.AllocsPerRun(200, func() {
-		cap.inner.Rebalance(k, cap.now, cap.threads, cap.cores)
+		cap.replay(k)
 	})
 }
 
@@ -147,7 +160,7 @@ func BenchmarkEpochHot(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cap.inner.Rebalance(k, cap.now, cap.threads, cap.cores)
+		cap.replay(k)
 	}
 }
 
@@ -158,7 +171,7 @@ func BenchmarkEpochHotTelemetry(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cap.inner.Rebalance(k, cap.now, cap.threads, cap.cores)
+		cap.replay(k)
 	}
 }
 
@@ -170,6 +183,6 @@ func BenchmarkEpochHotContended(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cap.inner.Rebalance(k, cap.now, cap.threads, cap.cores)
+		cap.replay(k)
 	}
 }

@@ -44,7 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tel := sys.EnableTelemetry(smartbalance.TelemetryConfig{})
+	tel := sys.EnableTelemetry()
 	if err := sys.SpawnAll(codec); err != nil {
 		log.Fatal(err)
 	}

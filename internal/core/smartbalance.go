@@ -369,9 +369,10 @@ func (s *SmartBalance) normalizeContentionIPS(t *ContentionTerm, ips [][]float64
 
 // SetTelemetry installs (or, with nil, removes) the telemetry
 // collector the controller reports into: per-phase spans with
-// structured attributes, health gauges, and the flight-recorder
-// anomaly triggers (majority-degraded epoch, negative EE gain, refused
-// migration burst).
+// structured attributes, health gauges, and the anomaly triggers
+// (majority-degraded epoch, negative EE gain, refused migration burst).
+// Epoch records are opened by the kernel adapter
+// (telemetry.KernelObserver), not by the controller.
 func (s *SmartBalance) SetTelemetry(c *telemetry.Collector) { s.tel = c }
 
 // refusedBurst is the per-epoch refused-migration count at which the
@@ -441,16 +442,12 @@ func (s *SmartBalance) Rebalance(k *kernel.Kernel, now kernel.Time,
 	epochNs := k.Config().EpochNs
 
 	if s.tel.Enabled() {
-		// The kernel adapter announces the same boundary from the
-		// TraceEpoch event; BeginEpoch is idempotent so whichever runs
-		// first wins and the other is a no-op.
-		s.tel.BeginEpoch(s.epochs, now)
 		s.tel.Counter("smartbalance_epochs_total").Inc()
 		ee := epochEE(cores)
 		s.tel.Gauge("smartbalance_epoch_ee").Set(ee)
 		s.tel.Histogram("smartbalance_epoch_ee_dist", eeBuckets).Observe(ee)
 		if s.prevEE > 0 && ee < 0.75*s.prevEE {
-			s.tel.Anomaly(now, telemetry.AnomalyNegativeEEGain, //sbvet:allow hotpath(anomaly detail formats only when the flight recorder triggers)
+			s.tel.Anomaly(now, telemetry.AnomalyNegativeEEGain, //sbvet:allow hotpath(anomaly detail formats only when the trigger fires)
 				fmt.Sprintf("epoch ee %.4g fell below 0.75 x previous %.4g", ee, s.prevEE))
 		}
 		s.prevEE = ee
@@ -552,7 +549,7 @@ func (s *SmartBalance) Rebalance(k *kernel.Kernel, now kernel.Time,
 		if s.tel.Enabled() {
 			s.tel.Counter("smartbalance_skipped_epochs_total").Inc()
 			s.tel.Gauge("smartbalance_degraded_mode").Set(1)
-			s.tel.Anomaly(now, telemetry.AnomalyDegradedEpoch, //sbvet:allow hotpath(anomaly detail formats only when the flight recorder triggers)
+			s.tel.Anomaly(now, telemetry.AnomalyDegradedEpoch, //sbvet:allow hotpath(anomaly detail formats only when the trigger fires)
 				fmt.Sprintf("%d of %d sensed threads degraded; holding placement", degraded, sensed))
 		}
 		return
@@ -651,7 +648,7 @@ func (s *SmartBalance) Rebalance(k *kernel.Kernel, now kernel.Time,
 		s.spanAttrs[2] = telemetry.Int("refused", int64(refused))
 		s.tel.Span(telemetry.PhaseMigrate, now, 0, s.spanAttrs[:3]...)
 		if refused >= refusedBurst {
-			s.tel.Anomaly(now, telemetry.AnomalyRefusedBurst, //sbvet:allow hotpath(anomaly detail formats only when the flight recorder triggers)
+			s.tel.Anomaly(now, telemetry.AnomalyRefusedBurst, //sbvet:allow hotpath(anomaly detail formats only when the trigger fires)
 				fmt.Sprintf("%d of %d requested migrations refused this epoch", refused, applied+refused))
 		}
 	}

@@ -182,7 +182,7 @@ func New(cfg Config) (*Fleet, error) {
 	}
 
 	if cfg.Telemetry {
-		f.tel = telemetry.New(telemetry.Config{})
+		f.tel = telemetry.New()
 		f.latHist = f.tel.Histogram("fleet_latency_ms", latencyBoundsMs)
 	}
 
@@ -193,7 +193,7 @@ func New(cfg Config) (*Fleet, error) {
 		annealSeed := rng.Splitmix64(&nodeState)
 		var ntel *telemetry.Collector
 		if cfg.Telemetry {
-			ntel = telemetry.New(telemetry.Config{})
+			ntel = telemetry.New()
 		}
 		platName := strings.TrimSpace(plats[i%len(plats)])
 		n, err := newNode(i, platName, cfg.Balancer, cfg.Seed, kernelSeed, annealSeed, ntel)
@@ -494,8 +494,9 @@ func (f *Fleet) harvest() int {
 	return completed
 }
 
-// recordTick emits the tick's telemetry epoch. No-op without a
-// collector.
+// recordTick emits the tick's telemetry epoch: its span, then the
+// anomalies the nodes recorded while stepping through it, in node-ID
+// order, each detail naming its node. No-op without a collector.
 func (f *Fleet) recordTick(tick int, startNs, endNs int64, arrivals, completed int) {
 	if f.tel == nil {
 		return
@@ -506,6 +507,13 @@ func (f *Fleet) recordTick(tick int, startNs, endNs int64, arrivals, completed i
 		telemetry.Int("completed", int64(completed)),
 		telemetry.Int("inflight", int64(f.outstanding())),
 	)
+	for _, n := range f.nodes {
+		as := n.tel.Anomalies()
+		for _, a := range as[n.copied:] {
+			f.tel.Anomaly(a.AtNs, a.Reason, "node "+strconv.Itoa(n.ID)+": "+a.Detail)
+		}
+		n.copied = len(as)
+	}
 }
 
 // outstanding counts requests assigned but not completed, fleet-wide.
@@ -624,10 +632,11 @@ func (f *Fleet) exportTelemetry(res *Result) {
 // foldNode re-emits one node collector's counters and gauges under a
 // node-prefixed key (node003_kernel_events_total{...}), making each
 // node's kernel-level signals part of the fleet's single JSONL export
-// — the same sbtelemetry-v1 bus the intra-node tier already speaks.
+// — the same telemetry bus the intra-node tier already speaks.
 // Histograms and spans stay node-local: the fleet's epoch timeline is
 // the tick sequence, and interleaving per-node kernel epochs into it
-// would corrupt that contract.
+// would corrupt that contract. Node anomalies are not folded here:
+// recordTick copies them into the tick they fired in.
 func (f *Fleet) foldNode(n *Node) {
 	if n.tel == nil {
 		return

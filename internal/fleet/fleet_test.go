@@ -339,6 +339,53 @@ func TestTelemetryExportShape(t *testing.T) {
 	}
 }
 
+// TestTelemetryCarriesNodeAnomalies checks that the fleet trace holds
+// every anomaly its nodes record, each naming its node and filed under
+// the tick whose window holds it.
+func TestTelemetryCarriesNodeAnomalies(t *testing.T) {
+	cfg := burstyGateConfig("energy")
+	cfg.Telemetry = true
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{}
+	total := 0
+	for _, n := range f.nodes {
+		for _, a := range n.tel.Anomalies() {
+			a.Epoch = 0
+			a.Detail = "node " + strconv.Itoa(n.ID) + ": " + a.Detail
+			want[a.String()]++
+			total++
+		}
+	}
+	if total == 0 {
+		t.Fatal("no node recorded an anomaly; the canned run is expected to fire triggers")
+	}
+	tr := f.Telemetry().Trace()
+	if len(tr.Anomalies) != total {
+		t.Fatalf("fleet trace holds %d anomalies, its nodes %d", len(tr.Anomalies), total)
+	}
+	ticks := map[int]telemetry.Span{}
+	for _, e := range tr.Epochs {
+		ticks[e.Epoch] = e.Spans[0]
+	}
+	for _, a := range tr.Anomalies {
+		tick, ok := ticks[a.Epoch]
+		if !ok || a.AtNs < tick.StartNs || a.AtNs > tick.StartNs+tick.DurNs {
+			t.Errorf("anomaly %s lies outside its tick %s", a, tick)
+		}
+		a.Epoch = 0
+		if want[a.String()] == 0 {
+			t.Errorf("fleet anomaly %s matches no node anomaly", a)
+		}
+		want[a.String()]--
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	base := DefaultConfig()
 	cases := []struct {

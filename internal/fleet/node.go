@@ -44,6 +44,8 @@ type Node struct {
 	kern  *kernel.Kernel
 	cores int
 	tel   *telemetry.Collector // the node's own collector; nil when fleet telemetry is off
+	// copied counts tel's anomalies already copied into the fleet trace.
+	copied int
 
 	// Dispatcher-owned request state.
 	pending  []Request                   // assigned, spawning at the next tick boundary

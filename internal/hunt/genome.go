@@ -4,7 +4,7 @@
 // counterexamples to the claims the rest of the repository verifies by
 // replication. A counterexample is a concrete, reproducible scenario
 // where SmartBalance loses energy efficiency to a baseline, an SLO
-// breaks, the flight recorder trips, or parallel execution diverges
+// breaks, an anomaly trigger fires, or parallel execution diverges
 // from serial. Found counterexamples are shrunk by a deterministic
 // delta-debugging minimizer and pinned into a JSON corpus that the
 // test suite replays forever after (TestCheckedInCorpusStillViolates).

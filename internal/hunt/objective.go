@@ -20,7 +20,7 @@ const (
 	// Margin below a baseline balancer on the same scenario — the
 	// paper's headline claim inverted.
 	ObjEELoss = "ee-loss"
-	// ObjAnomaly: the flight recorder trips during the SmartBalance
+	// ObjAnomaly: an anomaly trigger fires during the SmartBalance
 	// run (negative EE gain, degraded epochs, refused-migration burst).
 	ObjAnomaly = "anomaly"
 	// ObjEnergySLO: fleet joules-per-request exceeds the energy SLO.
@@ -96,7 +96,7 @@ const (
 )
 
 // obsPayload is the observed-run task payload: the ordinary outcome
-// plus the distinct anomaly reasons the flight recorder registered.
+// plus the distinct anomaly reasons the run's triggers recorded.
 type obsPayload struct {
 	Outcome   *sweep.Outcome `json:"outcome"`
 	Anomalies []string       `json:"anomalies,omitempty"`
@@ -244,7 +244,7 @@ func nodeSubtasks(n *NodeGenome) []subtask {
 		obsTask.Fingerprint = fp
 	}
 	obsTask.Run = func() ([]byte, error) {
-		tel := telemetry.New(telemetry.Config{})
+		tel := telemetry.New()
 		out, err := sweep.RunScenario(sc, tel)
 		if err != nil {
 			return nil, err

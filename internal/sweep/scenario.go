@@ -173,8 +173,8 @@ type Outcome struct {
 // workload, and balancer, simulate for the scenario's duration through
 // scenario.Run, check kernel invariants, and distill the run
 // statistics. A non-nil tel is attached to the kernel and the balancer
-// (when it accepts one), so callers can inspect flight-recorder
-// anomalies alongside the outcome. Observation never changes the
+// (when it accepts one), so callers can inspect its anomaly records
+// alongside the outcome. Observation never changes the
 // simulation — the outcome is byte-identical with tel nil — so
 // observed runs share the unobserved runs' cache entries safely.
 func RunScenario(sc Scenario, tel *telemetry.Collector) (*Outcome, error) {

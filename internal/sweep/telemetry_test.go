@@ -39,7 +39,7 @@ func sweepTrace(t *testing.T, workers int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tel := telemetry.New(telemetry.Config{})
+	tel := telemetry.New()
 	RecordJobs(tel, results)
 	RecordTelemetry(tel, results, nil)
 	var buf bytes.Buffer
@@ -68,7 +68,7 @@ func TestSweepTelemetryJobAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tel := telemetry.New(telemetry.Config{})
+	tel := telemetry.New()
 	RecordJobs(tel, results)
 	RecordTelemetry(tel, results, nil)
 	if got := tel.Counter("sweep_jobs_total").Value(); got != 12 {
@@ -130,7 +130,7 @@ func TestSweepTelemetryCacheCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := telemetry.New(telemetry.Config{})
+	cold := telemetry.New()
 	RecordJobs(cold, results)
 	RecordTelemetry(cold, results, cache)
 	if got := cold.Counter("sweep_cache_misses_total").Value(); got != 6 {
@@ -151,7 +151,7 @@ func TestSweepTelemetryCacheCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := telemetry.New(telemetry.Config{})
+	warm := telemetry.New()
 	RecordJobs(warm, results)
 	RecordTelemetry(warm, results, warmCache)
 	if got := warm.Counter("sweep_cache_misses_total").Value(); got != 0 {

@@ -22,10 +22,11 @@ func Attach(k *kernel.Kernel, c *Collector) int {
 // every event increments a per-kind counter, slices additionally feed
 // the instruction, slice-time and per-core slice (context-switch)
 // counters, migrations count arrivals per destination core, and epoch
-// boundaries rotate the collector's epoch record (1-based, matching
-// the controller's own epoch count, so the idempotent BeginEpoch dedups
-// the two announcements). The returned observer composes with any
-// number of others through Kernel.AddObserver.
+// boundaries open the collector's next epoch record, numbered from 1 in
+// kernel order. It is the one epoch announcer of a kernel run: the
+// TraceEvent precedes the balancer's Rebalance, so the controller's
+// spans land in the record opened here. The returned observer composes
+// with any number of others through Kernel.AddObserver.
 //
 // Handles are resolved once (per-core ones on a core's first event)
 // and cached, so the per-event cost is array indexing, not map lookups.

@@ -64,10 +64,6 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if d := FirstDivergence(orig, back); d != nil {
 		t.Fatalf("round trip diverged: %s", d)
 	}
-	// Dumps don't participate in FirstDivergence; check them directly.
-	if len(back.Dumps) != len(orig.Dumps) {
-		t.Fatalf("round trip dumps = %d, want %d", len(back.Dumps), len(orig.Dumps))
-	}
 	var again bytes.Buffer
 	if err := WriteJSONL(&again, back); err != nil {
 		t.Fatal(err)
@@ -84,7 +80,8 @@ func TestReadJSONLRejects(t *testing.T) {
 		{"empty", "", "no meta line"},
 		{"wrong schema", `{"t":"meta","schema":"other-v9"}` + "\n", "unsupported schema"},
 		{"garbage", "not json\n", "line 1"},
-		{"unknown type", `{"t":"meta","schema":"sbtelemetry-v1"}` + "\n" + `{"t":"mystery"}` + "\n", "unknown line type"},
+		{"v1 schema", `{"t":"meta","schema":"sbtelemetry-v1"}` + "\n", "unsupported schema"},
+		{"unknown type", `{"t":"meta","schema":"` + Schema + `"}` + "\n" + `{"t":"mystery"}` + "\n", "unknown line type"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -147,7 +144,7 @@ func TestPromExportShape(t *testing.T) {
 }
 
 func TestPromFamilyGroupsLabelledSeries(t *testing.T) {
-	c := New(Config{})
+	c := New()
 	c.Counter(Name("events_total", "kind", "slice")).Add(2)
 	c.Counter(Name("events_total", "kind", "wake")).Add(1)
 	var buf bytes.Buffer

@@ -9,8 +9,8 @@ import (
 
 // JSONL is the canonical interchange format: one JSON document per
 // line, in a fixed order — the meta line, then epoch and span lines in
-// epoch order, then metric lines sorted by key, then anomaly and dump
-// lines. Field order within a line is fixed by the Go struct
+// epoch order, then metric lines sorted by key, then anomaly lines.
+// Field order within a line is fixed by the Go struct
 // declarations and map keys are sorted by encoding/json, so two equal
 // traces always serialise to byte-identical files.
 
@@ -22,7 +22,7 @@ type line struct {
 	Schema string            `json:"schema,omitempty"`
 	KV     map[string]string `json:"kv,omitempty"`
 
-	// t == "epoch" | "span" | "anomaly" | "dump"
+	// t == "epoch" | "span" | "anomaly"
 	Epoch   int    `json:"epoch,omitempty"`
 	StartNs int64  `json:"start_ns,omitempty"`
 	Seq     int    `json:"seq,omitempty"`
@@ -38,12 +38,10 @@ type line struct {
 	Count   int64    `json:"count,omitempty"`
 	Sum     float64  `json:"sum,omitempty"`
 
-	// t == "anomaly" | "dump"
-	AtNs    int64         `json:"at_ns,omitempty"`
-	Reason  string        `json:"reason,omitempty"`
-	Detail  string        `json:"detail,omitempty"`
-	Window  []EpochRecord `json:"window,omitempty"`
-	Metrics []Metric      `json:"metrics,omitempty"`
+	// t == "anomaly"
+	AtNs   int64  `json:"at_ns,omitempty"`
+	Reason string `json:"reason,omitempty"`
+	Detail string `json:"detail,omitempty"`
 }
 
 // WriteJSONL renders the trace in the canonical interchange format.
@@ -84,16 +82,6 @@ func WriteJSONL(w io.Writer, tr *Trace) error {
 		err := enc.Encode(line{
 			T: "anomaly", Epoch: a.Epoch, AtNs: a.AtNs,
 			Reason: a.Reason, Detail: a.Detail,
-		})
-		if err != nil {
-			return err
-		}
-	}
-	for _, d := range tr.Dumps {
-		err := enc.Encode(line{
-			T: "dump", Epoch: d.Anomaly.Epoch, AtNs: d.Anomaly.AtNs,
-			Reason: d.Anomaly.Reason, Detail: d.Anomaly.Detail,
-			Window: d.Window, Metrics: d.Metrics,
 		})
 		if err != nil {
 			return err
@@ -154,12 +142,6 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 			tr.Metrics = append(tr.Metrics, m)
 		case "anomaly":
 			tr.Anomalies = append(tr.Anomalies, Anomaly{Epoch: l.Epoch, AtNs: l.AtNs, Reason: l.Reason, Detail: l.Detail})
-		case "dump":
-			tr.Dumps = append(tr.Dumps, Dump{
-				Anomaly: Anomaly{Epoch: l.Epoch, AtNs: l.AtNs, Reason: l.Reason, Detail: l.Detail},
-				Window:  l.Window,
-				Metrics: l.Metrics,
-			})
 		default:
 			return nil, fmt.Errorf("telemetry: line %d: unknown line type %q", n, l.T)
 		}

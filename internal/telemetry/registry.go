@@ -189,23 +189,23 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 // histograms share one namespace in the output; a key collision across
 // kinds is a caller bug and simply yields adjacent entries).
 func (r *Registry) Snapshot() []Metric {
-	out := make([]Metric, 0, len(r.counters)+len(r.gauges)+len(r.hists)) //sbvet:allow hotpath(metric-export path; runs on anomaly dumps and end-of-run snapshots, not steady-state epochs)
+	out := make([]Metric, 0, len(r.counters)+len(r.gauges)+len(r.hists))
 	for _, name := range sortedKeys(r.counters) {
-		out = append(out, Metric{Key: name, Kind: KindCounter, Value: float64(r.counters[name].v)}) //sbvet:allow hotpath(metric-export path; runs on anomaly dumps and end-of-run snapshots, not steady-state epochs)
+		out = append(out, Metric{Key: name, Kind: KindCounter, Value: float64(r.counters[name].v)})
 	}
 	for _, name := range sortedKeys(r.gauges) {
-		out = append(out, Metric{Key: name, Kind: KindGauge, Value: r.gauges[name].v}) //sbvet:allow hotpath(metric-export path; runs on anomaly dumps and end-of-run snapshots, not steady-state epochs)
+		out = append(out, Metric{Key: name, Kind: KindGauge, Value: r.gauges[name].v})
 	}
 	for _, name := range sortedKeys(r.hists) {
 		h := r.hists[name]
 		m := Metric{Key: name, Kind: KindHistogram, Count: h.count, Sum: h.sum}
 		for i, b := range h.bounds {
-			m.Buckets = append(m.Buckets, Bucket{Le: formatFloat(b), Count: h.counts[i]}) //sbvet:allow hotpath(metric-export path; runs on anomaly dumps and end-of-run snapshots, not steady-state epochs)
+			m.Buckets = append(m.Buckets, Bucket{Le: formatFloat(b), Count: h.counts[i]})
 		}
-		m.Buckets = append(m.Buckets, Bucket{Le: "+Inf", Count: h.counts[len(h.bounds)]}) //sbvet:allow hotpath(metric-export path; runs on anomaly dumps and end-of-run snapshots, not steady-state epochs)
-		out = append(out, m)                                                              //sbvet:allow hotpath(metric-export path; runs on anomaly dumps and end-of-run snapshots, not steady-state epochs)
+		m.Buckets = append(m.Buckets, Bucket{Le: "+Inf", Count: h.counts[len(h.bounds)]})
+		out = append(out, m)
 	}
-	sort.Slice(out, func(i, j int) bool { //sbvet:allow hotpath(metric-export path; runs on anomaly dumps and end-of-run snapshots, not steady-state epochs)
+	sort.Slice(out, func(i, j int) bool {
 		if out[i].Key != out[j].Key {
 			return out[i].Key < out[j].Key
 		}

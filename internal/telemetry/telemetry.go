@@ -1,11 +1,12 @@
 // Package telemetry is the deterministic observability layer for the
 // sense→predict→balance loop: a metrics registry (counters, gauges,
 // fixed-bucket histograms), epoch-scoped spans timestamped in simulated
-// nanoseconds, and a bounded flight recorder that snapshots the last K
-// epochs around anomalies. Exporters render the collected trace as
-// JSONL (the canonical interchange format, readable back by
-// ReadJSONL), Chrome trace-event JSON (loadable in chrome://tracing),
-// and Prometheus-style text.
+// nanoseconds, and anomaly records. The epoch history is the one record
+// of a run: every epoch is kept in full, and an anomaly is a record
+// (epoch, time, reason, detail) that points into it. Exporters render
+// the collected trace as JSONL (the canonical interchange format,
+// readable back by ReadJSONL), Chrome trace-event JSON (loadable in
+// chrome://tracing), and Prometheus-style text.
 //
 // # Determinism contract (DESIGN.md §10)
 //
@@ -42,7 +43,7 @@ import (
 
 // Schema identifies the telemetry interchange format; it participates
 // in every JSONL export and readers reject other schemas.
-const Schema = "sbtelemetry-v1"
+const Schema = "sbtelemetry-v2"
 
 // Phase names for the spans the SmartBalance controller emits. Any
 // string is a valid span phase; these are the conventional ones.
@@ -53,7 +54,7 @@ const (
 	PhaseMigrate = "migrate"
 )
 
-// Anomaly reasons the flight recorder triggers on. Any string is a
+// Anomaly reasons the controller's triggers record. Any string is a
 // valid reason; these are the conventional ones.
 const (
 	AnomalyNegativeEEGain = "negative-ee-gain"
@@ -120,7 +121,8 @@ type EpochRecord struct {
 	Spans   []Span `json:"spans,omitempty"`
 }
 
-// Anomaly is one flight-recorder trigger.
+// Anomaly is one fired trigger. Epoch names the epoch record it
+// points into.
 type Anomaly struct {
 	Epoch  int    `json:"epoch"`
 	AtNs   int64  `json:"at_ns"`
@@ -137,53 +139,17 @@ func (a Anomaly) String() string {
 	return out
 }
 
-// Dump is one flight-recorder snapshot: the last-K-epoch window as it
-// stood when an anomaly fired, plus the metrics at that instant.
-type Dump struct {
-	Anomaly Anomaly       `json:"anomaly"`
-	Window  []EpochRecord `json:"window,omitempty"`
-	Metrics []Metric      `json:"metrics,omitempty"`
-}
-
-// Config tunes a Collector. The zero value selects the noted defaults.
-type Config struct {
-	// FlightEpochs is K, the number of most-recent epochs an anomaly
-	// dump snapshots (default 8).
-	FlightEpochs int
-	// MaxDumps caps how many anomaly dumps are retained; further
-	// anomalies are still recorded in the anomaly list, just without a
-	// window snapshot (default 4).
-	MaxDumps int
-	// MaxEpochs bounds the retained epoch history; older epochs are
-	// evicted oldest-first and counted in DroppedEpochs (default 0 =
-	// unlimited, appropriate for bounded simulation runs).
-	MaxEpochs int
-}
-
-// withDefaults resolves zero-valued fields.
-func (c Config) withDefaults() Config {
-	if c.FlightEpochs <= 0 {
-		c.FlightEpochs = 8
-	}
-	if c.MaxDumps <= 0 {
-		c.MaxDumps = 4
-	}
-	return c
-}
-
 // Collector accumulates one run's telemetry: metadata, metrics, epoch
-// spans, anomalies, and flight-recorder dumps. The nil Collector is
-// the zero-cost disabled state; see the package comment.
+// spans and anomalies. The nil Collector is the zero-cost disabled
+// state; see the package comment.
 type Collector struct {
-	cfg  Config
 	meta map[string]string
 	reg  Registry
 
-	epochs  []EpochRecord // closed epochs, oldest first
-	dropped int           // epochs evicted under MaxEpochs
-	cur     *EpochRecord
-	curBuf  EpochRecord // backing storage for cur, reused across epochs
-	seq     int         // next span sequence number within cur
+	epochs []EpochRecord // closed epochs, oldest first
+	cur    *EpochRecord
+	curBuf EpochRecord // backing storage for cur, reused across epochs
+	seq    int         // next span sequence number within cur
 
 	// attrArena is the current attribute chunk. Span copies every
 	// attribute list into it so callers may reuse (and overwrite) their
@@ -193,13 +159,11 @@ type Collector struct {
 	attrArena []Attr
 
 	anomalies []Anomaly
-	dumps     []Dump
 }
 
 // New builds an enabled collector.
-func New(cfg Config) *Collector {
+func New() *Collector {
 	return &Collector{
-		cfg:  cfg.withDefaults(),
 		meta: make(map[string]string),
 		reg:  newRegistry(),
 	}
@@ -245,35 +209,18 @@ func (c *Collector) Histogram(name string, bounds []float64) *Histogram {
 }
 
 // BeginEpoch closes the current epoch record (if any) and starts a new
-// one. Calling it again with the same epoch number is a no-op, so the
-// kernel adapter and the controller can both announce the same epoch
-// boundary without double-rotating the flight recorder.
+// one. Each epoch has one announcer: in a kernel run it is the kernel
+// adapter (KernelObserver), never the balancer it drives.
 func (c *Collector) BeginEpoch(epoch int, nowNs int64) {
 	if c == nil {
 		return
 	}
-	if c.cur != nil && c.cur.Epoch == epoch {
-		return
+	if c.cur != nil {
+		c.epochs = append(c.epochs, *c.cur) //sbvet:allow hotpath(epoch history is retained by design; one record append per epoch)
 	}
-	c.closeEpoch()
 	c.curBuf = EpochRecord{Epoch: epoch, StartNs: nowNs}
 	c.cur = &c.curBuf
 	c.seq = 0
-}
-
-// closeEpoch pushes the in-progress epoch into history, evicting the
-// oldest epoch when MaxEpochs is exceeded.
-func (c *Collector) closeEpoch() {
-	if c.cur == nil {
-		return
-	}
-	c.epochs = append(c.epochs, *c.cur) //sbvet:allow hotpath(epoch history is retained by design; one record append per epoch)
-	c.cur = nil
-	if c.cfg.MaxEpochs > 0 && len(c.epochs) > c.cfg.MaxEpochs {
-		n := len(c.epochs) - c.cfg.MaxEpochs
-		c.dropped += n
-		c.epochs = append(c.epochs[:0], c.epochs[n:]...) //sbvet:allow hotpath(cannot grow — eviction compacts the history into its own backing array)
-	}
 }
 
 // Span appends one span to the current epoch. Spans emitted before any
@@ -324,10 +271,8 @@ func (c *Collector) internAttrs(attrs []Attr) []Attr {
 	return c.attrArena[start:len(c.attrArena):len(c.attrArena)]
 }
 
-// Anomaly records a flight-recorder trigger at the current epoch and,
-// while fewer than MaxDumps dumps exist, snapshots the last
-// FlightEpochs epochs (including the in-progress one) plus the current
-// metrics into a Dump.
+// Anomaly records a fired trigger against the open epoch record (0
+// before the first).
 func (c *Collector) Anomaly(atNs int64, reason, detail string) {
 	if c == nil {
 		return
@@ -335,51 +280,24 @@ func (c *Collector) Anomaly(atNs int64, reason, detail string) {
 	epoch := 0
 	if c.cur != nil {
 		epoch = c.cur.Epoch
-	} else if n := len(c.epochs); n > 0 {
-		epoch = c.epochs[n-1].Epoch
 	}
-	an := Anomaly{Epoch: epoch, AtNs: atNs, Reason: reason, Detail: detail}
-	c.anomalies = append(c.anomalies, an) //sbvet:allow hotpath(anomalies are rare by definition; the list is retained for export)
-	if len(c.dumps) >= c.cfg.MaxDumps {
-		return
-	}
-	c.dumps = append(c.dumps, Dump{ //sbvet:allow hotpath(flight-recorder dump; runs at most MaxDumps times per run)
-		Anomaly: an,
-		Window:  c.window(),
-		Metrics: c.reg.Snapshot(),
-	})
+	c.anomalies = append(c.anomalies, Anomaly{Epoch: epoch, AtNs: atNs, Reason: reason, Detail: detail}) //sbvet:allow hotpath(anomalies are rare by definition; the list is retained for export)
 }
 
-// window copies the flight-recorder view: the last FlightEpochs epochs
-// including the in-progress one.
-func (c *Collector) window() []EpochRecord {
-	all := c.epochs
-	if c.cur != nil {
-		all = append(append([]EpochRecord(nil), all...), *c.cur) //sbvet:allow hotpath(flight-recorder dump path; runs at most MaxDumps times per run)
-	}
-	if len(all) > c.cfg.FlightEpochs {
-		all = all[len(all)-c.cfg.FlightEpochs:]
-	}
-	out := make([]EpochRecord, len(all)) //sbvet:allow hotpath(flight-recorder dump path; runs at most MaxDumps times per run)
-	for i := range all {
-		out[i] = all[i]
-		out[i].Spans = append([]Span(nil), all[i].Spans...) //sbvet:allow hotpath(flight-recorder dump path; runs at most MaxDumps times per run)
-	}
-	return out
-}
-
-// Anomalies returns the recorded anomalies in order.
+// Anomalies returns the recorded anomalies in order. The slice is the
+// collector's own, so reading it costs nothing: callers must not
+// modify it, and an append to it copies.
 func (c *Collector) Anomalies() []Anomaly {
 	if c == nil {
 		return nil
 	}
-	return append([]Anomaly(nil), c.anomalies...)
+	return c.anomalies[:len(c.anomalies):len(c.anomalies)]
 }
 
 // AnomalyReasons returns the distinct anomaly reasons recorded, sorted
 // — the summary consumers that only care *whether* a class of anomaly
-// fired (the adversarial hunt's flight-recorder objective, report
-// rollups) key on. Nil-safe like every other read.
+// fired (the adversarial hunt's anomaly objective, report rollups) key
+// on. Nil-safe like every other read.
 func (c *Collector) AnomalyReasons() []string {
 	if c == nil || len(c.anomalies) == 0 {
 		return nil
@@ -394,23 +312,6 @@ func (c *Collector) AnomalyReasons() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Dumps returns the retained flight-recorder dumps in order.
-func (c *Collector) Dumps() []Dump {
-	if c == nil {
-		return nil
-	}
-	return append([]Dump(nil), c.dumps...)
-}
-
-// DroppedEpochs reports how many epoch records were evicted under
-// MaxEpochs.
-func (c *Collector) DroppedEpochs() int {
-	if c == nil {
-		return 0
-	}
-	return c.dropped
 }
 
 // Trace snapshots everything collected so far into an export-ready
@@ -440,7 +341,6 @@ func (c *Collector) Trace() *Trace {
 		Epochs:    epochs,
 		Metrics:   c.reg.Snapshot(),
 		Anomalies: append([]Anomaly(nil), c.anomalies...),
-		Dumps:     append([]Dump(nil), c.dumps...),
 	}
 }
 
@@ -448,9 +348,9 @@ func (c *Collector) Trace() *Trace {
 // metric maps through it, so handle creation order (and with it
 // nothing observable) stays deterministic.
 func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m)) //sbvet:allow hotpath(metric-export path; runs on anomaly dumps and end-of-run snapshots, not steady-state epochs)
-	for k := range m {                //sbvet:allow hotpath(metric-export path; runs on anomaly dumps and end-of-run snapshots, not steady-state epochs)
-		keys = append(keys, k) //sbvet:allow hotpath(metric-export path; runs on anomaly dumps and end-of-run snapshots, not steady-state epochs)
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	return keys
@@ -463,5 +363,4 @@ type Trace struct {
 	Epochs    []EpochRecord
 	Metrics   []Metric
 	Anomalies []Anomaly
-	Dumps     []Dump
 }

@@ -7,9 +7,9 @@ import (
 
 // sampleCollector builds a small, fully deterministic trace exercising
 // every feature: meta, all three metric kinds, multiple epochs with
-// spans and attrs, one anomaly with a flight dump.
+// spans and attrs, one anomaly.
 func sampleCollector() *Collector {
-	c := New(Config{FlightEpochs: 2})
+	c := New()
 	c.SetMeta("platform", "odroid-xu3")
 	c.SetMeta("seed", "42")
 	c.Counter("migrations_total").Add(3)
@@ -47,32 +47,13 @@ func TestCollectorNilIsSafe(t *testing.T) {
 	if n := len(c.Trace().Epochs); n != 0 {
 		t.Fatalf("nil collector trace has %d epochs", n)
 	}
-	if c.Anomalies() != nil || c.Dumps() != nil || c.DroppedEpochs() != 0 {
+	if c.Anomalies() != nil || c.AnomalyReasons() != nil {
 		t.Fatal("nil collector leaks state")
 	}
 }
 
-func TestBeginEpochIdempotent(t *testing.T) {
-	c := New(Config{})
-	c.BeginEpoch(1, 100)
-	c.Span("sense", 100, 10)
-	c.BeginEpoch(1, 999) // duplicate announcement must not rotate
-	c.Span("decide", 110, 10)
-	c.BeginEpoch(2, 200)
-	tr := c.Trace()
-	if len(tr.Epochs) != 2 {
-		t.Fatalf("epochs = %d, want 2", len(tr.Epochs))
-	}
-	if len(tr.Epochs[0].Spans) != 2 {
-		t.Fatalf("epoch 1 spans = %d, want 2 (duplicate BeginEpoch rotated)", len(tr.Epochs[0].Spans))
-	}
-	if tr.Epochs[0].StartNs != 100 {
-		t.Fatalf("epoch 1 start = %d, want 100 (duplicate BeginEpoch reset it)", tr.Epochs[0].StartNs)
-	}
-}
-
 func TestSpanBeforeBeginEpoch(t *testing.T) {
-	c := New(Config{})
+	c := New()
 	c.Span("boot", 5, 1)
 	tr := c.Trace()
 	if len(tr.Epochs) != 1 || tr.Epochs[0].Epoch != 0 {
@@ -80,29 +61,12 @@ func TestSpanBeforeBeginEpoch(t *testing.T) {
 	}
 }
 
-func TestMaxEpochsEviction(t *testing.T) {
-	c := New(Config{MaxEpochs: 3})
-	for e := 1; e <= 6; e++ {
-		c.BeginEpoch(e, int64(e))
-	}
-	tr := c.Trace()
-	// Epochs 1..5 are closed (6 is in progress); MaxEpochs=3 keeps 3..5.
-	want := []int{3, 4, 5, 6}
-	if len(tr.Epochs) != len(want) {
-		t.Fatalf("epochs = %d, want %d", len(tr.Epochs), len(want))
-	}
-	for i, e := range want {
-		if tr.Epochs[i].Epoch != e {
-			t.Fatalf("epoch[%d] = %d, want %d (eviction must be oldest-first)", i, tr.Epochs[i].Epoch, e)
-		}
-	}
-	if c.DroppedEpochs() != 2 {
-		t.Fatalf("dropped = %d, want 2", c.DroppedEpochs())
-	}
-}
-
-func TestFlightRecorderWindowAndDumpCap(t *testing.T) {
-	c := New(Config{FlightEpochs: 2, MaxDumps: 2})
+// TestAnomaliesPointIntoHistory checks that every fired trigger is
+// kept, however many fire, and that each names the epoch record open
+// when it fired (0 before the first).
+func TestAnomaliesPointIntoHistory(t *testing.T) {
+	c := New()
+	c.Anomaly(5, AnomalyRefusedBurst, "before any epoch")
 	for e := 1; e <= 5; e++ {
 		c.BeginEpoch(e, int64(e)*100)
 		c.Span("sense", int64(e)*100, 1)
@@ -110,24 +74,29 @@ func TestFlightRecorderWindowAndDumpCap(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		c.Anomaly(550, AnomalyNegativeEEGain, "")
 	}
-	if got := len(c.Anomalies()); got != 4 {
-		t.Fatalf("anomalies = %d, want 4", got)
+	tr := c.Trace()
+	if len(tr.Epochs) != 5 {
+		t.Fatalf("epochs = %d, want 5", len(tr.Epochs))
 	}
-	dumps := c.Dumps()
-	if len(dumps) != 2 {
-		t.Fatalf("dumps = %d, want MaxDumps=2", len(dumps))
+	if got := len(tr.Anomalies); got != 5 {
+		t.Fatalf("anomalies = %d, want 5", got)
 	}
-	w := dumps[0].Window
-	if len(w) != 2 || w[0].Epoch != 4 || w[1].Epoch != 5 {
-		t.Fatalf("window = %+v, want last 2 epochs [4 5]", w)
+	if a := tr.Anomalies[0]; a.Epoch != 0 || a.Reason != AnomalyRefusedBurst {
+		t.Fatalf("first anomaly = %s, want epoch 0 %s", a, AnomalyRefusedBurst)
 	}
-	if dumps[0].Anomaly.Epoch != 5 {
-		t.Fatalf("dump anomaly epoch = %d, want 5", dumps[0].Anomaly.Epoch)
+	for _, a := range tr.Anomalies[1:] {
+		if a.Epoch != 5 || a.AtNs != 550 {
+			t.Fatalf("anomaly = %s, want epoch 5 at 550ns", a)
+		}
+	}
+	want := []string{AnomalyNegativeEEGain, AnomalyRefusedBurst}
+	if got := c.AnomalyReasons(); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("reasons = %v, want %v", got, want)
 	}
 }
 
 func TestCounterMonotone(t *testing.T) {
-	c := New(Config{})
+	c := New()
 	ctr := c.Counter("x")
 	ctr.Add(2)
 	ctr.Add(-5)
@@ -137,7 +106,7 @@ func TestCounterMonotone(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	c := New(Config{})
+	c := New()
 	h := c.Histogram("h", []float64{100, 10}) // unsorted on purpose
 	for _, v := range []float64{1, 10, 11, 1000} {
 		h.Observe(v)
@@ -155,7 +124,7 @@ func TestHistogramBuckets(t *testing.T) {
 }
 
 func TestSnapshotSortedAndZeroValued(t *testing.T) {
-	c := New(Config{})
+	c := New()
 	c.Counter("zz_touched").Inc()
 	c.Counter("aa_untouched") // registered only
 	c.Gauge("mm_gauge")

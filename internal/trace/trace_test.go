@@ -27,7 +27,7 @@ func observe(b kernel.Balancer, specs []workload.ThreadSpec, durNs int64, limit 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	c, tail := telemetry.New(telemetry.Config{}), NewTail(limit)
+	c, tail := telemetry.New(), NewTail(limit)
 	k.AddObserver(telemetry.KernelObserver(c))
 	k.AddObserver(tail.Observe)
 	for _, o := range extra {

@@ -388,15 +388,12 @@ func (s *System) Run(d time.Duration) error {
 func (s *System) Stats() *RunStats { return s.k.Stats() }
 
 // Telemetry collection (DESIGN.md §10): deterministic spans, metrics,
-// and flight-recorder dumps for the whole sense-predict-balance loop.
+// and anomaly records for the whole sense-predict-balance loop, kept
+// as one complete epoch history.
 
 // TelemetryCollector accumulates one run's telemetry; export it with
 // WriteTelemetryJSONL and friends, or inspect it with cmd/sbtrace.
 type TelemetryCollector = telemetry.Collector
-
-// TelemetryConfig tunes the collector (flight-recorder window, dump
-// cap, history bound); the zero value selects the defaults.
-type TelemetryConfig = telemetry.Config
 
 // TelemetryTrace is the export-ready snapshot of a collector.
 type TelemetryTrace = telemetry.Trace
@@ -405,19 +402,20 @@ type TelemetryTrace = telemetry.Trace
 // that record telemetry outside a System (the way sbsweep writes a
 // whole sweep's job records into one trace). Systems use
 // EnableTelemetry instead.
-func NewTelemetryCollector(cfg TelemetryConfig) *TelemetryCollector {
-	return telemetry.New(cfg)
+func NewTelemetryCollector() *TelemetryCollector {
+	return telemetry.New()
 }
 
 // EnableTelemetry attaches a telemetry collector: kernel scheduling
-// events feed event/instruction counters and epoch rotation, and a
+// events feed event/instruction counters and open one epoch record per
+// kernel epoch, and a
 // SmartBalance controller (bare or thermally wrapped) additionally
 // reports per-phase spans, health gauges, and anomaly triggers. Call
 // before Run. Repeated calls replace the previous collector; it
 // composes with any other observer installed through
 // Kernel().AddObserver.
-func (s *System) EnableTelemetry(cfg TelemetryConfig) *TelemetryCollector {
-	c := telemetry.New(cfg)
+func (s *System) EnableTelemetry() *TelemetryCollector {
+	c := telemetry.New()
 	c.SetMeta("balancer", s.k.Balancer().Name())
 	c.SetMeta("cores", fmt.Sprintf("%d", s.plat.NumCores()))
 	if s.telObs >= 0 {

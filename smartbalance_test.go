@@ -256,7 +256,7 @@ func TestSystemFullFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tel := sys.EnableTelemetry(TelemetryConfig{})
+	tel := sys.EnableTelemetry()
 	specs, _ := Benchmark("canneal", 2, 2)
 	_ = sys.SpawnAll(specs)
 	if err := sys.Run(200 * time.Millisecond); err != nil {

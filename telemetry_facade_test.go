@@ -40,7 +40,7 @@ func telemetryRun(t *testing.T, seed uint64, withTap bool) (*System, *TelemetryC
 			}
 		})
 	}
-	tel := sys.EnableTelemetry(TelemetryConfig{})
+	tel := sys.EnableTelemetry()
 	tel.SetMeta("seed", "s") // fixed label: seed differences must not touch the meta
 	specs, err := Mix("Mix1", 2, seed)
 	if err != nil {
@@ -84,6 +84,31 @@ func TestTelemetryFacadeEndToEnd(t *testing.T) {
 	}
 	if tel.Counter("smartbalance_epochs_total").Value() == 0 {
 		t.Error("controller metrics missing")
+	}
+}
+
+// TestTelemetryOneRecordPerKernelEpoch checks the single epoch
+// announcer: the kernel adapter opens one record per kernel epoch,
+// numbered 1..Stats().Epochs in order, and the controller's spans land
+// in the record of the epoch that emitted them.
+func TestTelemetryOneRecordPerKernelEpoch(t *testing.T) {
+	sys, tel, _ := telemetryRun(t, 1, false)
+	tr := tel.Trace()
+	if n := sys.Stats().Epochs; n == 0 || len(tr.Epochs) != n {
+		t.Fatalf("trace holds %d epoch records, the kernel ran %d epochs", len(tr.Epochs), n)
+	}
+	for i, e := range tr.Epochs {
+		if e.Epoch != i+1 {
+			t.Fatalf("record %d numbers epoch %d, want %d", i, e.Epoch, i+1)
+		}
+		if len(e.Spans) == 0 {
+			t.Errorf("epoch %d has no controller spans", e.Epoch)
+		}
+		for _, s := range e.Spans {
+			if s.Epoch != e.Epoch {
+				t.Errorf("span %s filed under epoch %d", s, e.Epoch)
+			}
+		}
 	}
 }
 
@@ -137,7 +162,7 @@ func TestTraceAndTelemetryCompose(t *testing.T) {
 	}
 	// And attaching telemetry twice replaces rather than double-counts.
 	sys, tel2, _ := telemetryRun(t, 1, true)
-	fresh := sys.EnableTelemetry(TelemetryConfig{})
+	fresh := sys.EnableTelemetry()
 	if err := sys.Run(100 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}

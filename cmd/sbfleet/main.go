@@ -44,7 +44,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		durMs    = fs.Int64("dur", def.DurationNs/1e6, "admission window in simulated milliseconds")
 		tickMs   = fs.Int64("tick", def.TickNs/1e6, "dispatch tick in simulated milliseconds; it quantises dispatch only, the arrival stream is the same at every tick")
 		drainMs  = fs.Int64("drain", 0, "post-admission drain bound in milliseconds (0 = same as -dur)")
-		workers  = fs.Int("workers", 1, "node-stepping goroutines, the caller included; its helpers are capped at GOMAXPROCS-1 and join only epoch ticks (never changes any output, only wall-clock)")
+		workers  = fs.Int("workers", 1, "node-stepping goroutines, the caller included; its helpers are capped at GOMAXPROCS-1, and every tick is shared, each worker starting at its own block of nodes (never changes any output, only wall-clock)")
 		perNode  = fs.Bool("pernode", false, "also print per-node statistics")
 		compare  = fs.Bool("compare", false, "run every dispatch policy on the identical stream and compare")
 		telPath  = fs.String("telemetry", "", "write the fleet telemetry trace (canonical JSONL) to this file")

@@ -135,7 +135,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if tail != nil {
-		trace.Write(stdout, tel.Trace().Metrics, plat.NumCores(), tail)
+		trace.Write(stdout, tel.Metrics(), plat.NumCores(), tail)
 	}
 	if *telPath != "" {
 		if inj != nil {

@@ -65,7 +65,7 @@ func main() {
 	}
 	fmt.Println()
 	fmt.Println("kernel scheduling counters:")
-	for _, m := range tel.Trace().Metrics {
+	for _, m := range tel.Metrics() {
 		if strings.HasPrefix(m.Key, "kernel_") {
 			fmt.Printf("  %-40s %.0f\n", m.Key, m.Value)
 		}

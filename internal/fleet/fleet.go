@@ -16,16 +16,16 @@
 // jitter seeds, each node's kernel service order and annealer — draws
 // from a stream derived from Config.Seed by splitmix64, one stream per
 // concern, so no consumer can perturb another. Nodes share no mutable
-// state: the parallel section of an epoch tick touches only node-local
-// state, and every cross-node read or write happens in the serial
-// sections in node-ID order. Equal seeds therefore produce
-// byte-identical telemetry for any Workers value.
+// state: the parallel section of a tick touches only node-local state,
+// and every cross-node read or write happens in the serial sections in
+// node-ID order. Equal seeds therefore produce byte-identical
+// telemetry for any Workers value.
 package fleet
 
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -76,10 +76,9 @@ type Config struct {
 	DrainNs int64
 	// Workers bounds how many goroutines step nodes: the caller of Run
 	// steps nodes too, joined by up to Workers-1 helpers, capped at
-	// GOMAXPROCS-1. Only ticks in which some node's balancer epoch
-	// falls are shared; the caller steps every other tick alone, and
-	// <= 1 steps every tick serially. The value never changes any
-	// output, only wall-clock.
+	// GOMAXPROCS-1. Every tick is shared, each worker starting at its
+	// own block of nodes; <= 1 steps every tick serially. The value
+	// never changes any output, only wall-clock.
 	Workers int
 	// Telemetry enables the fleet collector and per-node collectors.
 	Telemetry bool
@@ -251,9 +250,10 @@ func (f *Fleet) Telemetry() *telemetry.Collector { return f.tel }
 // violation in node-ID order fails the run), and distill the result.
 //
 // Each tick is: take the window's arrivals from the arrival process
-// (serial; drain ticks take none) → step every node to the window's end (shared with the pool's
-// helpers in epoch ticks) → harvest completions in node-ID order
-// (serial) → dispatch the window's arrivals on fresh signals (serial).
+// (serial; drain ticks take none) → step every node to the window's
+// end (shared with the pool's helpers) → harvest completions in
+// node-ID order (serial) → dispatch the window's arrivals on fresh
+// signals (serial).
 // Dispatched requests spawn at the next tick boundary, so a request's
 // latency includes up to one tick of dispatch quantisation — the price
 // of a deterministic parallel section.
@@ -313,15 +313,13 @@ func (f *Fleet) dispatch(atNs int64) {
 	f.pick.pick().assign(rq)
 }
 
-// stepNodes advances every node to toNs. A quiet tick costs each node
-// a few microseconds, less than handing it to another thread, so the
-// caller steps it alone and returns the first error in node-ID order.
-// A tick in which some node's balancer epoch falls runs the controller
-// on every node and is shared with the pool's helpers. Each step
-// touches only node-local state, and errors surface in node-ID order,
-// so the outcome is identical to the serial path.
+// stepNodes advances every node to toNs. Without a pool the caller
+// steps them in node-ID order and returns the first error; with one,
+// the tick is shared with the pool's helpers. Each step touches only
+// node-local state, and errors surface in node-ID order, so the outcome
+// is identical to the serial path.
 func (f *Fleet) stepNodes(toNs int64) error {
-	if f.pool == nil || !f.epochDue(toNs) {
+	if f.pool == nil {
 		for _, n := range f.nodes {
 			if err := n.step(toNs); err != nil {
 				return err
@@ -338,42 +336,31 @@ func (f *Fleet) stepNodes(toNs int64) error {
 	return nil
 }
 
-// epochDue reports whether some node's balancer epoch falls in the
-// tick ending at toNs.
-func (f *Fleet) epochDue(toNs int64) bool {
-	for _, n := range f.nodes {
-		if n.kern.NextEpoch() <= toNs {
-			return true
-		}
-	}
-	return false
-}
-
 // spinYields is how many times an idle helper yields (runtime.Gosched)
-// waiting for the next shared tick before it parks. It is a count, not
-// a time, because the fleet reads no clock. At about 0.2 µs a yield on
-// an otherwise idle CPU it lasts about 0.8 ms, longer than the eleven
-// quiet ticks between two epoch ticks of an 8-node fleet at 5 ms ticks
-// (about 0.3 ms), so that fleet's helper joins each epoch tick at once
-// instead of waking up to 0.6 ms late; a helper of a fleet with longer
-// gaps parks instead of burning a CPU. At 2048 yields the canned 8-node
-// run parked before about half of its epoch ticks.
+// waiting for the next tick before it parks. It is a count, not a
+// time, because the fleet reads no clock. At about 0.2 µs a yield on
+// an otherwise idle CPU it lasts about 0.8 ms, far longer than the
+// serial sections between two ticks, so a helper joins each tick at
+// once and parks only when Run stops publishing them: over five runs
+// of the canned 8-node fleet at two workers (1,082 ticks each) the
+// helper never parked.
 const spinYields = 4096
 
 // stepPool is the helper side of Run's node stepping: goroutines that
-// live as long as Run and join its caller in every shared tick. A
-// shared tick is a generation: the caller publishes its horizon and
-// generation, then caller and helpers claim nodes in node-ID order
-// from one atomic counter until none is left. Between generations a
-// helper spins a bounded number of yields, then parks on its wake
-// channel.
+// live as long as Run and join its caller in every tick. A tick is a
+// generation: the caller publishes its horizon and generation, then
+// caller and helpers each claim and step nodes from their own block
+// on. Between generations a helper spins a bounded number of yields,
+// then parks on its wake channel.
 type stepPool struct {
 	nodes []*Node
-	// claim packs the generation (high 32 bits) with the next unclaimed
-	// node index (low 32 bits), so one atomic add claims a node and
-	// says in which generation. An add that lands after the caller
-	// published a newer generation claims in that one.
-	claim atomic.Uint64
+	// gen is the current generation: the number of ticks shared so far.
+	gen atomic.Uint64
+	// claims[i] is the generation that stepped node i. A worker of
+	// generation g takes node i by swapping g-1 for g, so exactly one
+	// worker steps it per generation, and a worker still scanning in
+	// an older generation claims nothing.
+	claims []atomic.Uint64
 	// toNs is the current generation's horizon. The caller writes it
 	// before publishing the generation and only after every node of
 	// the previous one is stepped.
@@ -388,7 +375,8 @@ type stepPool struct {
 
 // startPool starts n helpers over nodes.
 func startPool(nodes []*Node, n int) *stepPool {
-	p := &stepPool{nodes: nodes, parked: make([]atomic.Bool, n), wake: make([]chan struct{}, n)}
+	p := &stepPool{nodes: nodes, claims: make([]atomic.Uint64, len(nodes)),
+		parked: make([]atomic.Bool, n), wake: make([]chan struct{}, n)}
 	p.exited.Add(n)
 	for i := range p.wake {
 		p.wake[i] = make(chan struct{}, 1)
@@ -402,41 +390,48 @@ func startPool(nodes []*Node, n int) *stepPool {
 func (p *stepPool) share(toNs int64) {
 	p.toNs = toNs
 	p.stepped.Store(0)
-	p.claim.Store((p.claim.Load()>>32 + 1) << 32)
+	g := p.gen.Add(1)
 	for i := range p.wake {
 		if p.parked[i].Load() {
 			p.signal(i)
 		}
 	}
-	p.steps()
+	p.steps(0, g)
 	// Every node is claimed: wait for the ones helpers still step.
 	for p.stepped.Load() < int64(len(p.nodes)) {
 		runtime.Gosched()
 	}
 }
 
-// steps claims and steps nodes until none is left, and returns the
-// generation it finished in.
-func (p *stepPool) steps() uint64 {
-	for {
-		c := p.claim.Add(1)
-		i := int(uint32(c)) - 1
-		if i >= len(p.nodes) {
-			return c >> 32
+// steps is worker w's pass over generation g. Of W workers (the
+// caller is worker 0), w visits every node once, from node w·N/W
+// around to the one before, and steps each node it claims. So the
+// same worker, mostly on the same core, steps a node tick after tick;
+// another steps it only when it finishes its own block first and
+// steals the node to finish the tick. The plain load skips a claimed
+// node without taking its claim word's cache line for writing.
+func (p *stepPool) steps(w int, g uint64) {
+	i := w * len(p.nodes) / (len(p.wake) + 1)
+	for range p.nodes {
+		if c := &p.claims[i]; c.Load() != g && c.CompareAndSwap(g-1, g) {
+			n := p.nodes[i]
+			n.stepErr = n.step(p.toNs)
+			p.stepped.Add(1)
 		}
-		n := p.nodes[i]
-		n.stepErr = n.step(p.toNs)
-		p.stepped.Add(1)
+		if i++; i == len(p.nodes) {
+			i = 0
+		}
 	}
 }
 
-// help is helper id's loop: wait for a generation it has not joined,
-// spinning, then parked; join it; repeat until stopped.
+// help is helper id's loop, as worker id+1: wait for a generation it
+// has not joined, spinning, then parked; join it; repeat until
+// stopped.
 func (p *stepPool) help(id int) {
 	defer p.exited.Done()
 	var joined uint64
 	for {
-		for spins := 0; p.claim.Load()>>32 == joined; spins++ {
+		for spins := 0; p.gen.Load() == joined; spins++ {
 			if p.stopped.Load() {
 				return
 			}
@@ -445,16 +440,18 @@ func (p *stepPool) help(id int) {
 				continue
 			}
 			// Park. The caller reads parked after publishing a
-			// generation, and this re-reads the claim after setting
-			// it, so one of the two sees the other: no wake-up is lost.
+			// generation, and this re-reads the generation after
+			// setting it, so one of the two sees the other: no
+			// wake-up is lost.
 			p.parked[id].Store(true)
-			if p.claim.Load()>>32 == joined && !p.stopped.Load() {
+			if p.gen.Load() == joined && !p.stopped.Load() {
 				<-p.wake[id]
 			}
 			p.parked[id].Store(false)
 			spins = 0
 		}
-		joined = p.steps()
+		joined = p.gen.Load()
+		p.steps(id+1, joined)
 	}
 }
 
@@ -590,8 +587,8 @@ func (f *Fleet) result(elapsedNs int64) *Result {
 	}
 	if res.Completed > 0 {
 		res.JoulesPerRequest = res.EnergyJ / float64(res.Completed)
-		sorted := append([]int64(nil), f.latNs...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		sorted := slices.Clone(f.latNs)
+		slices.Sort(sorted)
 		res.P50Ms = float64(quantile(sorted, 0.50)) / 1e6
 		res.P95Ms = float64(quantile(sorted, 0.95)) / 1e6
 		res.P99Ms = float64(quantile(sorted, 0.99)) / 1e6
@@ -642,7 +639,7 @@ func (f *Fleet) foldNode(n *Node) {
 		return
 	}
 	prefix := fmt.Sprintf("node%03d_", n.ID)
-	for _, m := range n.tel.Trace().Metrics {
+	for _, m := range n.tel.Metrics() {
 		switch m.Kind {
 		case telemetry.KindCounter:
 			f.tel.Counter(prefix + m.Key).Add(int64(m.Value))

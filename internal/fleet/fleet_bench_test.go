@@ -6,14 +6,19 @@ import (
 )
 
 // BenchmarkFleet measures end-to-end fleet throughput — full kernels
-// per node, epoch ticks stepped in parallel — on the canned bursty
-// scenario, for measuring while working on the fleet tier; perfbench's
-// fleet-bursty workload is the repository benchmark. n8 runs 8 nodes
-// with Workers=8 and n32/wW 32 nodes with Workers=W, the curve over
-// the worker count. Run's caller steps nodes too, and its helpers are
-// capped at GOMAXPROCS-1, so on a 2-vCPU host every Workers >= 2 runs
-// the caller and one helper. Reported as completed requests per wall
-// second and nanoseconds of wall time per completed request.
+// per node, every tick shared between Run's caller and its helpers —
+// on the canned bursty scenario, for measuring while working on the
+// fleet tier; perfbench's fleet-bursty workload is the repository
+// benchmark. n8 runs 8 nodes with Workers=8 and n32/wW 32 nodes with
+// Workers=W, the curve over the worker count. Run's caller steps nodes
+// too, and its helpers are capped at GOMAXPROCS-1, so on a 2-vCPU host
+// every Workers >= 2 runs the caller and one helper. Reported as
+// completed requests per wall second and nanoseconds of wall time per
+// completed request. These runs admit for 200 ms, and their early
+// ticks carry few requests: on a 2-vCPU Xeon, sharing every tick
+// instead of only the ticks with a balancer epoch did not speed them
+// up (n32/w2 41.1 → 43.2 µs per request, medians of 8 rounds, inside
+// the rounds' spread), while perfbench's 5 s runs gained 1.12×.
 func BenchmarkFleet(b *testing.B) {
 	b.Run("n8", func(b *testing.B) { benchFleet(b, 8, 8) })
 	for _, workers := range []int{1, 2, 4, 8} {

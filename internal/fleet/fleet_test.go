@@ -74,13 +74,10 @@ func resHeadline(r *Result) *struct {
 	}{r.Requests, r.Completed, r.InFlight, r.EnergyJ, r.JoulesPerRequest, r.P99Ms}
 }
 
-// sharedTickConfig is the canned bursty scenario with ticks as long as
-// the kernel's balancer epoch, so a balancer epoch falls in every tick
-// except those the admission window or the drain deadline cut short:
-// at Workers > 1 nearly every tick takes the shared path.
+// sharedTickConfig is the canned bursty scenario at the given worker
+// count: at Workers > 1 every tick takes the shared path.
 func sharedTickConfig(workers int) Config {
 	cfg := burstyGateConfig("energy")
-	cfg.TickNs = kernel.DefaultConfig().EpochNs
 	cfg.Workers = workers
 	return cfg
 }
@@ -90,14 +87,14 @@ func sharedTicks(f *Fleet) uint64 {
 	if f.pool == nil {
 		return 0
 	}
-	return f.pool.claim.Load() >> 32
+	return f.pool.gen.Load()
 }
 
 // TestSharedTicksByteIdenticalAcrossWorkers runs the shared path
 // whatever the runner's CPU count: helpers are capped at GOMAXPROCS-1,
 // so on a 1-CPU runner TestFixedSeedByteIdenticalAcrossWorkers covers
-// only the serial path. TestNoHelperOutlivesRun checks that this
-// configuration shares its ticks.
+// only the serial path. TestEveryTickIsShared checks that this
+// configuration shares every tick.
 func TestSharedTicksByteIdenticalAcrossWorkers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	base, baseRes := runJSONL(t, sharedTickConfig(1))
@@ -110,6 +107,84 @@ func TestSharedTicksByteIdenticalAcrossWorkers(t *testing.T) {
 		if *resHeadline(res) != *resHeadline(baseRes) {
 			t.Fatalf("workers=%d: result differs from serial run:\n%v\nvs\n%v", workers, res, baseRes)
 		}
+	}
+}
+
+// TestEveryTickIsShared pins the pool's claim protocol on the canned
+// run at two workers. Every tick is one generation, and each
+// generation claims every node once, by swapping the previous
+// generation for its own in the node's claim word, so a worker still
+// scanning an older generation claims nothing. Each worker scans from
+// the first node of its own block, so a node stays with one worker
+// unless another steals it to finish a tick.
+func TestEveryTickIsShared(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	cfg := sharedTickConfig(2)
+	cfg.Telemetry = true
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := f.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := f.pool
+	if p == nil || len(p.wake) != 1 {
+		t.Fatal("a two-worker run did not start one helper")
+	}
+	ticks := len(f.Telemetry().Trace().Epochs)
+	g := p.gen.Load()
+	if g != uint64(ticks) {
+		t.Fatalf("pool ran %d generations, the run %d ticks", g, ticks)
+	}
+	claimed := func(want uint64) {
+		t.Helper()
+		for i := range p.claims {
+			if c := p.claims[i].Load(); c != want {
+				t.Fatalf("node %d last claimed in generation %d, want %d", i, c, want)
+			}
+		}
+	}
+	claimed(g)
+
+	// Workers that scan the last generation, or the one before it,
+	// only now find every node claimed and step none.
+	for w := range 2 {
+		p.steps(w, g-1)
+		p.steps(w, g)
+	}
+	if s := p.stepped.Load(); s != int64(len(f.nodes)) {
+		t.Fatalf("late workers stepped %d nodes", s-int64(len(f.nodes)))
+	}
+	claimed(g)
+
+	// One more generation, a balancer epoch long, so that every node's
+	// kernel announces one epoch while it steps; a worker that finds
+	// the generation to itself steps every node from its own block on.
+	var order []int
+	for _, n := range f.nodes {
+		n.kern.AddObserver(func(e kernel.TraceEvent) {
+			if e.Kind == kernel.TraceEpoch {
+				order = append(order, n.ID)
+			}
+		})
+	}
+	to := res.ElapsedNs
+	for _, c := range []struct {
+		worker int
+		want   []int
+	}{{1, []int{4, 5, 6, 7, 0, 1, 2, 3}}, {0, []int{0, 1, 2, 3, 4, 5, 6, 7}}} {
+		order = order[:0]
+		to += kernel.DefaultConfig().EpochNs
+		p.toNs = to
+		p.stepped.Store(0)
+		g = p.gen.Add(1)
+		p.steps(c.worker, g)
+		if !slices.Equal(order, c.want) {
+			t.Fatalf("worker %d alone stepped nodes %v, want %v", c.worker, order, c.want)
+		}
+		claimed(g)
 	}
 }
 

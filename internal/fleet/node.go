@@ -3,7 +3,7 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 
 	"smartbalance/internal/kernel"
@@ -187,7 +187,7 @@ func (n *Node) step(toNs int64) error {
 	n.ewmaEnergyJ = signalDecay*n.ewmaEnergyJ + tickE
 	n.ewmaCompleted = signalDecay*n.ewmaCompleted + float64(len(n.tickLatNs))
 	if len(n.tickLatNs) > 0 {
-		sort.Slice(n.tickLatNs, func(i, j int) bool { return n.tickLatNs[i] < n.tickLatNs[j] })
+		slices.Sort(n.tickLatNs)
 		p99 := float64(quantile(n.tickLatNs, 0.99))
 		if n.p99EWMANs <= 0 {
 			n.p99EWMANs = p99

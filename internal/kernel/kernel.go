@@ -486,10 +486,6 @@ func New(m *machine.Machine, b Balancer, cfg Config) (*Kernel, error) {
 // Now returns the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
 
-// NextEpoch returns the time of the next balancer tick: a Run whose
-// horizon reaches it runs the balancer.
-func (k *Kernel) NextEpoch() Time { return k.nextEpoch }
-
 // Platform returns the underlying platform.
 func (k *Kernel) Platform() *arch.Platform { return k.plat }
 

@@ -355,35 +355,6 @@ func TestEpochTicksAndBalancerCalls(t *testing.T) {
 	}
 }
 
-// TestNextEpochIsTheNextBalancerCall pins what the fleet reads to pick
-// the ticks it shares: a Run whose horizon reaches NextEpoch calls the
-// balancer, and a Run that stops short of it does not.
-func TestNextEpochIsTheNextBalancerCall(t *testing.T) {
-	b := &noopBalancer{}
-	k := newKernel(t, arch.QuadHMP(), b)
-	_, _ = k.Spawn(busySpec("x"))
-	epoch := k.Config().EpochNs
-	if k.NextEpoch() != epoch {
-		t.Fatalf("NextEpoch before the first Run = %d, want %d", k.NextEpoch(), epoch)
-	}
-	for until := Time(5e6); until <= 3*epoch; until += 5e6 {
-		due := k.NextEpoch() <= until
-		before := b.calls
-		if err := k.Run(until); err != nil {
-			t.Fatal(err)
-		}
-		if called := b.calls > before; called != due {
-			t.Fatalf("Run(%d): balancer called = %v, NextEpoch said %v", until, called, due)
-		}
-		if k.NextEpoch() <= until {
-			t.Fatalf("after Run(%d) NextEpoch = %d, not in the future", until, k.NextEpoch())
-		}
-	}
-	if b.calls != 3 {
-		t.Fatalf("balancer called %d times over three epochs", b.calls)
-	}
-}
-
 func TestBalancerReceivesSamples(t *testing.T) {
 	var got []hpc.ThreadSample
 	var gotCores []hpc.CoreEpochSample

@@ -314,6 +314,16 @@ func (c *Collector) AnomalyReasons() []string {
 	return out
 }
 
+// Metrics snapshots the registry alone: every metric, sorted by key,
+// equal to Trace().Metrics without copying the epoch history. Nil on a
+// nil collector.
+func (c *Collector) Metrics() []Metric {
+	if c == nil {
+		return nil
+	}
+	return c.reg.Snapshot()
+}
+
 // Trace snapshots everything collected so far into an export-ready
 // document. The in-progress epoch is included; collection may
 // continue afterwards.
@@ -339,7 +349,7 @@ func (c *Collector) Trace() *Trace {
 	return &Trace{
 		Meta:      meta,
 		Epochs:    epochs,
-		Metrics:   c.reg.Snapshot(),
+		Metrics:   c.Metrics(),
 		Anomalies: append([]Anomaly(nil), c.anomalies...),
 	}
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -47,8 +48,18 @@ func TestCollectorNilIsSafe(t *testing.T) {
 	if n := len(c.Trace().Epochs); n != 0 {
 		t.Fatalf("nil collector trace has %d epochs", n)
 	}
-	if c.Anomalies() != nil || c.AnomalyReasons() != nil {
+	if c.Anomalies() != nil || c.AnomalyReasons() != nil || c.Metrics() != nil {
 		t.Fatal("nil collector leaks state")
+	}
+}
+
+// TestMetricsIsTheTraceSnapshot checks that Metrics returns exactly the
+// metrics Trace exports, histograms included.
+func TestMetricsIsTheTraceSnapshot(t *testing.T) {
+	c := sampleCollector()
+	got, want := c.Metrics(), c.Trace().Metrics
+	if len(got) != 3 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Metrics() = %+v\nTrace().Metrics = %+v", got, want)
 	}
 }
 

@@ -38,7 +38,7 @@ go build ./...
 echo "== go test -race ./..."
 go test -race ./...
 
-echo "== go test -race -count=10 (the fleet's shared ticks and helper lifetime)"
-go test -race -count=10 -run '^(TestSharedTicksByteIdenticalAcrossWorkers|TestNoHelperOutlivesRun)$' ./internal/fleet
+echo "== go test -race -count=10 (the fleet's shared ticks, claim protocol and helper lifetime)"
+go test -race -count=10 -run '^(TestSharedTicksByteIdenticalAcrossWorkers|TestEveryTickIsShared|TestNoHelperOutlivesRun)$' ./internal/fleet
 
 echo "ok: all checks passed"

@@ -37,6 +37,9 @@ type goldenCase struct {
 	UseFloat   bool
 	Warm       bool // slow-cooling schedule: many downhill acceptances
 	Ties       bool // utilisations repeat exactly, mostly at 1.0
+	Saturated  bool // every utilisation is exactly 1.0
+	Pairs      bool // contention domains are pairs of adjacent cores
+	Packed     bool // every thread starts on core 0
 	Seed       uint64
 }
 
@@ -59,6 +62,15 @@ func (c goldenCase) name() string {
 	}
 	if c.Ties {
 		s += "-ties"
+	}
+	if c.Saturated {
+		s += "-sat"
+	}
+	if c.Pairs {
+		s += "-pairs"
+	}
+	if c.Packed {
+		s += "-packed"
 	}
 	return fmt.Sprintf("%s-s%d", s, c.Seed)
 }
@@ -83,6 +95,12 @@ type goldenOutcome struct {
 // Tied demands make coreShareInto's stable sort, and so the order of a
 // core's member list, decide which thread takes each rounded share:
 // the continuous draws of the other cases never exercise that order.
+//
+// The saturated cases give every thread a demand of exactly 1.0, as
+// threads runnable for a whole epoch report: node-quad's shape (8
+// threads on 4 cores), node-contended's (8 threads on 6 cores whose
+// LLC domains are three pairs), in both acceptance rules, and 66 or 72
+// threads started on one core, so that core's edits cross 64 members.
 func goldenCases() []goldenCase {
 	var cases []goldenCase
 	idx := 0
@@ -120,6 +138,22 @@ func goldenCases() []goldenCase {
 			}
 		}
 	}
+	for _, c := range []goldenCase{
+		{M: 8, N: 4, Mode: GlobalRatio},
+		{M: 8, N: 4, Mode: PerCoreRatioSum, Warm: true},
+		{M: 8, N: 4, Mode: MaxThroughput, UseFloat: true},
+		{M: 8, N: 6, Mode: GlobalRatio, Contention: true, Pairs: true},
+		{M: 8, N: 6, Mode: GlobalRatio, Contention: true, Pairs: true, UseFloat: true},
+		{M: 8, N: 6, Mode: PerCoreRatioSum, Contention: true, Pairs: true, Warm: true},
+		{M: 8, N: 6, Mode: MaxThroughput, Contention: true, Pairs: true, UseFloat: true, Warm: true},
+		{M: 66, N: 3, Mode: GlobalRatio, Packed: true},
+		{M: 72, N: 6, Mode: GlobalRatio, Contention: true, Pairs: true, Packed: true, UseFloat: true},
+	} {
+		c.Saturated = true
+		c.Seed = uint64(1000 + idx)
+		cases = append(cases, c)
+		idx++
+	}
 	return cases
 }
 
@@ -138,7 +172,15 @@ func (c goldenCase) build() (*Problem, Allocation, AnnealConfig) {
 			}
 		}
 	}
-	if c.Contention {
+	if c.Saturated {
+		for i := range p.Util {
+			p.Util[i] = 1
+		}
+	}
+	switch {
+	case c.Contention && c.Pairs:
+		p.Contention = pairedContention(r, c.M, c.N)
+	case c.Contention:
 		p.Contention = randomContention(r, c.M, c.N)
 	}
 	if c.Weights {
@@ -170,6 +212,9 @@ func (c goldenCase) build() (*Problem, Allocation, AnnealConfig) {
 		}
 	}
 	for i := range initial {
+		if c.Packed {
+			continue // core 0; packed cases carry no affinity mask
+		}
 		core := r.Intn(c.N)
 		for !p.AllowedOn(i, core) {
 			core = (core + 1) % c.N

@@ -83,7 +83,10 @@ type AnnealResult struct {
 	// moves — the incumbent score. Callers that want plan-acceptance
 	// hysteresis compare Objective against it without re-evaluating.
 	Initial float64
-	// Iterations actually executed and moves accepted.
+	// Iterations actually executed, and proposals accepted. Accepted
+	// also counts swaps of two threads on one core, which change
+	// nothing but pass the acceptance rule (on node-quad about half of
+	// the accepts); telemetry's accepted attribute reports this count.
 	Iterations int
 	Accepted   int
 }
@@ -177,6 +180,22 @@ func (a *Annealer) Run(prob *Problem, initial Allocation, cfg AnnealConfig) (*An
 				accept *= cfg.DeltaAccept
 				continue
 			}
+			// Two threads on one core: SwapDelta and Swap would return 0
+			// and change nothing, and a zero diff passes both rules, the
+			// float one after its draw (Exp(0) = 1), the fixed-point one
+			// without (FromFloat(-0) is 0, ExpNeg(0) is One). Keep the
+			// draw and the count; skip the scoring.
+			if eval.alloc[i] == eval.alloc[j] {
+				if accept > 0 {
+					if cfg.UseFloat {
+						r.Float64()
+					}
+					res.Accepted++
+				}
+				perturb *= cfg.DeltaPerturb
+				accept *= cfg.DeltaAccept
+				continue
+			}
 			diff = eval.SwapDelta(i, j)
 			isSwap, mvI, mvJ = true, i, j
 		} else {
@@ -257,8 +276,10 @@ func (a *Annealer) Run(prob *Problem, initial Allocation, cfg AnnealConfig) (*An
 }
 
 // fixedPointAccept implements the paper's acceptance rule with the
-// custom fixed-point e^x: probability = e^(-|diff|/accept), accepted
-// when randi() mod round(1/probability) == 0.
+// custom fixed-point e^x: prob = e^(-|diff|/accept) in Q16.16, accepted
+// when randi() mod floor(1/prob) == 0. The floor truncates: every prob
+// above one half accepts without a draw, and prob of 1 or 2 (in 65536),
+// whose fixed-point reciprocal saturates at MaxQ, uses 32767.
 func fixedPointAccept(diff, accept float64, r *rng.Rand) bool {
 	x := fixedpt.FromFloat(-diff / accept) // diff <= 0, so x >= 0
 	prob := fixedpt.ExpNeg(x)

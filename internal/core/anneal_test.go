@@ -241,6 +241,46 @@ func BenchmarkAnneal8Threads4Cores(b *testing.B) {
 	}
 }
 
+// saturatedProblem is a random m-thread, n-core problem whose threads
+// all demand exactly 1.0, as threads runnable for a whole epoch do.
+func saturatedProblem(seed uint64, m, n int) *Problem {
+	p := randomProblem(rng.New(seed), m, n)
+	for i := range p.Util {
+		p.Util[i] = 1
+	}
+	return p
+}
+
+// benchAnneal runs Algorithm 1 on p from initial, one seed per op.
+func benchAnneal(b *testing.B, p *Problem, initial Allocation) {
+	cfg := DefaultAnnealConfig()
+	var a Annealer
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = uint64(i)
+		if _, err := a.Run(p, initial, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAnneal8Threads4CoresSaturated is node-quad's shape as the
+// controller sees it: every demand exactly 1.0, threads spread two per
+// core.
+func BenchmarkAnneal8Threads4CoresSaturated(b *testing.B) {
+	initial := Allocation{0, 1, 2, 3, 0, 1, 2, 3}
+	benchAnneal(b, saturatedProblem(81, 8, 4), initial)
+}
+
+// BenchmarkAnneal8Threads6CoresContended is node-contended's shape:
+// every demand exactly 1.0, six cores in three 2-core LLC domains.
+func BenchmarkAnneal8Threads6CoresContended(b *testing.B) {
+	p := saturatedProblem(83, 8, 6)
+	p.Contention = pairedContention(rng.New(84), 8, 6)
+	initial := Allocation{0, 1, 2, 3, 4, 5, 0, 1}
+	benchAnneal(b, p, initial)
+}
+
 func BenchmarkAnneal256Threads128Cores(b *testing.B) {
 	r := rng.New(91)
 	p := randomProblem(r, 256, 128)

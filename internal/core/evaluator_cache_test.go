@@ -19,7 +19,7 @@ func uncachedFold(e *Evaluator) float64 {
 			d := int(t.DomainOf[j])
 			pen := t.penalty(d, e.domWs[d]-e.coreWs[j], e.domBw[d]-e.coreBw[j])
 			penG += pen * e.coreGIPS[j]
-			penR += pen * ratio(e.coreGIPS[j], e.corePow[j], e.prevPopulated[j])
+			penR += pen * ratio(e.coreGIPS[j], e.corePow[j])
 		}
 		switch e.prob.Mode {
 		case PerCoreRatioSum:
@@ -65,6 +65,15 @@ func checkCaches(t *testing.T, e *Evaluator, ctx string) {
 				t.Fatalf("%s: core %d cached discount %v, fresh %v", ctx, j, e.pen[j], pen)
 			}
 		}
+		var unsat int32
+		for _, i := range e.byCore[j] {
+			if e.prob.Util[i] < 1 {
+				unsat++
+			}
+		}
+		if unsat != e.unsat[j] {
+			t.Fatalf("%s: core %d counts %d members below full demand, its members hold %d", ctx, j, e.unsat[j], unsat)
+		}
 	}
 }
 
@@ -102,30 +111,83 @@ func checkMemo(t *testing.T, e *Evaluator, ctx string) int {
 	return current
 }
 
+// checkPreview asserts that the pairs the last MoveDelta or SwapDelta
+// left in the preview equal, bit for bit, fresh coreEval scorings of
+// the member lists the commit would leave.
+func checkPreview(t *testing.T, e *Evaluator, ctx string) {
+	t.Helper()
+	pv := &e.pv
+	if !pv.ok {
+		return
+	}
+	src, dst := int(e.alloc[pv.i]), int(pv.dst)
+	addA, skipB, addB := -1, -1, pv.i
+	if pv.swap {
+		dst, addA, skipB = int(e.alloc[pv.k]), pv.k, pv.k
+	}
+	edited := func(j, skip, add int) []int {
+		list := removeInPlace(append([]int(nil), e.byCore[j]...), skip)
+		if add >= 0 {
+			list = append(list, add)
+		}
+		return list
+	}
+	for _, c := range []struct {
+		j    int
+		list []int
+		g, w float64
+	}{
+		{src, edited(src, pv.i, addA), pv.ga, pv.wa},
+		{dst, edited(dst, skipB, addB), pv.gb, pv.wb},
+	} {
+		g, w := e.coreEval(c.j, c.list)
+		if math.Float64bits(g) != math.Float64bits(c.g) || math.Float64bits(w) != math.Float64bits(c.w) {
+			t.Fatalf("%s: preview of core %d holds (%v, %v), fresh evaluation of %v gives (%v, %v)", ctx, c.j, c.g, c.w, c.list, g, w)
+		}
+	}
+}
+
 // TestEvaluatorCacheConsistency drives random sequences of previews
 // and commits — matched, with no preview, and with a preview of one
 // candidate followed by a commit of another — and checks after every
-// step that the caches are exact and that Move/Swap return the
-// uncached fold's change.
+// step that the caches and the preview are exact and that Move/Swap
+// return the uncached fold's change. Demands are continuous, tied
+// with most at exactly 1.0, or all exactly 1.0, so scoreEdit's
+// saturated-share table, its reference water-fill, and edits that
+// cross 64 members are all held to coreEval.
 func TestEvaluatorCacheConsistency(t *testing.T) {
 	r := rng.New(211)
-	for trial := 0; trial < 60; trial++ {
+	for trial := 0; trial < 90; trial++ {
 		m := 1 + r.Intn(12)
 		n := 1 + r.Intn(7)
+		packed := trial%15 == 14 // one core starts with 60 to 69 members
+		if packed {
+			m, n = 60+r.Intn(10), 2+r.Intn(2)
+		}
 		p := randomProblem(r, m, n)
 		p.Mode = ObjectiveMode(trial % 3)
 		if trial%2 == 1 {
 			p.Contention = randomContention(r, m, n)
 		}
-		if trial%4 >= 2 {
+		// The demand class is independent of the mode and the
+		// contention term, so the 90 trials cover all 18 combinations.
+		switch trial / 6 % 3 {
+		case 1:
 			// Tied demands, mostly at full demand, as Mix1's threads.
 			for i := range p.Util {
 				p.Util[i] = [...]float64{1, 1, 1, 0.5, 0.25}[r.Intn(5)]
 			}
+		case 2:
+			// Every thread runnable for the whole epoch.
+			for i := range p.Util {
+				p.Util[i] = 1
+			}
 		}
 		alloc := make(Allocation, m)
-		for i := range alloc {
-			alloc[i] = arch.CoreID(r.Intn(n))
+		if !packed {
+			for i := range alloc {
+				alloc[i] = arch.CoreID(r.Intn(n))
+			}
 		}
 		e, err := NewEvaluator(p, alloc)
 		if err != nil {
@@ -156,6 +218,7 @@ func TestEvaluatorCacheConsistency(t *testing.T) {
 				}
 			}
 			checkCaches(t, e, "after preview")
+			checkPreview(t, e, "after preview")
 			served += checkMemo(t, e, "after preview")
 			before := uncachedFold(e)
 			var got float64

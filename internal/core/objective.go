@@ -277,6 +277,16 @@ func (p *Problem) Validate() error {
 	return nil
 }
 
+// unsaturated is 0 when thread i demands exactly one core-second per
+// second, 1 otherwise. Summed per core it picks the edits whose shares
+// come from the saturated-share table.
+func (p *Problem) unsaturated(i int) int32 {
+	if p.Util[i] == 1 { //sbvet:allow floateq(exactly 1.0 is the demand the saturated-share table was built for; any other value takes the reference water-fill)
+		return 0
+	}
+	return 1
+}
+
 // weight returns ω_j.
 func (p *Problem) weight(j int) float64 {
 	if p.Weights == nil {
@@ -376,17 +386,17 @@ func insertDemand(utils []float64, idx []int, n int, u float64) int {
 // fairShares is coreShareInto's water-fill given idx, the positions
 // sorted by ascending demand: threads below the fair share take their
 // demand, releasing capacity to the rest. Each fair share is
-// capacity/remaining, as in the reference; the first, 1.0/n, comes
-// from firstShare, and the last step's capacity/1 is capacity itself,
-// so every share keeps its bits.
+// capacity/remaining, as in the reference; the first, 1.0/n, is the
+// saturated-share table's first column, and the last step's capacity/1
+// is capacity itself, so every share keeps its bits.
 func fairShares(shares, utils []float64, idx []int) {
 	n := len(utils)
 	capacity := 1.0
 	for r, i := range idx {
 		var fair float64
 		switch {
-		case r == 0 && n < len(firstShare):
-			fair = firstShare[n]
+		case r == 0 && n < len(satShares):
+			fair = satShares[n][0]
 		case r == n-1:
 			fair = capacity
 		default:
@@ -401,11 +411,19 @@ func fairShares(shares, utils []float64, idx []int) {
 	}
 }
 
-// firstShare holds 1.0/k, the first fair share on a core of k members,
-// computed once instead of per scoring.
-var firstShare = func() (t [64]float64) {
+// satShares[k][:k] are the fair shares on a core of k members that all
+// demand exactly 1.0, computed once with the reference coreShareInto.
+// Equal demands make its stable sort the identity, and no fair share
+// exceeds a demand of 1.0, so the shares depend on k alone;
+// satShares[k][0] is 1.0/k.
+var satShares = func() (t [64][64]float64) {
+	var ones [64]float64
+	var idx [64]int
+	for k := range ones {
+		ones[k] = 1
+	}
 	for k := 1; k < len(t); k++ {
-		t[k] = 1.0 / float64(k)
+		coreShareInto(t[k][:k], ones[:k], idx[:k])
 	}
 	return t
 }()
@@ -439,24 +457,41 @@ func (e *Evaluator) coreEval(j int, threads []int) (gips, power float64) {
 // scoreEdit scores core j as it would stand with member skip removed
 // and thread add appended (a negative skip or add: none). It reads
 // members in place, in the order removeInPlace and append would leave
-// them, so it equals coreEval of that edited list bit for bit.
+// them, so it equals coreEval of that edited list bit for bit. When
+// every demand on the edited core is exactly 1.0 and it has fewer than
+// 64 members, its shares are the saturated-share table's row, which
+// the one accumulation loop sums in the same order.
 func (e *Evaluator) scoreEdit(j int, members []int, skip, add int) (gips, power float64) {
 	p := e.prob
-	util, idx := e.utilScratch, e.idxScratch
-	n := 0
-	for _, i := range members {
-		if i != skip {
-			n = insertDemand(util, idx, n, p.Util[i])
-		}
+	size, unsat := len(members), e.unsat[j]
+	if skip >= 0 {
+		size--
+		unsat -= p.unsaturated(skip)
 	}
 	if add >= 0 {
-		n = insertDemand(util, idx, n, p.Util[add])
+		size++
+		unsat += p.unsaturated(add)
 	}
-	if n == 0 {
+	if size == 0 {
 		return 0, p.IdlePower[j]
 	}
-	share := e.shareScratch[:n]
-	fairShares(share, util[:n], idx[:n])
+	var share []float64
+	if unsat == 0 && size < len(satShares) {
+		share = satShares[size][:size]
+	} else {
+		util, idx := e.utilScratch, e.idxScratch
+		n := 0
+		for _, i := range members {
+			if i != skip {
+				n = insertDemand(util, idx, n, p.Util[i])
+			}
+		}
+		if add >= 0 {
+			insertDemand(util, idx, n, p.Util[add])
+		}
+		share = e.shareScratch[:size]
+		fairShares(share, util[:size], idx[:size])
+	}
 	var ips, busy float64
 	k := 0
 	for _, i := range members {
@@ -504,14 +539,13 @@ type Evaluator struct {
 	alloc  Allocation
 	byCore [][]int // thread indices per core
 
-	coreGIPS      []float64
-	corePow       []float64
-	prevPopulated []bool
-	sumGIPS       float64
-	sumPow        float64
-	ratioSum      float64 // Σ ω_j IPS_j/P_j for PerCoreRatioSum mode
-	obj           float64 // fold() of the current allocation
-	pv            preview
+	coreGIPS []float64
+	corePow  []float64
+	sumGIPS  float64
+	sumPow   float64
+	ratioSum float64 // Σ ω_j IPS_j/P_j for PerCoreRatioSum mode
+	obj      float64 // fold() of the current allocation
+	pv       preview
 
 	// Contention aggregates, maintained only when the problem carries a
 	// ContentionTerm (zero-length otherwise): the pooled thread
@@ -528,6 +562,11 @@ type Evaluator struct {
 	coreWs []float64
 	coreBw []float64
 	pen    []float64
+
+	// unsat[j] counts core j's members whose demand is not exactly 1.0;
+	// scoreEdit reads the saturated-share table for an edit that leaves
+	// it at 0.
+	unsat []int32
 
 	// Core version stamps and the edit memo. clock is never reset; Reset
 	// and every commit give the cores they touch fresh stamps, so a
@@ -598,7 +637,10 @@ func (e *Evaluator) Reset(prob *Problem, initial Allocation) error {
 	}
 	e.coreGIPS = grow(e.coreGIPS, n)
 	e.corePow = grow(e.corePow, n)
-	e.prevPopulated = grow(e.prevPopulated, n)
+	e.unsat = grow(e.unsat, n)
+	for j := range e.unsat {
+		e.unsat[j] = 0
+	}
 	e.stamp = grow(e.stamp, n)
 	for j := range e.stamp {
 		e.clock++
@@ -614,6 +656,7 @@ func (e *Evaluator) Reset(prob *Problem, initial Allocation) error {
 	e.sumGIPS, e.sumPow, e.ratioSum = 0, 0, 0
 	for i, c := range e.alloc {
 		e.byCore[c] = append(e.byCore[c], i) //sbvet:allow hotpath(per-core member rows keep their high-water capacity across Resets)
+		e.unsat[c] += prob.unsaturated(i)
 	}
 	for j := range e.coreGIPS {
 		g, w := e.coreEval(j, e.byCore[j])
@@ -621,8 +664,7 @@ func (e *Evaluator) Reset(prob *Problem, initial Allocation) error {
 		e.corePow[j] = w
 		e.sumGIPS += g
 		e.sumPow += w
-		e.prevPopulated[j] = len(e.byCore[j]) > 0
-		e.ratioSum += ratio(g, w, e.prevPopulated[j])
+		e.ratioSum += ratio(g, w)
 	}
 	if t := prob.Contention; t != nil {
 		nd := len(t.DomLLCKB)
@@ -659,9 +701,10 @@ func (e *Evaluator) Reset(prob *Problem, initial Allocation) error {
 	return nil
 }
 
-// ratio is the per-core Eq. (11) term: 0 for an empty core.
-func ratio(gips, pow float64, populated bool) float64 {
-	if !populated || pow <= 0 {
+// ratio is the per-core Eq. (11) term. An empty core scores a literal
+// 0 GIPS (coreEval and scoreEdit), so its term is 0 at any idle power.
+func ratio(gips, pow float64) float64 {
+	if pow <= 0 {
 		return 0
 	}
 	return gips / pow
@@ -680,7 +723,7 @@ func (e *Evaluator) fold() float64 {
 	if e.prob.Contention != nil {
 		var s float64
 		for j, pen := range e.pen {
-			s += e.contTerm(pen, e.coreGIPS[j], e.corePow[j], e.prevPopulated[j])
+			s += e.contTerm(pen, e.coreGIPS[j], e.corePow[j])
 		}
 		return e.contFinish(s, e.sumPow)
 	}
@@ -701,14 +744,14 @@ func (e *Evaluator) fold() float64 {
 func (e *Evaluator) Allocation() Allocation { return e.alloc.Clone() }
 
 // objectiveWith computes the objective if cores a and b had the given
-// replacement (gips, pow, populated) values.
-func (e *Evaluator) objectiveWith(a, b int, ga, wa float64, na bool, gb, wb float64, nb bool) float64 {
+// replacement (gips, pow) values.
+func (e *Evaluator) objectiveWith(a, b int, ga, wa, gb, wb float64) float64 {
 	switch e.prob.Mode {
 	case PerCoreRatioSum:
 		s := e.ratioSum
-		s -= ratio(e.coreGIPS[a], e.corePow[a], len(e.byCore[a]) > 0)
-		s -= ratio(e.coreGIPS[b], e.corePow[b], len(e.byCore[b]) > 0)
-		s += ratio(ga, wa, na) + ratio(gb, wb, nb)
+		s -= ratio(e.coreGIPS[a], e.corePow[a])
+		s -= ratio(e.coreGIPS[b], e.corePow[b])
+		s += ratio(ga, wa) + ratio(gb, wb)
 		return s
 	case MaxThroughput:
 		return e.sumGIPS - e.coreGIPS[a] - e.coreGIPS[b] + ga + gb
@@ -729,41 +772,45 @@ func (e *Evaluator) objectiveWith(a, b int, ga, wa float64, na bool, gb, wb floa
 // domains; for cores a and b themselves the domain and own-core shifts
 // cancel (self-exclusion: a core's discount never reflects its own
 // threads, only its co-runners').
-func (e *Evaluator) objectiveWithCont(a, b int, ga, wa float64, na bool, gb, wb float64, nb bool, dwsA, dbwA, dwsB, dbwB float64) float64 {
+func (e *Evaluator) objectiveWithCont(a, b int, ga, wa, gb, wb, dwsA, dbwA, dwsB, dbwB float64) float64 {
 	t := e.prob.Contention
 	da, db := t.DomainOf[a], t.DomainOf[b]
 	var s float64
 	for j, pen := range e.pen {
-		g, w, pop := e.coreGIPS[j], e.corePow[j], e.prevPopulated[j]
+		g, w := e.coreGIPS[j], e.corePow[j]
 		if j == a {
-			g, w, pop = ga, wa, na
+			g, w = ga, wa
 		} else if j == b {
-			g, w, pop = gb, wb, nb
+			g, w = gb, wb
 		}
-		// Outside the two touched domains the cached discount is exact.
-		if d := t.DomainOf[j]; d == da || d == db {
+		// A discount no shift lands on is the cached one, corePen's
+		// expression on the same operands: every core outside the two
+		// touched domains, and a's and b's own when the domains differ.
+		d := t.DomainOf[j]
+		shiftA, shiftB := d == da && j != a, d == db && j != b
+		if shiftA || shiftB {
 			ws := e.domWs[d] - e.coreWs[j]
 			bw := e.domBw[d] - e.coreBw[j]
-			if d == da && j != a {
+			if shiftA {
 				ws += dwsA
 				bw += dbwA
 			}
-			if d == db && j != b {
+			if shiftB {
 				ws += dwsB
 				bw += dbwB
 			}
 			pen = t.penalty(int(d), ws, bw)
 		}
-		s += e.contTerm(pen, g, w, pop)
+		s += e.contTerm(pen, g, w)
 	}
 	return e.contFinish(s, e.sumPow-e.corePow[a]-e.corePow[b]+wa+wb)
 }
 
 // contTerm is one core's term of the contended fold: its discounted
 // Eq. (11) ratio under PerCoreRatioSum, its discounted GIPS otherwise.
-func (e *Evaluator) contTerm(pen, g, w float64, pop bool) float64 {
+func (e *Evaluator) contTerm(pen, g, w float64) float64 {
 	if e.prob.Mode == PerCoreRatioSum {
-		return pen * ratio(g, w, pop)
+		return pen * ratio(g, w)
 	}
 	return pen * g
 }
@@ -809,12 +856,11 @@ func (e *Evaluator) MoveDelta(i int, dst arch.CoreID) float64 {
 	}
 	e.scoreMove(i, dst)
 	pv := &e.pv
-	srcLeft := len(e.byCore[src]) > 1
 	if t := e.prob.Contention; t != nil {
-		return e.objectiveWithCont(int(src), int(dst), pv.ga, pv.wa, srcLeft, pv.gb, pv.wb, true,
+		return e.objectiveWithCont(int(src), int(dst), pv.ga, pv.wa, pv.gb, pv.wb,
 			-t.WsKB[i], -t.BwGBps[i], t.WsKB[i], t.BwGBps[i]) - e.obj
 	}
-	return e.objectiveWith(int(src), int(dst), pv.ga, pv.wa, srcLeft, pv.gb, pv.wb, true) - e.obj
+	return e.objectiveWith(int(src), int(dst), pv.ga, pv.wa, pv.gb, pv.wb) - e.obj
 }
 
 // scoreMove evaluates thread i's source and destination cores as they
@@ -851,6 +897,9 @@ func (e *Evaluator) Move(i int, dst arch.CoreID) float64 {
 	e.byCore[src] = removeInPlace(e.byCore[src], i)
 	e.byCore[dst] = append(e.byCore[dst], i) //sbvet:allow hotpath(per-core member rows keep their high-water capacity; growth stops after the first epochs)
 	e.alloc[i] = dst
+	u := e.prob.unsaturated(i)
+	e.unsat[src] -= u
+	e.unsat[dst] += u
 	if t := e.prob.Contention; t != nil {
 		ds, dd := t.DomainOf[src], t.DomainOf[dst]
 		e.domWs[ds] -= t.WsKB[i]
@@ -876,11 +925,11 @@ func (e *Evaluator) SwapDelta(i, k int) float64 {
 	e.scoreSwap(i, k)
 	pv := &e.pv
 	if t := e.prob.Contention; t != nil {
-		return e.objectiveWithCont(int(ci), int(ck), pv.ga, pv.wa, true, pv.gb, pv.wb, true,
+		return e.objectiveWithCont(int(ci), int(ck), pv.ga, pv.wa, pv.gb, pv.wb,
 			t.WsKB[k]-t.WsKB[i], t.BwGBps[k]-t.BwGBps[i],
 			t.WsKB[i]-t.WsKB[k], t.BwGBps[i]-t.BwGBps[k]) - e.obj
 	}
-	return e.objectiveWith(int(ci), int(ck), pv.ga, pv.wa, true, pv.gb, pv.wb, true) - e.obj
+	return e.objectiveWith(int(ci), int(ck), pv.ga, pv.wa, pv.gb, pv.wb) - e.obj
 }
 
 // scoreSwap evaluates the cores of threads i and k as they would stand
@@ -904,6 +953,9 @@ func (e *Evaluator) Swap(i, k int) float64 {
 	e.byCore[ci] = append(removeInPlace(e.byCore[ci], i), k) //sbvet:allow hotpath(the in-place removal freed one slot, so this append never grows)
 	e.byCore[ck] = append(removeInPlace(e.byCore[ck], k), i) //sbvet:allow hotpath(the in-place removal freed one slot, so this append never grows)
 	e.alloc[i], e.alloc[k] = ck, ci
+	u := e.prob.unsaturated(k) - e.prob.unsaturated(i)
+	e.unsat[ci] += u
+	e.unsat[ck] -= u
 	if t := e.prob.Contention; t != nil {
 		di, dk := t.DomainOf[ci], t.DomainOf[ck]
 		e.domWs[di] += t.WsKB[k] - t.WsKB[i]
@@ -943,14 +995,12 @@ func (e *Evaluator) commit(a, b int) float64 {
 func (e *Evaluator) setCore(j int, g, w float64) {
 	e.sumGIPS -= e.coreGIPS[j]
 	e.sumPow -= e.corePow[j]
-	e.ratioSum -= ratio(e.coreGIPS[j], e.corePow[j], e.prevPopulated[j])
+	e.ratioSum -= ratio(e.coreGIPS[j], e.corePow[j])
 	e.coreGIPS[j] = g
 	e.corePow[j] = w
 	e.sumGIPS += g
 	e.sumPow += w
-	pop := len(e.byCore[j]) > 0
-	e.ratioSum += ratio(g, w, pop)
-	e.prevPopulated[j] = pop
+	e.ratioSum += ratio(g, w)
 }
 
 // removeInPlace deletes the first occurrence of v from s, preserving

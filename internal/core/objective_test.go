@@ -157,8 +157,9 @@ func TestCoreShareEmpty(t *testing.T) {
 	}
 }
 
-// fastShares runs scoreEdit's water-fill: demands insertion-sorted as
-// they are read, then fairShares with its first-share table.
+// fastShares runs scoreEdit's general water-fill: demands
+// insertion-sorted as they are read, then fairShares with the
+// saturated-share table's first column.
 func fastShares(utils []float64) []float64 {
 	demand := make([]float64, len(utils))
 	idx := make([]int, len(utils))
@@ -200,10 +201,23 @@ func TestCoreShareProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
+	// The saturated-share table: each row is the reference water-fill
+	// of k demands of exactly 1.0.
+	for k := 1; k < len(satShares); k++ {
+		ones := make([]float64, k)
+		for i := range ones {
+			ones[i] = 1
+		}
+		for i, s := range coreShare(ones) {
+			if math.Float64bits(satShares[k][i]) != math.Float64bits(s) {
+				t.Fatalf("k=%d: table share %d is %v, reference %v", k, i, satShares[k][i], s)
+			}
+		}
+	}
 	// Tied demands, mostly at full demand, at every length the table
 	// covers and past it.
 	pattern := []float64{1, 0.5, 1, 1, 0.25, 1, 0.75, 0.02}
-	for n := 1; n <= len(firstShare)+2; n++ {
+	for n := 1; n <= len(satShares)+2; n++ {
 		for _, mixed := range []bool{false, true} {
 			utils := make([]float64, n)
 			for i := range utils {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"smartbalance/internal/arch"
 	"smartbalance/internal/balancer"
@@ -9,6 +10,16 @@ import (
 	"smartbalance/internal/machine"
 	"smartbalance/internal/workload"
 )
+
+// TestSmartBalanceSizeClass pins the controller to the 1,792-byte
+// allocation size class: objects over 512 bytes carry an 8-byte malloc
+// header, and the next class is 2,048 bytes.
+func TestSmartBalanceSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(SmartBalance{}) + 8; n > 1792 {
+		t.Fatalf("SmartBalance takes %d bytes with its malloc header, over the 1,792-byte size class: "+
+			"the 2,048-byte class costs +256 B of live heap per controller", n)
+	}
+}
 
 // runScenario executes specs on plat under balancer b for durNs.
 func runScenario(t *testing.T, plat *arch.Platform, b kernel.Balancer, specs []workload.ThreadSpec, durNs int64) *kernel.RunStats {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -13,8 +14,10 @@ import (
 // Workers=W, the curve over the worker count. Run's caller steps nodes
 // too, and its helpers are capped at GOMAXPROCS-1, so on a 2-vCPU host
 // every Workers >= 2 runs the caller and one helper. Reported as
-// completed requests per wall second and nanoseconds of wall time per
-// completed request. These runs admit for 200 ms, and their early
+// completed requests per wall second, nanoseconds of wall time per
+// completed request, and the heap the last run's fleet still holds
+// after a forced GC per request it completed (retained-B/request; the
+// nodes' fixed state included). These runs admit for 200 ms, and their early
 // ticks carry few requests: on a 2-vCPU Xeon, sharing every tick
 // instead of only the ticks with a balancer epoch did not speed them
 // up (n32/w2 41.1 → 43.2 µs per request, medians of 8 rounds, inside
@@ -33,7 +36,18 @@ func benchFleet(b *testing.B, nodes, workers int) {
 	cfg.DurationNs = 200e6
 	cfg.Seed = 7
 	cfg.Workers = workers
+	// One fleet first, so the heap baseline holds the process-global
+	// predictor memo.
+	if _, err := New(cfg); err != nil {
+		b.Fatal(err)
+	}
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	base := ms.HeapAlloc
 	completed := 0
+	var last *Fleet
+	var lastRes *Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f, err := New(cfg)
@@ -45,6 +59,7 @@ func benchFleet(b *testing.B, nodes, workers int) {
 			b.Fatal(err)
 		}
 		completed += res.Completed
+		last, lastRes = f, res
 	}
 	b.StopTimer()
 	if completed == 0 {
@@ -53,4 +68,8 @@ func benchFleet(b *testing.B, nodes, workers int) {
 	secs := b.Elapsed().Seconds()
 	b.ReportMetric(float64(completed)/secs, "req/s")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(completed), "ns/request")
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(last)
+	b.ReportMetric((float64(ms.HeapAlloc)-float64(base))/float64(lastRes.Completed), "retained-B/request")
 }

@@ -258,6 +258,48 @@ func TestNoHelperOutlivesRun(t *testing.T) {
 	settle(before)
 }
 
+// TestNodesHoldOnlyRequestsInFlight: the harvest reaps each request it
+// completes, so after Run every node's kernel lists exactly its
+// requests in flight, serially and on the pool, both when the drain
+// completes every request and when a 1 ms drain cuts it off.
+func TestNodesHoldOnlyRequestsInFlight(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, workers := range []int{1, 8} {
+		for _, drainNs := range []int64{0, 1e6} {
+			cfg := sharedTickConfig(workers)
+			cfg.DrainNs = drainNs
+			f, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := f.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			outstanding, spawned := 0, 0
+			for _, n := range f.nodes {
+				tasks := n.kern.Tasks()
+				if len(tasks) != len(n.inflight) {
+					t.Fatalf("workers=%d drain=%d: node %d lists %d tasks, %d requests in flight",
+						workers, drainNs, n.ID, len(tasks), len(n.inflight))
+				}
+				for _, task := range tasks {
+					if _, ok := n.inflight[task.ID]; !ok || task.State() == kernel.StateFinished {
+						t.Fatalf("workers=%d drain=%d: node %d lists task %d (%v), not in flight",
+							workers, drainNs, n.ID, task.ID, task.State())
+					}
+				}
+				outstanding += n.queueDepth()
+				spawned += len(tasks)
+			}
+			if outstanding != res.InFlight || (drainNs > 0) != (spawned > 0) {
+				t.Fatalf("workers=%d drain=%d: %d requests outstanding on the nodes (%d spawned), %d in the result",
+					workers, drainNs, outstanding, spawned, res.InFlight)
+			}
+		}
+	}
+}
+
 func TestFixedSeedByteIdenticalAcrossRuns(t *testing.T) {
 	cfg := burstyGateConfig("energy")
 	cfg.Workers = 4

@@ -168,7 +168,8 @@ func (n *Node) step(toNs int64) error {
 	}
 
 	// Harvest: completions arrive in kernel event order, which is a
-	// pure function of the node's seed.
+	// pure function of the node's seed. A completed request's task is
+	// reaped, so the kernel holds only the requests in flight.
 	n.tickLatNs = n.tickLatNs[:0]
 	for _, f := range n.finished {
 		rq, ok := n.inflight[f.id]
@@ -176,6 +177,9 @@ func (n *Node) step(toNs int64) error {
 			continue
 		}
 		delete(n.inflight, f.id)
+		if err := n.kern.Reap(f.id); err != nil {
+			return fmt.Errorf("fleet: node %d request %d: %w", n.ID, rq.ID, err)
+		}
 		n.completed++
 		n.tickLatNs = append(n.tickLatNs, f.atNs-rq.ArrivalNs)
 	}

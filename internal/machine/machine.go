@@ -127,15 +127,30 @@ func (m *Machine) PowerModels() *powermodel.Platform { return m.pm }
 // transitions stay evaluation-free. Allocating the table here keeps the
 // slice path allocation-free.
 func (m *Machine) NewThreadState(spec *workload.ThreadSpec) (*ThreadState, error) {
+	t := new(ThreadState)
+	if err := m.InitThreadState(t, spec); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// InitThreadState validates the spec and makes t a fresh thread of it,
+// exactly as NewThreadState builds one. t may be the state of a thread
+// that has exited: its metrics table is kept when it holds the new
+// spec's table, and since no filled bit survives, no stale entry is
+// ever read. On error t is left untouched.
+func (m *Machine) InitThreadState(t *ThreadState, spec *workload.ThreadSpec) error {
 	if err := spec.Validate(); err != nil {
-		return nil, fmt.Errorf("machine: %w", err)
+		return fmt.Errorf("machine: %w", err)
 	}
 	q := m.plat.NumTypes()
-	return &ThreadState{
-		Spec:     spec,
-		numTypes: q,
-		metrics:  make([]perfmodel.Metrics, len(spec.Phases)*q),
-	}, nil
+	n := len(spec.Phases) * q
+	metrics := t.metrics
+	if cap(metrics) < n {
+		metrics = make([]perfmodel.Metrics, n)
+	}
+	*t = ThreadState{Spec: spec, numTypes: q, metrics: metrics[:n]}
+	return nil
 }
 
 // Finished reports whether the thread has retired all instructions.

@@ -103,6 +103,60 @@ func TestMetricsTableMatchesEvaluate(t *testing.T) {
 	checkTable(t, m, ts, "through slices")
 }
 
+// TestInitThreadStateMatchesNew reuses the state of a thread that ran
+// on every core type, for a spec with fewer phases (the table is kept)
+// and one with more (a larger table), and requires each reused state to
+// behave as NewThreadState's: no filled bit survives, and slices on
+// every core type return the same results bit for bit. A rejected spec
+// leaves the state untouched.
+func TestInitThreadStateMatchesNew(t *testing.T) {
+	m := newMachine(t)
+	types := m.Platform().Types
+	small := simpleSpec(3e5, 0, 0)
+	small.Phases[0].MemShare = 0.4
+	for _, c := range []struct {
+		name       string
+		old, spec  *workload.ThreadSpec
+		keepsTable bool
+	}{
+		{"fewer phases", threePhaseSpec(), small, true},
+		{"more phases", small, threePhaseSpec(), false},
+	} {
+		used, err := m.NewThreadState(c.old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for core := range types {
+			if _, err := execOn(m, used, arch.CoreID(core), 2e6); err != nil {
+				t.Fatal(err)
+			}
+		}
+		table := &used.metrics[0]
+		if err := m.InitThreadState(used, &workload.ThreadSpec{Name: "bad"}); err == nil || used.Spec != c.old {
+			t.Fatalf("%s: an invalid spec was accepted or changed the state (err %v)", c.name, err)
+		}
+		if err := m.InitThreadState(used, c.spec); err != nil {
+			t.Fatal(err)
+		}
+		if used.filled != 0 || (&used.metrics[0] == table) != c.keepsTable {
+			t.Fatalf("%s: filled mask %b, table kept %v", c.name, used.filled, &used.metrics[0] == table)
+		}
+		fresh, err := m.NewThreadState(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 6*len(types); i++ {
+			core := arch.CoreID(i % len(types))
+			got, err1 := execOn(m, used, core, 1e6)
+			want, err2 := execOn(m, fresh, core, 1e6)
+			if err1 != nil || err2 != nil || got != want {
+				t.Fatalf("%s: slice %d on core %d: reused %+v (%v), fresh %+v (%v)", c.name, i, core, got, err1, want, err2)
+			}
+		}
+		checkTable(t, m, used, c.name)
+	}
+}
+
 // TestNewRejectsTooManyCoreTypes: one filled bit per core type bounds a
 // machine at 64 types.
 func TestNewRejectsTooManyCoreTypes(t *testing.T) {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"smartbalance/internal/rng"
 )
 
 func TestDecayHalvesAt32Periods(t *testing.T) {
@@ -122,6 +124,82 @@ func TestNonMonotonicNowTolerated(t *testing.T) {
 	tr.Observe(5e6) // goes backwards: must not panic or corrupt
 	if u := tr.Utilization(); u < 0 || u > 1 {
 		t.Fatalf("utilization %g after clock skew", u)
+	}
+}
+
+// TestPeriodStepsMatchFormula: every table entry holds the bits of
+// decayN and of the geometric-sum expression the formula path
+// evaluates.
+func TestPeriodStepsMatchFormula(t *testing.T) {
+	for n := range periodSteps {
+		d := decayN(int64(n))
+		c := y * (1 - d) / (1 - y)
+		if s := periodSteps[n]; math.Float64bits(s.decay) != math.Float64bits(d) ||
+			math.Float64bits(s.contrib) != math.Float64bits(c) {
+			t.Fatalf("n=%d: table (%v, %v), formula (%v, %v)", n, s.decay, s.contrib, d, c)
+		}
+	}
+}
+
+// formulaAdvance is advance with every period crossing on the formula
+// path: decayN and the geometric-sum expression, whatever the count.
+func formulaAdvance(t *Tracker, now int64) {
+	if now <= t.lastUpdate {
+		t.lastUpdate = now
+		return
+	}
+	total := t.phase + now - t.lastUpdate
+	t.lastUpdate = now
+	n := total / PeriodNs
+	t.phase = total % PeriodNs
+	if n > 0 {
+		d := decayN(n)
+		contrib := y * (1 - d) / (1 - y)
+		t.runnableSum *= d
+		t.runningSum *= d
+		if t.runnable {
+			t.runnableSum += contrib
+		}
+		if t.running {
+			t.runningSum += contrib
+		}
+	}
+}
+
+// TestAdvanceMatchesFormulaPath replays seeded random transition
+// sequences, with gaps from none to well past the table (and now
+// sometimes stepping back), on a tracker and on the formula path, and
+// requires the same state bit for bit after every step.
+func TestAdvanceMatchesFormulaPath(t *testing.T) {
+	for seed := uint64(1); seed <= 32; seed++ {
+		r := rng.New(seed)
+		var got, want Tracker
+		now := int64(0)
+		for i := 0; i < 2000; i++ {
+			switch r.Intn(8) {
+			case 0:
+				now -= int64(r.Intn(PeriodNs))
+			case 1:
+				now += int64(r.Intn(200)) * PeriodNs
+			default:
+				now += int64(r.Intn(70 * PeriodNs))
+			}
+			runnable := r.Intn(2) == 0
+			running := runnable && r.Intn(2) == 0
+			if r.Intn(4) == 0 {
+				got.Observe(now)
+				formulaAdvance(&want, now)
+			} else {
+				got.Transition(now, runnable, running)
+				formulaAdvance(&want, now)
+				want.runnable, want.running = runnable, running
+			}
+			if got.lastUpdate != want.lastUpdate || got.phase != want.phase ||
+				math.Float64bits(got.runnableSum) != math.Float64bits(want.runnableSum) ||
+				math.Float64bits(got.runningSum) != math.Float64bits(want.runningSum) {
+				t.Fatalf("seed %d step %d: tracker %+v, formula path %+v", seed, i, got, want)
+			}
+		}
 	}
 }
 

@@ -13,9 +13,12 @@ import (
 // few million instructions and exits, and its wall time from arrival
 // to exit is the request latency the fleet tier accounts.
 
-// requestProfile is one request class's base phase shape.
+// requestProfile is one request class's base phase shape. label is
+// its threads' benchmark name, "req:" + class, built once here rather
+// than per request.
 type requestProfile struct {
 	class string
+	label string
 	phase Phase
 }
 
@@ -24,21 +27,21 @@ type requestProfile struct {
 // branchy mixed render (template assembly), and "query" a
 // memory-bound scan with high MLP (a datastore lookup).
 var requestProfiles = []requestProfile{
-	{class: "api", phase: Phase{
+	{class: "api", label: "req:api", phase: Phase{
 		Name: "api", Instructions: 4_000_000,
 		ILP: 2.2, MemShare: 0.18, BranchShare: 0.12,
 		WorkingSetIKB: 24, WorkingSetDKB: 64,
 		BranchEntropy: 0.35, MLP: 2.0,
 		TLBPressureI: 0.05, TLBPressureD: 0.10,
 	}},
-	{class: "page", phase: Phase{
+	{class: "page", label: "req:page", phase: Phase{
 		Name: "page", Instructions: 12_000_000,
 		ILP: 1.6, MemShare: 0.30, BranchShare: 0.20,
 		WorkingSetIKB: 48, WorkingSetDKB: 256,
 		BranchEntropy: 0.55, MLP: 2.5,
 		TLBPressureI: 0.10, TLBPressureD: 0.20,
 	}},
-	{class: "query", phase: Phase{
+	{class: "query", label: "req:query", phase: Phase{
 		Name: "query", Instructions: 24_000_000,
 		ILP: 1.2, MemShare: 0.45, BranchShare: 0.08,
 		WorkingSetIKB: 32, WorkingSetDKB: 2048,
@@ -72,7 +75,7 @@ func RequestSpec(class, name string, seed uint64) (ThreadSpec, error) {
 		perturbPhases(rng.New(seed), phases, []Phase{p.phase}, 0.10)
 		spec := ThreadSpec{
 			Name:      name,
-			Benchmark: "req:" + class,
+			Benchmark: p.label,
 			Phases:    phases,
 			Repeats:   1,
 		}

@@ -4,8 +4,8 @@
 # the perfbench benchmark module, which ./... does not reach), the
 # project's own sbvet determinism/safety analyzers, the build, and the
 # race-enabled test suite, then ten more race runs of the fleet's
-# shared-tick tests, whose helper goroutines interleave differently
-# each run. The fixed-seed contracts (sweep cache, fault robustness,
+# shared-tick and reaping tests, whose helper goroutines interleave
+# differently each run (the harvest reaps on the helpers). The fixed-seed contracts (sweep cache, fault robustness,
 # telemetry, fleet and hunt determinism) and the epoch allocation
 # ceilings are Go tests, so the race run covers them too.
 # perfbench (BENCHMARK.json) is the repository's only benchmark; the
@@ -38,7 +38,7 @@ go build ./...
 echo "== go test -race ./..."
 go test -race ./...
 
-echo "== go test -race -count=10 (the fleet's shared ticks, claim protocol and helper lifetime)"
-go test -race -count=10 -run '^(TestSharedTicksByteIdenticalAcrossWorkers|TestEveryTickIsShared|TestNoHelperOutlivesRun)$' ./internal/fleet
+echo "== go test -race -count=10 (the fleet's shared ticks, claim protocol, helper lifetime and reaping)"
+go test -race -count=10 -run '^(TestSharedTicksByteIdenticalAcrossWorkers|TestEveryTickIsShared|TestNoHelperOutlivesRun|TestNodesHoldOnlyRequestsInFlight)$' ./internal/fleet
 
 echo "ok: all checks passed"
